@@ -27,7 +27,7 @@ from .dimension import (
 )
 from .level_sets import BudgetExceededError, LevelParams, prefix_intersection
 from .multiplicative import hyperbolic_cover, mult_bounds, mult_cost_exponent
-from .sequences import exponent_stats, generate, validate_regime
+from .sequences import exponent_stats, generate, regime_from_steps
 from .svg import Plot, square_overlay
 
 
@@ -49,14 +49,14 @@ def run(cfg: ExperimentConfig, canonical: bool = False) -> tuple[dict, int]:
     qs = generate(cfg.spec(), cfg.depth)
     params = LevelParams(theta=cfg.theta, tau=cfg.tau, d=cfg.d)
     stats = exponent_stats(qs, prec)
-    regime = validate_regime(qs, cfg.tau, prec)
+    regime = regime_from_steps(stats.h_list, cfg.tau)
     if not regime:
         warnings.append(f"growth regime check: {regime.status.value}"
                         + (f" at step {regime.index}" if regime.index else ""))
     timing["analyze"] = time.perf_counter() - t0
 
     results["analyze"] = rep.stats_json(stats, regime)
-    results["analyze"]["terms"] = [str(q) for q in qs.terms]
+    results["analyze"]["terms"] = [str(rep.int_json(q)) for q in qs.terms]
 
     for task in cfg.tasks:
         if task == "analyze":
@@ -106,7 +106,7 @@ def run(cfg: ExperimentConfig, canonical: bool = False) -> tuple[dict, int]:
                 cert = tree.holder_certificate(cfg.holder_s, cfg.holder_samples,
                                                cfg.seed)
                 results["cantor"] = {
-                    "branching_1d": list(tree.branching_1d),
+                    "branching_1d": [rep.int_json(b) for b in tree.branching_1d],
                     "leaf_measure": rep.fraction_str(tree.node_measure(tree.depth)),
                     "min_separation": rep.fraction_str(tree.min_separation(tree.depth)),
                     "certificate": rep.certificate_json(cert),

@@ -91,8 +91,13 @@ class CoverReport:
     count: CertifiedCount          # integer range for the cover size N
     raw_count: Enclosure           # the product before integer rounding
     side: Enclosure                # 2 * q_J**-(1+tau)
-    regime: RegimeResult
+    prefix: QSequence              # q_1 .. q_J
     prec: int
+
+    @property
+    def regime(self) -> RegimeResult:
+        """Growth-regime verdict of the prefix, computed each time it is read."""
+        return validate_regime(self.prefix, self.tau, self.prec)
 
     def s_cost(self, s: Fraction) -> Enclosure:
         """N * side**s, the s-dimensional cost of the cover."""
@@ -119,8 +124,10 @@ def upper_cover_count(
     """Cover of the depth-J intersection by boxes of side 2 q_J**-(1+tau).
 
     N = q_1**d * prod_{k=2..J} (4 q_{k-1}**-(1+tau) q_k + 2)**d: each box of
-    one level meets at most that many boxes of the next level.  The regime
-    check is advisory; the count is computed either way and flagged.
+    one level meets at most that many boxes of the next level.  The count is
+    computed whatever the growth regime and takes no logarithm.  The advisory
+    regime check (one log2 per term of the prefix) runs only when
+    ``CoverReport.regime`` is read, so an estimate never pays for it.
     """
     tau = Fraction(tau)
     p = _resolve_prec(prec)
@@ -138,11 +145,10 @@ def upper_cover_count(
     n_lo, _ = raw.floor_range()
     _, n_hi = raw.ceil_range()
     side = dir_pow(qs.terms[depth - 1], -(1 + tau), p).scale_int(2)
-    regime = validate_regime(QSequence(qs.terms[:depth]), tau, p)
     return CoverReport(
         depth=depth, d=d, tau=tau,
         count=CertifiedCount(max(n_lo, 1), n_hi),
-        raw_count=raw, side=side, regime=regime, prec=p,
+        raw_count=raw, side=side, prefix=QSequence(qs.terms[:depth]), prec=p,
     )
 
 

@@ -25,6 +25,8 @@ from typing import Optional, Union
 
 DEFAULT_PRECISION = 128
 MIN_PRECISION = 8
+# extra bits on each log2 whose quotient log_ratio rounds to the working precision
+LOG_GUARD_BITS = 8
 
 
 class Direction(Enum):
@@ -84,7 +86,7 @@ def _shift_ceil(m: int, k: int) -> int:
     return m << k if k >= 0 else -((-m) >> -k)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DirectedReal:
     """Dyadic number ``mantissa * 2**exponent`` with a rounding direction.
 
@@ -240,7 +242,7 @@ def _div_directed(num: DirectedReal, den: DirectedReal, prec: int, direction: Di
     return DirectedReal(q, num.exponent - den.exponent - t, direction)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Enclosure:
     """Certified bracket ``lo <= true value <= hi`` of a real number.
 
@@ -572,21 +574,34 @@ def _power_exponent_of(a: int, b: int) -> Optional[int]:
     return None
 
 
-def log_ratio(a: int, b: int, prec: Optional[int] = None) -> Enclosure:
-    """Enclosure of log(a)/log(b) for integers a, b >= 2.
+def power_log_ratio(a: int, b: int, prec: Optional[int] = None) -> Optional[Enclosure]:
+    """log(a)/log(b) when a is an integer power of b or b one of a, else None.
 
-    Exact when a is an integer power of b; also exact when b is a power of a
-    and the resulting reciprocal is dyadic.
+    Exact in the first case; in the second, 1/k is exact when dyadic and
+    rounded outward at `prec` bits otherwise.  Decided on integers alone.
     """
-    p = _resolve_prec(prec)
-    if a < 2 or b < 2:
-        raise ValueError("log_ratio requires both arguments >= 2")
     k = _power_exponent_of(a, b)
     if k is not None:
         return Enclosure.exact_int(k)
     k = _power_exponent_of(b, a)
     if k is not None:
-        return Enclosure.from_fraction(Fraction(1, k), p)
-    la = _log2_bracket(a, p + 8)
-    lb = _log2_bracket(b, p + 8)
+        return Enclosure.from_fraction(Fraction(1, k), _resolve_prec(prec))
+    return None
+
+
+def log_ratio(a: int, b: int, prec: Optional[int] = None) -> Enclosure:
+    """Enclosure of log(a)/log(b) for integers a, b >= 2.
+
+    Exact when a is an integer power of b; also exact when b is a power of a
+    and the resulting reciprocal is dyadic.  Otherwise both logs are taken
+    at ``prec + LOG_GUARD_BITS`` bits and divided at ``prec``.
+    """
+    p = _resolve_prec(prec)
+    if a < 2 or b < 2:
+        raise ValueError("log_ratio requires both arguments >= 2")
+    exact = power_log_ratio(a, b, p)
+    if exact is not None:
+        return exact
+    la = _log2_bracket(a, p + LOG_GUARD_BITS)
+    lb = _log2_bracket(b, p + LOG_GUARD_BITS)
     return la.div(lb, p)

@@ -2,8 +2,11 @@
 
 Every numeric result is serialised as its certified range in exact form
 (rationals as 'p/q', dyadics as 'm*2^e') next to float renderings for
-humans.  Canonical mode drops the timing block and sorts keys, making
-reports byte-identical across runs of the same configuration.
+humans.  Integers that grow with the sequence terms (terms, counts) are
+written in decimal up to ``DECIMAL_MAX_BITS`` bits and as '0x...' hex
+strings beyond, so no report runs into the interpreter's limit on
+int-to-decimal conversion.  Canonical mode drops the timing block and sorts
+keys, making reports byte-identical across runs of the same configuration.
 """
 
 from __future__ import annotations
@@ -20,6 +23,19 @@ from .level_sets import CertifiedCount, LevelStats
 from .multiplicative import SquareCover
 from .numerics import DirectedReal, Enclosure
 from .sequences import ExponentStats, RegimeResult
+
+
+# floor(4300 * log2(10)): an integer of at most this many bits has at most
+# 4300 decimal digits, the interpreter's default limit for int-to-str
+# conversion, so every report that printed before keeps its decimal form.
+# Fixed: the form does not follow the process-wide setting.
+DECIMAL_MAX_BITS = 14284
+
+
+def int_json(n: int) -> Union[int, str]:
+    """n itself up to DECIMAL_MAX_BITS bits, else its '0x...' hex string;
+    ``int(s, 0)`` reads either form back."""
+    return n if n.bit_length() <= DECIMAL_MAX_BITS else hex(n)
 
 
 def fraction_str(x: Fraction) -> str:
@@ -48,7 +64,7 @@ def value_json(v: Union[Enclosure, Fraction]) -> dict:
 
 
 def count_json(c: CertifiedCount) -> dict:
-    return {"min": c.min, "max": c.max}
+    return {"min": int_json(c.min), "max": int_json(c.max)}
 
 
 def stats_json(stats: ExponentStats, regime: RegimeResult) -> dict:
@@ -64,7 +80,7 @@ def stats_json(stats: ExponentStats, regime: RegimeResult) -> dict:
 def level_stats_json(st: LevelStats) -> dict:
     return {
         "level": st.level,
-        "q": st.q,
+        "q": int_json(st.q),
         "count": count_json(st.count),
         "per_coord": [count_json(c) for c in st.per_coord],
         "max_len": fraction_str(st.max_len),
@@ -80,8 +96,8 @@ def cover_report_json(report) -> dict:
     dim = report.dim_estimate()
     return {
         "J": report.depth,
-        "N_min": report.count.min,
-        "N_max": report.count.max,
+        "N_min": int_json(report.count.min),
+        "N_max": int_json(report.count.max),
         "side_lo": dyadic_str(report.side.lo),
         "side_hi": dyadic_str(report.side.hi),
         "side_lo_float": float(report.side.lo),
@@ -110,8 +126,8 @@ def certificate_json(cert: HolderCertificate) -> dict:
 def config_json(cfg: ExperimentConfig) -> dict:
     return {
         "sequence": cfg.sequence,
-        "terms": list(cfg.terms),
-        "q1": cfg.q1,
+        "terms": [int_json(q) for q in cfg.terms],
+        "q1": int_json(cfg.q1),
         "growth": fraction_str(cfg.growth),
         "eta": fraction_str(cfg.eta),
         "tau": fraction_str(cfg.tau),

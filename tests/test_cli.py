@@ -5,9 +5,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from liminfdim.cli import MissingSeriesError, plot, run
+from liminfdim.cli import MissingSeriesError, main, plot, run
 from liminfdim.config import ConfigError, parse_config, parse_rational
-from liminfdim.report import parse_json, render_json
+from liminfdim.report import DECIMAL_MAX_BITS, int_json, parse_json, render_json
+from liminfdim.sequences import PowerSpec, generate
 
 POWER_CFG = """
 # fourth-power family
@@ -114,6 +115,34 @@ class TestRun:
         report, _ = run(cfg, canonical=True)
         text = render_json(report, True)
         assert parse_json(text) == report
+
+
+class TestHugeIntegers:
+    """Terms past the interpreter's 4300-digit int-to-str limit (q_8 of the
+    fourth-power family has 9865 digits) are written as hex strings."""
+
+    DEEP_CFG = ("sequence = power\nq1 = 4\ngrowth = 4\ntau = 1\nd = 1\n"
+                "depth = 8\ntasks = {tasks}\n")
+
+    @pytest.mark.parametrize("tasks", ["analyze", "analyze,dimension"])
+    def test_deep_terms_report(self, tasks, tmp_path):
+        cfg_path = tmp_path / "deep.cfg"
+        cfg_path.write_text(self.DEEP_CFG.format(tasks=tasks))
+        out_dir = tmp_path / "out"
+        assert main(["run", str(cfg_path), "--out", str(out_dir), "--format", "csv"]) == 0
+        report = json.loads((out_dir / "report.json").read_text())
+        terms = [int(s, 0) for s in report["results"]["analyze"]["terms"]]
+        assert terms == list(generate(PowerSpec(4, F(4)), 8).terms)
+        assert report["results"]["analyze"]["terms"][-1].startswith("0x")
+        if "dimension" in tasks:
+            cover = report["results"]["dimension"]["cover_report"]
+            n_min, n_max = (int(str(cover[k]), 0) for k in ("N_min", "N_max"))
+            assert 1 <= n_min <= n_max and n_max.bit_length() > DECIMAL_MAX_BITS
+
+    def test_small_integers_stay_decimal(self):
+        assert int_json(10 ** 4000) == 10 ** 4000
+        assert int_json(1 << DECIMAL_MAX_BITS) == hex(1 << DECIMAL_MAX_BITS)
+        assert int(int_json(-(1 << 20000)), 0) == -(1 << 20000)
 
 
 class TestPlot:
