@@ -17,6 +17,7 @@ from .dimension import (
     RegimeViolationError,
     SubdivisionCount,
     branching_factors,
+    depth_series,
     lower_cantor_count,
     theoretical_dimension,
     upper_cover_count,

@@ -2,8 +2,9 @@
 
 ``liminfdim run <config>`` executes the requested tasks and writes a JSON
 report (plus CSV files with ``--format csv``); ``liminfdim plot`` renders a
-report series as a standalone SVG.  Exit codes: 0 success, 1 budget
-exhausted (a partial report is still written), 2 configuration errors.
+report series as a standalone SVG; every CSV is rendered from the report.
+Exit codes: 0 success, 1 budget exhausted (a partial report is still
+written), 2 configuration errors, sequence-generation errors included.
 """
 
 from __future__ import annotations
@@ -18,16 +19,10 @@ from typing import Optional
 from . import report as rep
 from .cantor import build_tree
 from .config import ConfigError, ExperimentConfig, load_config, parse_rational
-from .dimension import (
-    RegimeViolationError,
-    lower_cantor_count,
-    theoretical_dimension,
-    upper_cover_count,
-    upper_dim_estimate,
-)
+from .dimension import RegimeViolationError, depth_series, theoretical_dimension
 from .level_sets import BudgetExceededError, LevelParams, prefix_intersection
 from .multiplicative import hyperbolic_cover, mult_bounds, mult_cost_exponent
-from .sequences import exponent_stats, generate, regime_from_steps
+from .sequences import GenerationError, exponent_stats, generate, regime_from_steps
 from .svg import Plot, square_overlay
 
 
@@ -76,29 +71,24 @@ def run(cfg: ExperimentConfig, canonical: bool = False) -> tuple[dict, int]:
                 exit_code = 1
         elif task == "dimension":
             series = []
-            for depth in range(1, cfg.depth + 1):
-                upper = upper_dim_estimate(qs, cfg.tau, cfg.d, depth, prec)
+            for record in depth_series(qs, cfg.tau, cfg.d, prec):
+                row = {"depth": record.depth, "upper": rep.enclosure_json(record.upper)}
                 try:
-                    lower = lower_cantor_count(qs, cfg.tau, cfg.d, depth, prec).s_hat
+                    row["lower"] = rep.enclosure_json(record.lower.s_hat)
                 except RegimeViolationError as exc:
                     warnings.append(f"dimension: {exc}")
-                    lower = None
-                series.append({
-                    "depth": depth,
-                    "upper": rep.enclosure_json(upper),
-                    "lower": rep.enclosure_json(lower) if lower else None,
-                })
+                    row["lower"] = None
+                series.append(row)
             theo = None
             if stats.alpha_last is not None:
                 dv = theoretical_dimension(cfg.tau, stats.alpha_last, cfg.d, prec)
                 if dv.clamped:
                     warnings.append("dimension: formula clamped at zero (tau*alpha > 1)")
                 theo = rep.value_json(dv.as_enclosure(prec))
-            final_cover = upper_cover_count(qs, cfg.tau, cfg.d, cfg.depth, prec)
             results["dimension"] = {
                 "series": series,
                 "theoretical": theo,
-                "cover_report": rep.cover_report_json(final_cover),
+                "cover_report": rep.cover_report_json(record),
             }
         elif task == "cantor":
             try:
@@ -239,7 +229,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         except (ConfigError, OSError, ValueError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
-        report, code = run(cfg, canonical=args.canonical)
+        try:
+            report, code = run(cfg, canonical=args.canonical)
+        except GenerationError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         (out / "report.json").write_text(
@@ -254,10 +248,8 @@ def main(argv: Optional[list[str]] = None) -> int:
                 (out / "dimension.csv").write_text(
                     rep.dimension_csv(rows), encoding="ascii")
             if "multiplicative" in res:
-                cover, _ = hyperbolic_cover(
-                    parse_rational(res["multiplicative"]["cover"]["gamma"]),
-                    parse_rational(res["multiplicative"]["cover"]["s"]))
-                (out / "cover.csv").write_text(rep.cover_csv(cover), encoding="ascii")
+                (out / "cover.csv").write_text(
+                    rep.cover_csv(res["multiplicative"]["cover"]["rects"]), encoding="ascii")
         for w in report["warnings"]:
             print(f"warning: {w}", file=sys.stderr)
         return code

@@ -40,19 +40,28 @@ class ConfigError(ValueError):
         self.key = key
 
 
+def _parse_int(text: str) -> int:
+    """A decimal integer, or a '0x...' / '-0x...' hex one as reports write it."""
+    text = text.strip()
+    return int(text, 16) if text.lstrip("+-")[:2].lower() == "0x" else int(text)
+
+
 def parse_rational(text: str) -> Fraction:
-    """Exact rational from 'p', 'p/q' or 'm*2^e'; decimals are rejected."""
+    """Exact rational from 'p', 'p/q' or 'm*2^e'; decimals are rejected.
+
+    p, q and m may also be written in hex ('0x...'), as reports write
+    integers too long for decimal.
+    """
     text = text.strip()
     if "." in text:
         raise ValueError(f"decimal floats are not exact, write '{text}' as p/q or m*2^e")
     if "*2^" in text:
         m_str, e_str = text.split("*2^", 1)
-        m, e = int(m_str), int(e_str)
-        return Fraction(m) * Fraction(2) ** e
+        return Fraction(_parse_int(m_str)) * Fraction(2) ** int(e_str)
     if "/" in text:
         num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+        return Fraction(_parse_int(num), _parse_int(den))
+    return Fraction(_parse_int(text))
 
 
 @dataclass
@@ -100,6 +109,9 @@ class ExperimentConfig:
                                   f"{', '.join(TASKS)}", key="tasks")
         if self.sequence == "explicit" and not self.terms:
             raise ConfigError("explicit sequences need 'terms'", key="terms")
+        if self.sequence == "explicit" and len(self.terms) < self.depth:
+            raise ConfigError(f"depth {self.depth} needs {self.depth} explicit terms, "
+                              f"got {len(self.terms)}", key="terms")
         if self.precision is not None and self.precision < 8:
             raise ConfigError("precision must be at least 8 bits", key="precision")
 

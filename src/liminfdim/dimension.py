@@ -15,9 +15,11 @@ results are certified enclosures of the estimator values themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from functools import cached_property
+from typing import Iterator, Optional, Union
 
 from .level_sets import CertifiedCount
 from .numerics import Enclosure, _resolve_prec, dir_pow, log2_int
@@ -83,21 +85,75 @@ def theoretical_dimension(
 
 @dataclass(frozen=True)
 class CoverReport:
-    """Box-cover count at depth J with its scale and dimension estimate."""
+    """Depth J of both estimators, one record of ``depth_series``; the cover and
+    estimates are computed on first read, sharing the parent's product and log2 q_J."""
 
     depth: int
     d: int
     tau: Fraction
-    count: CertifiedCount          # integer range for the cover size N
-    raw_count: Enclosure           # the product before integer rounding
-    side: Enclosure                # 2 * q_J**-(1+tau)
+    branching: Union[tuple[int, ...], RegimeViolationError]  # or the first empty level
     prefix: QSequence              # q_1 .. q_J
     prec: int
+    parent: Optional[CoverReport] = field(default=None, repr=False, compare=False)  # depth J-1
+
+    @cached_property
+    def _product(self) -> Enclosure:  # q_1 * prod_{k=2..J} (4 q_{k-1}**-(1+tau) q_k + 2)
+        if self.parent is None:
+            return Enclosure.exact_int(self.prefix.terms[0])
+        factor = self.parent.shrink.scale_int(4 * self.prefix.terms[-1]).add_int(2)
+        return self.parent._product * factor
+
+    @cached_property
+    def raw_count(self) -> Enclosure:
+        """The cover size N before integer rounding, the product to the power d."""
+        lineage = [self]
+        while lineage[-1].parent is not None:
+            lineage.append(lineage[-1].parent)
+        for record in reversed(lineage):  # oldest first, so no product recurses deeply
+            prod = record._product
+        raw = prod
+        for _ in range(self.d - 1):
+            raw = raw * prod
+        return raw
+
+    @cached_property
+    def count(self) -> CertifiedCount:
+        return CertifiedCount(max(self.raw_count.lo.floor(), 1), self.raw_count.hi.ceil())
+
+    @cached_property
+    def shrink(self) -> Enclosure:
+        """q_J**-(1+tau): half the side, and the factor of level J+1."""
+        return dir_pow(self.prefix.terms[-1], -(1 + self.tau), self.prec)
+
+    @property
+    def side(self) -> Enclosure:
+        return self.shrink.scale_int(2)
+
+    @property
+    def branching_1d(self) -> tuple[int, ...]:
+        if isinstance(self.branching, RegimeViolationError):
+            raise self.branching.with_traceback(None)
+        return self.branching
 
     @property
     def regime(self) -> RegimeResult:
         """Growth-regime verdict of the prefix, computed each time it is read."""
         return validate_regime(self.prefix, self.tau, self.prec)
+
+    @cached_property
+    def _log_scale(self) -> Enclosure:  # (1+tau) log2 q_J
+        return log2_int(self.prefix.terms[-1], self.prec).mul_frac(1 + self.tau, self.prec)
+
+    @cached_property
+    def upper(self) -> Enclosure:
+        return self.raw_count.log2(self.prec).div(self._log_scale, self.prec)
+
+    @cached_property
+    def lower(self) -> SubdivisionCount:
+        bs = self.branching_1d
+        m = math.prod(b ** self.d for b in bs)
+        s_hat = log2_int(m, self.prec).div(self._log_scale, self.prec)
+        return SubdivisionCount(depth=self.depth, d=self.d, count=m, branching_1d=bs, s_hat=s_hat)
 
     def s_cost(self, s: Fraction) -> Enclosure:
         """N * side**s, the s-dimensional cost of the cover."""
@@ -114,63 +170,55 @@ class CoverReport:
         return num.div(den, self.prec)
 
 
-def upper_cover_count(
-    qs: QSequence,
-    tau: Fraction,
-    d: int = 1,
-    depth: Optional[int] = None,
-    prec: Optional[int] = None,
-) -> CoverReport:
-    """Cover of the depth-J intersection by boxes of side 2 q_J**-(1+tau).
-
-    N = q_1**d * prod_{k=2..J} (4 q_{k-1}**-(1+tau) q_k + 2)**d: each box of
-    one level meets at most that many boxes of the next level.  The count is
-    computed whatever the growth regime and takes no logarithm.  The advisory
-    regime check (one log2 per term of the prefix) runs only when
-    ``CoverReport.regime`` is read, so an estimate never pays for it.
-    """
+def depth_series(qs: QSequence, tau: Fraction, d: int = 1,
+                 prec: Optional[int] = None) -> Iterator[CoverReport]:
+    """The records of depths 1..len(qs) in one walk: each level factor
+    q_k**-(1+tau) is taken once and feeds both the cover count
+    N = q_1**d * prod_{k=2..J} (4 q_{k-1}**-(1+tau) q_k + 2)**d, computed
+    whatever the growth regime, and the branching floor(q_k / q_{k-1}**(1+tau))
+    on the certified lower bound, which stops at the first empty level."""
     tau = Fraction(tau)
     p = _resolve_prec(prec)
+    record, branching = None, (qs.terms[0],)
+    for j, q in enumerate(qs.terms, start=1):
+        if record is not None and isinstance(branching, tuple):
+            b = record.shrink.scale_int(q).lo.floor()
+            branching = branching + (b,) if b >= 1 else RegimeViolationError(
+                j, f"floor(q_{j} / q_{j - 1}**(1+tau)) = 0, the subdivision has no children")
+        record = CoverReport(depth=j, d=d, tau=tau, branching=branching,
+                             prefix=QSequence(qs.terms[:j]), prec=p, parent=record)
+        yield record
+
+
+def _record_at(qs, tau, d, depth, prec) -> CoverReport:
+    """The depth-J record of ``depth_series``, J = len(qs) by default."""
     depth = len(qs) if depth is None else depth
     if not 1 <= depth <= len(qs):
         raise ValueError(f"depth must be in 1..{len(qs)}")
-    prod = Enclosure.exact_int(qs.terms[0])
-    for k in range(1, depth):
-        shrink = dir_pow(qs.terms[k - 1], -(1 + tau), p)
-        factor = shrink.scale_int(4 * qs.terms[k]).add_int(2)
-        prod = prod * factor
-    raw = prod
-    for _ in range(d - 1):
-        raw = raw * prod
-    n_lo, _ = raw.floor_range()
-    _, n_hi = raw.ceil_range()
-    side = dir_pow(qs.terms[depth - 1], -(1 + tau), p).scale_int(2)
-    return CoverReport(
-        depth=depth, d=d, tau=tau,
-        count=CertifiedCount(max(n_lo, 1), n_hi),
-        raw_count=raw, side=side, prefix=QSequence(qs.terms[:depth]), prec=p,
-    )
+    *_, record = depth_series(QSequence(qs.terms[:depth]), tau, d, prec)
+    return record
 
 
-def upper_dim_estimate(
-    qs: QSequence,
-    tau: Fraction,
-    d: int = 1,
-    depth: Optional[int] = None,
-    prec: Optional[int] = None,
-) -> Enclosure:
-    """log N / ((1+tau) log q_J) at depth J.
+def upper_cover_count(qs: QSequence, tau: Fraction, d: int = 1, depth: Optional[int] = None,
+                      prec: Optional[int] = None) -> CoverReport:
+    """Cover of the depth-J intersection by boxes of side 2 q_J**-(1+tau).
+
+    The record of ``depth_series`` at depth J.  Takes no logarithm; the
+    advisory regime check runs only when ``CoverReport.regime`` is read.
+    """
+    return _record_at(qs, tau, d, depth, prec)
+
+
+def upper_dim_estimate(qs: QSequence, tau: Fraction, d: int = 1, depth: Optional[int] = None,
+                       prec: Optional[int] = None) -> Enclosure:
+    """log N / ((1+tau) log q_J) at depth J, the ``upper`` of its record.
 
     Shares its denominator with the subdivision exponent, so the two
     estimators bracket each other directly; decreases toward
     d*(1-tau*alpha)/(tau+1) for the monotone families.  Uses the
     pre-rounding product as numerator, which the integer count brackets.
     """
-    report = upper_cover_count(qs, tau, d, depth, prec)
-    num = report.raw_count.log2(report.prec)
-    depth = report.depth
-    den = log2_int(qs.terms[depth - 1], report.prec).mul_frac(1 + Fraction(tau), report.prec)
-    return num.div(den, report.prec)
+    return _record_at(qs, tau, d, depth, prec).upper
 
 
 @dataclass(frozen=True)
@@ -184,53 +232,20 @@ class SubdivisionCount:
     s_hat: Enclosure              # log M / ((1+tau) log q_J)
 
 
-def branching_factors(
-    qs: QSequence,
-    tau: Fraction,
-    depth: Optional[int] = None,
-    prec: Optional[int] = None,
-) -> tuple[int, ...]:
+def branching_factors(qs: QSequence, tau: Fraction, depth: Optional[int] = None,
+                      prec: Optional[int] = None) -> tuple[int, ...]:
     """Per-level 1-d child counts floor(q_k / q_{k-1}**(1+tau)), level 1 = q_1.
 
-    Floors are taken on the certified lower bound, the pessimistic choice
-    that every parent can honour.  A zero raises ``RegimeViolationError``.
+    The ``branching_1d`` of the depth-J record; a zero raises
+    ``RegimeViolationError``.  Takes no logarithm.
     """
-    tau = Fraction(tau)
-    p = _resolve_prec(prec)
-    depth = len(qs) if depth is None else depth
-    out = [qs.terms[0]]
-    for k in range(1, depth):
-        ratio = dir_pow(qs.terms[k - 1], -(1 + tau), p).scale_int(qs.terms[k])
-        b = ratio.lo.floor()
-        if b < 1:
-            raise RegimeViolationError(
-                k + 1, f"floor(q_{k + 1} / q_{k}**(1+tau)) = 0, the subdivision has no children")
-        out.append(b)
-    return tuple(out)
+    return _record_at(qs, tau, 1, depth, prec).branching_1d
 
 
-def lower_cantor_count(
-    qs: QSequence,
-    tau: Fraction,
-    d: int = 1,
-    depth: Optional[int] = None,
-    prec: Optional[int] = None,
-) -> SubdivisionCount:
-    """Node count M of the depth-J subdivision and its exponent s_hat.
-
-    M = q_1**d * prod floor(q_k / q_{k-1}**(1+tau))**d and
-    s_hat = log M / ((1+tau) log q_J).
+def lower_cantor_count(qs: QSequence, tau: Fraction, d: int = 1, depth: Optional[int] = None,
+                       prec: Optional[int] = None) -> SubdivisionCount:
+    """Node count M = q_1**d * prod floor(q_k / q_{k-1}**(1+tau))**d of the
+    depth-J subdivision and s_hat = log M / ((1+tau) log q_J), the ``lower``
+    of its record; reads no power of q_J.
     """
-    tau = Fraction(tau)
-    p = _resolve_prec(prec)
-    depth = len(qs) if depth is None else depth
-    if not 1 <= depth <= len(qs):
-        raise ValueError(f"depth must be in 1..{len(qs)}")
-    bs = branching_factors(qs, tau, depth, p)
-    m = 1
-    for b in bs:
-        m *= b ** d
-    num = log2_int(m, p)
-    den = log2_int(qs.terms[depth - 1], p).mul_frac(1 + tau, p)
-    s_hat = num.div(den, p)
-    return SubdivisionCount(depth=depth, d=d, count=m, branching_1d=bs, s_hat=s_hat)
+    return _record_at(qs, tau, d, depth, prec).lower

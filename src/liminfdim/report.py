@@ -2,11 +2,12 @@
 
 Every numeric result is serialised as its certified range in exact form
 (rationals as 'p/q', dyadics as 'm*2^e') next to float renderings for
-humans.  Integers that grow with the sequence terms (terms, counts) are
-written in decimal up to ``DECIMAL_MAX_BITS`` bits and as '0x...' hex
-strings beyond, so no report runs into the interpreter's limit on
-int-to-decimal conversion.  Canonical mode drops the timing block and sorts
-keys, making reports byte-identical across runs of the same configuration.
+humans.  Integers that grow with the sequence terms or the precision
+(terms, counts, and the parts of 'p/q' and 'm*2^e') are written in decimal
+up to ``DECIMAL_MAX_BITS`` bits and as '0x...' hex beyond, so no report
+runs into the interpreter's limit on int-to-decimal conversion.  Canonical
+mode drops the timing block and sorts keys, making reports byte-identical
+across runs of the same configuration.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from typing import Union
 from .cantor import HolderCertificate
 from .config import ExperimentConfig
 from .level_sets import CertifiedCount, LevelStats
-from .multiplicative import SquareCover
 from .numerics import DirectedReal, Enclosure
 from .sequences import ExponentStats, RegimeResult
 
@@ -40,11 +40,12 @@ def int_json(n: int) -> Union[int, str]:
 
 def fraction_str(x: Fraction) -> str:
     x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    num = int_json(x.numerator)
+    return f"{num}" if x.denominator == 1 else f"{num}/{int_json(x.denominator)}"
 
 
 def dyadic_str(d: DirectedReal) -> str:
-    return f"{d.mantissa}*2^{d.exponent}"
+    return f"{int_json(d.mantissa)}*2^{d.exponent}"
 
 
 def enclosure_json(enc: Enclosure) -> dict:
@@ -175,12 +176,11 @@ def levels_csv(levels: list[dict]) -> str:
     return buf.getvalue()
 
 
-def cover_csv(cover: SquareCover) -> str:
+def cover_csv(rects: list[list[str]]) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["x", "y", "side"])
-    for sq in cover.squares:
-        w.writerow([fraction_str(sq.x), fraction_str(sq.y), fraction_str(sq.side)])
+    w.writerows(rects)
     return buf.getvalue()
 
 

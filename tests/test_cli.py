@@ -7,7 +7,15 @@ import pytest
 
 from liminfdim.cli import MissingSeriesError, main, plot, run
 from liminfdim.config import ConfigError, parse_config, parse_rational
-from liminfdim.report import DECIMAL_MAX_BITS, int_json, parse_json, render_json
+from liminfdim.numerics import DOWN, UP, DirectedReal
+from liminfdim.report import (
+    DECIMAL_MAX_BITS,
+    dyadic_str,
+    fraction_str,
+    int_json,
+    parse_json,
+    render_json,
+)
 from liminfdim.sequences import PowerSpec, generate
 
 POWER_CFG = """
@@ -144,6 +152,33 @@ class TestHugeIntegers:
         assert int_json(1 << DECIMAL_MAX_BITS) == hex(1 << DECIMAL_MAX_BITS)
         assert int(int_json(-(1 << 20000)), 0) == -(1 << 20000)
 
+    def test_long_parts_round_trip(self):
+        big = (1 << 20000) + 12345
+        for x in (F(big), F(-big), F(big, 3), F(-7, big), F(-big, big + 2), F(3, 10)):
+            assert parse_rational(fraction_str(x)) == x
+        for m in (big, -big, 3, -5):
+            d = DirectedReal(m, -20011, DOWN if m > 0 else UP)
+            assert parse_rational(dyadic_str(d)) == d.as_fraction()
+        assert fraction_str(F(big, 3)).startswith("0x") and fraction_str(F(3, 10)) == "3/10"
+        assert dyadic_str(DirectedReal(-big, 7)).startswith("-0x")
+        assert parse_rational("12/007") == F(12, 7)   # decimal parts parse as before
+
+    def test_high_precision_report(self, tmp_path):
+        # 15000-bit enclosures have mantissas past the 4300-digit limit
+        cfg_path = tmp_path / "hp.cfg"
+        cfg_path.write_text("sequence = explicit\nterms = 3, 50\ndepth = 2\n"
+                            "precision = 15000\ntasks = analyze\n")
+        out_dir = tmp_path / "out"
+        assert main(["run", str(cfg_path), "--out", str(out_dir), "--format", "csv"]) == 0
+        stats = json.loads((out_dir / "report.json").read_text())["results"]["analyze"]
+        encs = stats["h_list"] + stats["alpha_list"]
+        assert encs and all(e["lo"].startswith("0x") for e in encs)
+        for e in encs:
+            lo, hi = parse_rational(e["lo"]), parse_rational(e["hi"])
+            assert 0 < hi - lo < F(1, 1 << 14990)
+            assert dyadic_str(DirectedReal.from_fraction(lo, None, DOWN)) == e["lo"]
+            assert dyadic_str(DirectedReal.from_fraction(hi, None, UP)) == e["hi"]
+
 
 class TestPlot:
     def test_bracket_plot(self, tmp_path):
@@ -199,6 +234,26 @@ class TestEndToEnd:
             capture_output=True, text=True)
         assert proc.returncode == 2
         assert "tau" in proc.stderr
+
+    @pytest.mark.parametrize("text, message", [
+        # too few explicit terms for the default depth 4: rejected with the config
+        ("sequence = explicit\nterms = 3, 50\n", "key 'terms': depth 4 needs 4"),
+        # the family cannot be generated: raised while the run generates it
+        ("sequence = contractive\nq1 = 3\ntau = 1/2\n", "term 2: contractive step"),
+    ], ids=["explicit-short", "contractive-stalls"])
+    def test_generation_errors_are_config_errors(self, text, message, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(text)
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert "Traceback" not in err
+
+    def test_depth_override_checked_against_terms(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(ENUM_CFG)
+        assert main(["run", str(cfg_path), "--depth", "3", "--out", str(tmp_path)]) == 2
+        assert "depth 3 needs 3 explicit terms, got 2" in capsys.readouterr().err
 
     def test_cli_task_override_and_csv(self, tmp_path):
         cfg_path = tmp_path / "exp.cfg"

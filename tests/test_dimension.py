@@ -5,6 +5,7 @@ import pytest
 
 from liminfdim.dimension import (
     RegimeViolationError,
+    depth_series,
     lower_cantor_count,
     theoretical_dimension,
     upper_cover_count,
@@ -68,6 +69,14 @@ class TestUpperCover:
         assert good.regime.status is RegimeStatus.PASS
         bad = upper_cover_count(QSequence((4, 8)), F(1))
         assert bad.regime.status is RegimeStatus.FAIL
+
+    def test_deep_prefix(self):
+        # each record extends its parent's product; reading the last one of a
+        # long prefix first must not recurse once per level
+        qs = QSequence(tuple(range(2, 1202)))
+        report = upper_cover_count(qs, F(1), prec=16)
+        in_order = [r.count for r in depth_series(qs, F(1), prec=16)]
+        assert report.count == in_order[-1] and 1 <= report.count.min <= report.count.max
 
     def test_s_cost_decreasing_in_s(self):
         report = upper_cover_count(generate(PowerSpec(4, F(4)), 4), F(1))

@@ -1,23 +1,38 @@
-"""One certified log2 per term and call on the bracket path.
+"""One certified log2 per term and call, and one walk per depth series.
 
 ``exponent_stats`` and ``validate_regime`` take every log2 q_j once per call
 and divide table entries, and ``upper_cover_count`` no longer re-checks the
-regime.  These tests pin the kernel call counts and check that the table
-gives bit for bit what ``log_ratio`` gives on its own.
+regime.  ``depth_series`` takes every level factor q_k**-(1+tau) once and
+shares log2 q_J between the two estimates of a depth.  These tests pin the
+kernel call counts (log2 and ``dir_pow``) and check bit for bit that the
+table gives what ``log_ratio`` gives on its own, and that the series gives
+what the per-depth loops gave before it.
 """
 
 import math
+from collections import Counter
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liminfdim import numerics
-from liminfdim.dimension import upper_cover_count, upper_dim_estimate
-from liminfdim.numerics import log_ratio
+from liminfdim import cli, dimension, numerics
+from liminfdim.config import load_config, parse_config
+from liminfdim.dimension import (
+    RegimeViolationError,
+    branching_factors,
+    depth_series,
+    lower_cantor_count,
+    upper_cover_count,
+    upper_dim_estimate,
+)
+from liminfdim.numerics import Enclosure, dir_pow, log2_int, log_ratio
 from liminfdim.sequences import (
+    ContractiveSpec,
     ExplicitSpec,
+    GenerationError,
     PowerSpec,
     QSequence,
     RegimeStatus,
@@ -25,6 +40,8 @@ from liminfdim.sequences import (
     generate,
     validate_regime,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 PREC = 1024
 SEQUENCES = [
@@ -48,6 +65,20 @@ def kernel_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def pow_calls(monkeypatch):
+    """Count the dir_pow calls of the dimension layer, its only caller here."""
+    calls = []
+    inner = dimension.dir_pow
+
+    def counted(q, e, prec=None):
+        calls.append((q, e, prec))
+        return inner(q, e, prec)
+
+    monkeypatch.setattr(dimension, "dir_pow", counted)
+    return calls
+
+
 def _count(calls, fn, *args):
     del calls[:]
     fn(*args)
@@ -65,6 +96,101 @@ def test_kernel_calls_per_call(qs, kernel_calls):
     # no (argument, precision) pair is taken twice within one call
     assert len(set(kernel_calls)) == len(kernel_calls)
     assert _count(kernel_calls, validate_regime, qs, F(1, 2), PREC) <= J
+
+
+TAU = F(1, 2)
+
+
+def _read_all(record):
+    """Every computed field of a record: side, upper and lower."""
+    record.side, record.upper
+    try:
+        record.lower
+    except RegimeViolationError:
+        pass
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """Count the interval products, which build the cover count."""
+    calls = []
+    inner = Enclosure.__mul__
+
+    def counted(a, b):
+        calls.append(None)
+        return inner(a, b)
+
+    monkeypatch.setattr(Enclosure, "__mul__", counted)
+    return calls
+
+
+@pytest.mark.parametrize("qs", SEQUENCES, ids=lambda qs: f"J{len(qs)}q{qs.terms[0]}")
+def test_per_depth_calls(qs, pow_calls, kernel_calls, products):
+    for J in range(1, len(qs) + 1):
+        assert _count(pow_calls, lambda: upper_cover_count(qs, TAU, 2, J, PREC).side) <= J
+        assert _count(pow_calls, upper_dim_estimate, qs, TAU, 2, J, PREC) <= J
+        # the subdivision never needs the power of its own last level
+        assert _count(pow_calls, branching_factors, qs, TAU, J, PREC) == J - 1
+        assert _count(pow_calls, lower_cantor_count, qs, TAU, 2, J, PREC) == J - 1
+        assert _count(kernel_calls, branching_factors, qs, TAU, J, PREC) == 0
+        # nor the cover count: one product per level, then d - 1 for the power
+        assert _count(products, lower_cantor_count, qs, TAU, 2, J, PREC) == 0
+        assert _count(products, branching_factors, qs, TAU, J, PREC) == 0
+        assert _count(products, lambda: upper_cover_count(qs, TAU, 2, J, PREC).count) == J
+        # the same log kernels as before the walk: log2 M, then log2 q_J
+        del kernel_calls[:]
+        sub = lower_cantor_count(qs, TAU, 2, J, PREC)
+        assert kernel_calls == [(sub.count, PREC), (qs.terms[J - 1], PREC)]
+
+
+@pytest.mark.parametrize("qs", SEQUENCES + [QSequence((3, 8, 100, 20000))],
+                         ids=lambda qs: f"J{len(qs)}q{qs.terms[0]}")
+def test_series_takes_each_factor_and_log_once(qs, pow_calls, kernel_calls):
+    per_record = []
+    for record in depth_series(qs, TAU, 2, PREC):
+        del kernel_calls[:]
+        _read_all(record)
+        per_record.append(Counter(kernel_calls))
+    # one power per depth, of q_1, ..., q_D in turn
+    assert [q for q, _, _ in pow_calls] == list(qs.terms)
+    # upper_dim_estimate and lower_cantor_count each take log2 q_J; the
+    # record takes it once for both
+    for J, got in enumerate(per_record, start=1):
+        del kernel_calls[:]
+        upper_dim_estimate(qs, TAU, 2, J, PREC)
+        try:
+            lower_cantor_count(qs, TAU, 2, J, PREC)
+            got[(qs.terms[J - 1], PREC)] += 1
+        except RegimeViolationError:
+            pass
+        assert got == Counter(kernel_calls)
+
+
+@pytest.mark.parametrize("depth", [6, 8])
+def test_run_walks_the_depths_once(depth, pow_calls):
+    cfg = parse_config(f"sequence = power\nq1 = 13\ngrowth = 12/5\ntau = 1/2\nd = 2\n"
+                       f"depth = {depth}\nprecision = 1024\ntasks = dimension\n")
+    cli.run(cfg)
+    assert len(pow_calls) == depth          # depth**2 + depth with a walk per depth
+
+
+def test_run_log_calls_on_highprec_config(kernel_calls):
+    cli.run(load_config(ROOT / "tests" / "golden" / "power13_highprec.cfg"))
+    assert len(kernel_calls) == 50          # 58 with log2 q_J taken twice per depth
+
+
+def test_main_builds_the_cover_once(tmp_path, monkeypatch):
+    calls = []
+    inner = cli.hyperbolic_cover
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(cli, "hyperbolic_cover", counted)
+    cfg = ROOT / "demos" / "configs" / "multiplicative.cfg"
+    assert cli.main(["run", str(cfg), "--format", "csv", "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1 and (tmp_path / "cover.csv").exists()
 
 
 def test_cover_regime_is_read_lazily(kernel_calls):
@@ -137,3 +263,80 @@ def test_regime_verdict_matches_integer_test(terms, prec, tau):
     assert all(passes[:res.index - 1])
     if res.status is RegimeStatus.FAIL:
         assert not passes[res.index - 1]
+
+
+# -- property: one walk gives what the per-depth loops gave -----------------
+
+def _reference_cover(terms, tau, d, depth, prec):
+    """The cover product and side as upper_cover_count built them per depth."""
+    prod = Enclosure.exact_int(terms[0])
+    for k in range(1, depth):
+        prod = prod * dir_pow(terms[k - 1], -(1 + tau), prec).scale_int(4 * terms[k]).add_int(2)
+    raw = prod
+    for _ in range(d - 1):
+        raw = raw * prod
+    return raw, dir_pow(terms[depth - 1], -(1 + tau), prec).scale_int(2)
+
+
+def _reference_branching(terms, tau, depth, prec):
+    """The 1-d branching as branching_factors built it, or the empty level."""
+    out = [terms[0]]
+    for k in range(1, depth):
+        b = dir_pow(terms[k - 1], -(1 + tau), prec).scale_int(terms[k]).lo.floor()
+        if b < 1:
+            return k + 1
+        out.append(b)
+    return tuple(out)
+
+
+def _contractive(q1, tau, depth):
+    try:
+        return generate(ContractiveSpec(q1, tau), depth).terms
+    except GenerationError:
+        return None
+
+
+SERIES_SEQS = st.one_of(
+    SEQS,
+    st.builds(lambda q1, g, n: generate(PowerSpec(q1, g), n).terms,
+              st.integers(2, 40), st.sampled_from([F(3, 2), F(2), F(12, 5), F(3)]),
+              st.integers(1, 6)),
+    st.builds(_contractive, st.integers(70, 500), st.sampled_from([F(1, 2), F(1)]),
+              st.integers(1, 5)).filter(lambda terms: terms is not None),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(terms=SERIES_SEQS, prec=st.sampled_from([16, 53, 128, 1024]), tau=TAUS,
+       d=st.integers(1, 3))
+def test_series_matches_per_depth_bit_for_bit(terms, prec, tau, d):
+    qs = QSequence(terms)
+    records = list(depth_series(qs, tau, d, prec))
+    assert [r.depth for r in records] == list(range(1, len(terms) + 1))
+    for J, rec in enumerate(records, start=1):
+        raw, side = _reference_cover(terms, tau, d, J, prec)
+        cover = upper_cover_count(qs, tau, d, J, prec)
+        for got in (rec, cover):
+            assert _bits_of(got.raw_count) == _bits_of(raw)
+            assert _bits_of(got.side) == _bits_of(side)
+            assert (got.count.min, got.count.max) == (max(raw.lo.floor(), 1), raw.hi.ceil())
+        assert _bits_of(rec.upper) == _bits_of(upper_dim_estimate(qs, tau, d, J, prec))
+        num = raw.log2(prec)
+        den = log2_int(terms[J - 1], prec).mul_frac(1 + tau, prec)
+        assert _bits_of(rec.upper) == _bits_of(num.div(den, prec))
+        ref = _reference_branching(terms, tau, J, prec)
+        if isinstance(ref, int):
+            for read in (lambda: rec.lower, lambda: lower_cantor_count(qs, tau, d, J, prec),
+                         lambda: branching_factors(qs, tau, J, prec)):
+                with pytest.raises(RegimeViolationError) as exc:
+                    read()
+                assert exc.value.level == ref
+                assert str(exc.value) == (f"level {ref}: floor(q_{ref} / q_{ref - 1}**(1+tau)) "
+                                          f"= 0, the subdivision has no children")
+            continue
+        assert rec.branching_1d == branching_factors(qs, tau, J, prec) == ref
+        sub = lower_cantor_count(qs, tau, d, J, prec)
+        assert rec.lower.count == sub.count == math.prod(b ** d for b in ref)
+        assert rec.lower.branching_1d == sub.branching_1d == ref
+        assert _bits_of(rec.lower.s_hat) == _bits_of(sub.s_hat) == _bits_of(
+            log2_int(sub.count, prec).div(den, prec))
