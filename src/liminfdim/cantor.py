@@ -25,7 +25,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .dimension import RegimeViolationError, branching_factors
-from .level_sets import BudgetExceededError, LevelParams
+from .level_sets import (BudgetExceededError, LevelParams, _radius_grid, _scale_for,
+                         residue_span)
 from .numerics import Enclosure, _resolve_prec
 from .sequences import QSequence
 
@@ -80,15 +81,16 @@ class CantorTree:
         self.node_budget = node_budget
         self.branching_1d = branching_factors(qs, params.tau, self.depth, self.prec)
 
-        self._radii = [params.radius_enclosure(q, self.prec) for q in qs.terms[: self.depth]]
-        self._r_lo = [r.lo.as_fraction() for r in self._radii]
-        self._r_hi = [r.hi.as_fraction() for r in self._radii]
+        # radii as exact integers on the level sets' grid of 2**scale points
+        radii = [params.radius_enclosure(q, self.prec) for q in qs.terms[: self.depth]]
+        self._scale = _scale_for(radii, self.prec)
+        self._r_lo, self._r_hi = zip(*(_radius_grid(r, self._scale) for r in radii))
 
         # box separation >= 1/(2 q_k) per level, certified via the upper radius
         self._sep_lo: list[Fraction] = []
         for k in range(self.depth):
             q = qs.terms[k]
-            sep = Fraction(1, q) - 2 * self._r_hi[k]
+            sep = Fraction(1, q) - Fraction(2 * self._r_hi[k], 1 << self._scale)
             if sep < Fraction(1, 2 * q):
                 raise RegimeViolationError(
                     k + 1, f"level radius too large for the 1/(2 q) separation at q={q}")
@@ -137,8 +139,9 @@ class CantorTree:
     def arc_1d(self, coord: int, level: int, m: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         """(inner_lo, inner_hi, outer_lo, outer_hi) of a node's 1-d arc, unrolled."""
         c = self.center_1d(coord, level, m)
-        k = level - 1
-        return (c - self._r_lo[k], c + self._r_lo[k], c - self._r_hi[k], c + self._r_hi[k])
+        r_lo = Fraction(self._r_lo[level - 1], 1 << self._scale)
+        r_hi = Fraction(self._r_hi[level - 1], 1 << self._scale)
+        return (c - r_lo, c + r_lo, c - r_hi, c + r_hi)
 
     def child_range_1d(self, coord: int, level: int, m: int) -> tuple[int, int]:
         """Start and size of the admissible child residue range under node m.
@@ -148,15 +151,15 @@ class CantorTree:
         """
         if not 1 <= level < self.depth:
             raise ValueError("children exist for levels 1..depth-1")
-        a, b, _, _ = self.arc_1d(coord, level, m)
-        q_next = self.qs.terms[level]
-        r_next = self._r_hi[level]
+        # the parent's inner arc less the child's outer radius, over the
+        # denominator q * theta.denominator * 2**scale
         theta = self.params.theta[coord]
-        lo = (a + r_next) * q_next - theta
-        hi = (b - r_next) * q_next - theta
-        m_min = -((-lo.numerator) // lo.denominator)     # ceil
-        m_max = hi.numerator // hi.denominator           # floor
-        return m_min, max(0, m_max - m_min + 1)
+        qd = self.qs.terms[level - 1] * theta.denominator
+        c = (m * theta.denominator + theta.numerator) << self._scale
+        slack = (self._r_lo[level - 1] - self._r_hi[level]) * qd
+        first, last = residue_span(c - slack, c + slack, qd << self._scale,
+                                   self.qs.terms[level], theta)
+        return first, max(0, last - first + 1)
 
     def children_1d(self, coord: int, level: int, m: int) -> range:
         """The selected children: the `branching` smallest admissible residues."""
@@ -202,7 +205,7 @@ class CantorTree:
             if perturb:
                 # dyadic offset within half the certified leaf radius
                 t = Fraction(rng.getrandbits(24) - (1 << 23), 1 << 24)
-                c = c + t * self._r_lo[self.depth - 1]
+                c = c + t * Fraction(self._r_lo[self.depth - 1], 1 << self._scale)
             point.append(c % 1)
         return tuple(point)
 
@@ -214,29 +217,32 @@ class CantorTree:
         [center - rad_hi, center + rad_hi], number certainly inside the open
         ball of radius >= rad_lo), walking only candidate subtrees."""
         theta = self.params.theta[coord]
+        # one denominator for the centre, the dyadic ball radii and the grid
+        bits = max(self._scale, rad_hi.denominator.bit_length(), rad_lo.denominator.bit_length())
+        den = center.denominator << bits
+        c = center.numerator << bits
+        ball_hi = rad_hi.numerator * (den // rad_hi.denominator)
+        ball_lo = rad_lo.numerator * (den // rad_lo.denominator)
+        grid = den >> self._scale
         counts: list[tuple[int, int]] = []
         candidates: Optional[list[int]] = None
         for k in range(level_limit):
             q = self.qs.terms[k]
-            r_hi = self._r_hi[k]
-            r_lo_lvl = self._r_lo[k]
+            r_hi = self._r_hi[k] * grid
 
-            def ranges_for(lo_f: Fraction, hi_f: Fraction) -> list[tuple[int, int]]:
+            def ranges_for(lo: int, hi: int) -> list[tuple[int, int]]:
                 out = []
-                for shift in (-1, 0, 1):
-                    lo = (lo_f + shift) * q - theta
-                    hi = (hi_f + shift) * q - theta
-                    m_lo = -((-lo.numerator) // lo.denominator)
-                    m_hi = hi.numerator // hi.denominator
-                    if m_lo <= m_hi:
-                        out.append((m_lo, m_hi))
+                for shift in (-den, 0, den):
+                    first, last = residue_span(lo + shift, hi + shift, den, q, theta)
+                    if first <= last:
+                        out.append((first, last))
                 return out
 
             # arcs meeting the window: centre within rad_hi + r_hi (closed);
             # arcs with outer arc inside the closed ball: centre within
             # rad_lo - r_hi (an inverted window yields no ranges)
-            meet = ranges_for(center - rad_hi - r_hi, center + rad_hi + r_hi)
-            inside = ranges_for(center - rad_lo + r_hi, center + rad_lo - r_hi)
+            meet = ranges_for(c - ball_hi - r_hi, c + ball_hi + r_hi)
+            inside = ranges_for(c - ball_lo + r_hi, c + ball_lo - r_hi)
 
             if candidates is None:
                 child_ranges = [(0, q - 1)]

@@ -3,8 +3,9 @@
 ``liminfdim run <config>`` executes the requested tasks and writes a JSON
 report (plus CSV files with ``--format csv``); ``liminfdim plot`` renders a
 report series as a standalone SVG; every CSV is rendered from the report.
-Exit codes: 0 success, 1 budget exhausted (a partial report is still
-written), 2 configuration errors, sequence-generation errors included.
+Exit codes: 0 success, 1 the run stopped early with a partial report (a
+budget was exhausted, or a level could not be certified), 2 configuration
+errors, sequence-generation errors included.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from . import report as rep
 from .cantor import build_tree
 from .config import ConfigError, ExperimentConfig, load_config, parse_rational
 from .dimension import RegimeViolationError, depth_series, theoretical_dimension
-from .level_sets import BudgetExceededError, LevelParams, prefix_intersection
+from .level_sets import (BudgetExceededError, IndeterminateRadiusError, LevelParams,
+                         prefix_intersection)
 from .multiplicative import hyperbolic_cover, mult_bounds, mult_cost_exponent
 from .sequences import GenerationError, exponent_stats, generate, regime_from_steps
 from .svg import Plot, square_overlay
@@ -63,8 +65,11 @@ def run(cfg: ExperimentConfig, canonical: bool = False) -> tuple[dict, int]:
                                            cfg.component_budget)
                 levels = [rep.level_stats_json(st) for st in enum.levels]
                 results["enumerate"] = {"levels": levels, "aborted_at": None}
-            except BudgetExceededError as exc:
-                warnings.append(f"enumerate: component budget hit at level {exc.level}")
+            except (BudgetExceededError, IndeterminateRadiusError) as exc:
+                if isinstance(exc, BudgetExceededError):
+                    warnings.append(f"enumerate: component budget hit at level {exc.level}")
+                else:
+                    warnings.append(f"enumerate: level {exc.level} could not be certified: {exc}")
                 levels = [rep.level_stats_json(st) for st in exc.partial.levels] \
                     if exc.partial else []
                 results["enumerate"] = {"levels": levels, "aborted_at": exc.level}

@@ -13,9 +13,10 @@ never materialised; see ``prefix_intersection``.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .numerics import Enclosure, _resolve_prec, dir_pow
 from .sequences import QSequence
@@ -31,7 +32,12 @@ class BudgetExceededError(RuntimeError):
 
 
 class IndeterminateRadiusError(ArithmeticError):
-    """A radius enclosure straddles an ordering threshold; retry with more bits."""
+    """A level cannot be certified: its radius enclosure straddles 1/(2q), or
+    its outer arcs overlap.  ``prefix_intersection`` sets ``level`` and
+    ``partial`` (the levels before it, None at level 1)."""
+
+    level: Optional[int] = None
+    partial: Optional["PrefixResult"] = None
 
 
 DEFAULT_COMPONENT_BUDGET = 10 ** 7
@@ -50,9 +56,6 @@ class CertifiedCount:
 
     def __mul__(self, other: "CertifiedCount") -> "CertifiedCount":
         return CertifiedCount(self.min * other.min, self.max * other.max)
-
-    def __pow__(self, d: int) -> "CertifiedCount":
-        return CertifiedCount(self.min ** d, self.max ** d)
 
     def is_exact(self) -> bool:
         return self.min == self.max
@@ -136,9 +139,6 @@ class ArcList:
     def wraps(self) -> bool:
         return bool(self.arcs) and self.arcs[-1][1] > self.size
 
-    def is_empty(self) -> bool:
-        return not self.full and not self.arcs
-
     @staticmethod
     def full_circle(scale: int) -> "ArcList":
         return ArcList(scale, (), full=True)
@@ -206,18 +206,6 @@ class ArcList:
                 return True
         return False
 
-    def _segments(self) -> list[tuple[int, int]]:
-        segs: list[tuple[int, int]] = []
-        size = self.size
-        for lo, hi in self.arcs:
-            if hi <= size:
-                segs.append((lo, hi))
-            else:
-                segs.append((lo, size))
-                segs.append((0, hi - size))
-        segs.sort()
-        return segs
-
     def intersect(self, other: "ArcList") -> "ArcList":
         scale = max(self.scale, other.scale)
         a, b = self.rescale(scale), other.rescale(scale)
@@ -225,26 +213,42 @@ class ArcList:
             return b
         if b.full:
             return a
-        sa, sb = a._segments(), b._segments()
-        out: list[tuple[int, int]] = []
-        i = j = 0
-        while i < len(sa) and j < len(sb):
-            lo = max(sa[i][0], sb[j][0])
-            hi = min(sa[i][1], sb[j][1])
-            if lo < hi:
-                out.append((lo, hi))
-            if sa[i][1] <= sb[j][1]:
-                i += 1
-            else:
-                j += 1
+        # b unrolled once around the circle: every arc of a, taken as a
+        # window, finds the arcs of b that meet it by bisection
         size = 1 << scale
-        # Re-glue the piece that crosses 0 when both operands run through it.
-        if a.wraps() and b.wraps() and len(out) >= 2:
-            if out[0][0] == 0 and out[-1][1] == size:
-                head = out.pop(0)
-                last = out.pop()
-                out.append((last[0], size + head[1]))
-        return ArcList(scale, tuple(out))
+        unrolled = [(lo - size, hi - size) for lo, hi in b.arcs[-1:] if hi > size]
+        unrolled += b.arcs
+        unrolled += [(lo + size, hi + size) for lo, hi in b.arcs]
+        his = [hi for _, hi in unrolled]
+
+        def meeting(wlo: int, whi: int) -> Iterable[tuple[int, int]]:
+            i = bisect_right(his, wlo)
+            while i < len(unrolled) and unrolled[i][0] < whi:
+                yield unrolled[i]
+                i += 1
+
+        return _cut(a.scale, a.arcs, meeting)
+
+
+def _cut(scale: int, windows: Iterable[tuple[int, int]], meeting) -> ArcList:
+    """The parts of an arc union inside the windows, in circle order.
+
+    ``meeting(lo, hi)`` yields, in order, the arcs that may meet the window
+    (lo, hi), in that window's unrolled frame (hi > 2**scale for a window
+    across 0).  Each arc is cut to the window; parts past 0 go to the front.
+    """
+    size = 1 << scale
+    front: list[tuple[int, int]] = []
+    out: list[tuple[int, int]] = []
+    for wlo, whi in windows:
+        for lo, hi in meeting(wlo, whi):
+            lo, hi = max(lo, wlo), min(hi, whi)
+            if lo < hi:
+                if lo < size:
+                    out.append((lo, hi))
+                else:
+                    front.append((lo - size, hi - size))
+    return ArcList(scale, tuple(front + out))
 
 
 # ---------------------------------------------------------------------------
@@ -301,56 +305,15 @@ def _radius_grid(enc: Enclosure, scale: int) -> tuple[int, int]:
     return r_lo, r_hi
 
 
-def _enumerate_arcs(
-    q: int,
-    theta: Fraction,
-    r_lo: int,
-    r_hi: int,
-    scale: int,
-    windows: Optional[ArcList] = None,
-) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """Inner and outer arcs for the residues whose arcs can meet `windows`.
+def residue_span(lo: int, hi: int, den: int, q: int, theta: Fraction) -> tuple[int, int]:
+    """(first, last): the integers m with lo/den <= (m + theta)/q <= hi/den.
 
-    With windows=None all q residues are produced.  Returned arcs are
-    normalised mod 1 (lo in [0, size)) and sorted.
+    m is not reduced mod q, so the centres stay in the window's own unrolled
+    frame; first > last when no centre lies in the window.  den must be > 0.
     """
-    size = 1 << scale
     tn, td = theta.numerator, theta.denominator
-    den = q * td
-
-    if windows is None or windows.full:
-        residues = range(q)
-    else:
-        seen = set()
-        residues = []
-        for wlo, whi in windows.arcs:
-            # centres with (m + theta)/q * size in [wlo - r_hi, whi + r_hi], plus slack
-            lo_num = (wlo - r_hi) * den - (tn << scale)
-            hi_num = (whi + r_hi) * den - (tn << scale)
-            m_min = -(-lo_num // (td << scale)) - 1
-            m_max = hi_num // (td << scale) + 1
-            for m in range(m_min, m_max + 1):
-                r = m % q
-                if r not in seen:
-                    seen.add(r)
-                    residues.append(r)
-
-    inner: list[tuple[int, int]] = []
-    outer: list[tuple[int, int]] = []
-    for m in residues:
-        num = (m * td + tn) << scale
-        cf, rem = divmod(num, den)
-        cl = cf + (1 if rem else 0)
-        a, b = cl - r_lo, cf + r_lo
-        if a < b:
-            lo = a % size
-            inner.append((lo, lo + (b - a)))
-        a, b = cf - r_hi, cl + r_hi
-        lo = a % size
-        outer.append((lo, lo + (b - a)))
-    inner.sort()
-    outer.sort()
-    return inner, outer
+    step = td * den
+    return -((tn * den - lo * q * td) // step), (hi * q * td - tn * den) // step
 
 
 def build_level(
@@ -359,33 +322,68 @@ def build_level(
     prec: Optional[int] = None,
     coord: int = 0,
     scale: Optional[int] = None,
-    windows: Optional[ArcList] = None,
+    within: Optional[TorusIntervalSet] = None,
 ) -> TorusIntervalSet:
     """Certified sandwich of one coordinate's level set for modulus q.
 
     The set is the union over p = 0..q-1 of open arcs of the level radius
-    centred at (p + theta)/q.  A radius certainly above 1/(2q) covers the
-    torus; a radius enclosure straddling 1/(2q) raises
-    ``IndeterminateRadiusError`` (retry with higher precision).
+    centred at (p + theta)/q.  With ``within`` the result is that set
+    intersected with ``within`` (inner with inner, outer with outer): each
+    window builds only the arcs of the residues ``residue_span`` gives, cut
+    to the window.  The grid defaults to ``within``'s, else to the radius's
+    own.  A radius certainly above 1/(2q) covers the torus.  A radius
+    enclosure straddling 1/(2q) raises ``IndeterminateRadiusError``, and so
+    do outer arcs that overlap: the radius is then within a grid step of
+    1/(2q), where the true arcs may touch.
     """
     if q < 1:
         raise ValueError("modulus must be a positive integer")
     renc = params.radius_enclosure(q, prec)
     p = _resolve_prec(prec)
     if scale is None:
-        scale = _scale_for([renc], p)
-    r_lo_f = renc.lo.as_fraction()
-    r_hi_f = renc.hi.as_fraction()
+        scale = within.outer.scale if within is not None else _scale_for([renc], p)
+    full = ArcList.full_circle(scale)
+    inner_w, outer_w = (full, full) if within is None else \
+        (within.inner.rescale(scale), within.outer.rescale(scale))
     half_spacing = Fraction(1, 2 * q)
-    if r_lo_f > half_spacing:
-        return TorusIntervalSet(ArcList.full_circle(scale), ArcList.full_circle(scale))
-    if r_hi_f > half_spacing:
+    if renc.lo.as_fraction() > half_spacing:
+        return TorusIntervalSet(inner_w, outer_w)
+    if renc.hi.as_fraction() > half_spacing:
         raise IndeterminateRadiusError(
             f"radius enclosure for q={q} straddles 1/(2q); increase the precision")
     r_lo, r_hi = _radius_grid(renc, scale)
     theta = params.theta[coord]
-    inner, outer = _enumerate_arcs(q, theta, r_lo, r_hi, scale, windows)
-    return TorusIntervalSet(ArcList(scale, tuple(inner)), ArcList(scale, tuple(outer)))
+    tn, td = theta.numerator, theta.denominator
+    size = 1 << scale
+    den = q * td
+
+    def arcs(first: int, last: int, inner: bool) -> Iterable[tuple[int, int]]:
+        # the centre of residue m lies in [cf, cl] on the grid; inner arcs
+        # round inward, outer arcs outward
+        for m in range(first, last + 1):
+            cf, rem = divmod((m * td + tn) << scale, den)
+            cl = cf + 1 if rem else cf
+            yield (cl - r_lo, cf + r_lo) if inner else (cf - r_hi, cl + r_hi)
+
+    def cut(windows: ArcList, inner: bool) -> ArcList:
+        if windows.full:
+            # every residue once: the q arcs from the first outer arc that
+            # starts at or after 0 fit in the window (0, 2 * size) uncut
+            first = residue_span(r_hi, r_hi, size, q, theta)[0]
+            return _cut(scale, ((0, 2 * size),), lambda lo, hi: arcs(first, first + q - 1, inner))
+        r = r_lo if inner else r_hi
+        return _cut(scale, windows.arcs,
+                    lambda lo, hi: arcs(*residue_span(lo - r, hi + r, size, q, theta), inner))
+
+    inner, outer = cut(inner_w, True), cut(outer_w, False)
+    a = outer.arcs
+    # neighbouring outer arcs are more than size/q - 2*r_hi - 2 apart
+    if (2 * r_hi + 2) * q > size and a and (
+            a[-1][1] - size > a[0][0] or any(nxt[0] < cur[1] for cur, nxt in zip(a, a[1:]))):
+        raise IndeterminateRadiusError(
+            f"outer arcs for q={q} overlap: the radius is within a grid step of 1/(2q), "
+            "where the true arcs may touch")
+    return TorusIntervalSet(inner, outer)
 
 
 def intersect(a: TorusIntervalSet, b: TorusIntervalSet) -> TorusIntervalSet:
@@ -453,8 +451,10 @@ def prefix_intersection(
 
     d-dimensional quantities are derived from the 1-d factors (the sets are
     exact coordinate products), so nothing d-dimensional is materialised.
-    Raises ``BudgetExceededError`` carrying the partial result when the next
-    level would exceed the component budget.
+    Each level is built already cut to the one before (``build_level`` with
+    ``within``).  Raises ``BudgetExceededError`` carrying the partial result
+    when the next level would exceed the component budget; an
+    ``IndeterminateRadiusError`` leaves with its ``level`` and ``partial`` set.
     """
     p = _resolve_prec(prec)
     depth = len(qs) if depth is None else depth
@@ -464,25 +464,20 @@ def prefix_intersection(
     radii = [params.radius_enclosure(q, p) for q in qs.terms[:depth]]
     scale = _scale_for(radii, p)
 
-    if qs.terms[0] > component_budget:
-        raise BudgetExceededError(1, None)
-    sets = [build_level(qs.terms[0], params, p, coord=i, scale=scale)
-            for i in range(params.d)]
-    levels = [_combined_stats(1, qs.terms[0], sets)]
-
-    for j in range(2, depth + 1):
-        q = qs.terms[j - 1]
-        r_lo, r_hi = _radius_grid(radii[j - 1], scale)
-        for i in range(params.d):
-            est = _candidate_estimate(sets[i].outer, q, r_hi)
-            if est > component_budget:
-                raise BudgetExceededError(j, PrefixResult(tuple(sets), tuple(levels)))
-        new_sets = []
-        for i in range(params.d):
-            lvl = build_level(q, params, p, coord=i, scale=scale,
-                              windows=sets[i].outer)
-            new_sets.append(sets[i].intersect(lvl))
-        sets = new_sets
+    full = ArcList.full_circle(scale)
+    sets = [TorusIntervalSet(full, full)] * params.d
+    levels: list[LevelStats] = []
+    for j, (q, radius) in enumerate(zip(qs.terms, radii), 1):
+        partial = PrefixResult(tuple(sets), tuple(levels)) if levels else None
+        r_hi = _radius_grid(radius, scale)[1]
+        if any(_candidate_estimate(s.outer, q, r_hi) > component_budget for s in sets):
+            raise BudgetExceededError(j, partial)
+        try:
+            sets = [build_level(q, params, p, coord=i, scale=scale, within=s)
+                    for i, s in enumerate(sets)]
+        except IndeterminateRadiusError as exc:
+            exc.level, exc.partial = j, partial
+            raise
         levels.append(_combined_stats(j, q, sets))
     return PrefixResult(tuple(sets), tuple(levels))
 
@@ -501,11 +496,8 @@ def count_shifted_rationals(a: Fraction, b: Fraction, theta: Fraction, q: int) -
         raise ValueError("need 0 <= a < b <= 1")
     if q < 1:
         raise ValueError("q must be a positive integer")
-    # p > a*q - theta  and  p < b*q - theta, strictly
-    lo = a * q - theta
-    hi = b * q - theta
-    p_min = lo.numerator // lo.denominator + 1          # smallest integer > lo
-    p_max = -((-hi.numerator) // hi.denominator) - 1    # largest integer < hi
-    p_min = max(p_min, 0)
-    p_max = min(p_max, q - 1)
-    return max(0, p_max - p_min + 1)
+    # the window is open: a centre (p + theta)/q other than a or b is at
+    # least 1/den away from both, so the closed window one 1/den in is the same
+    den = a.denominator * b.denominator * q * theta.denominator
+    first, last = residue_span(int(a * den) + 1, int(b * den) - 1, den, q, theta)
+    return max(0, min(last, q - 1) - max(first, 0) + 1)

@@ -215,9 +215,6 @@ class DirectedReal:
     def ceil(self) -> int:
         return _shift_ceil(self.mantissa, self.exponent)
 
-    def is_zero(self) -> bool:
-        return self.mantissa == 0
-
     def retag(self, direction: Direction) -> "DirectedReal":
         return DirectedReal(self.mantissa, self.exponent, direction)
 
@@ -330,9 +327,6 @@ class Enclosure:
     def floor_range(self) -> tuple[int, int]:
         return self.lo.floor(), self.hi.floor()
 
-    def ceil_range(self) -> tuple[int, int]:
-        return self.lo.ceil(), self.hi.ceil()
-
     # -- arithmetic --------------------------------------------------------
 
     def __neg__(self) -> "Enclosure":
@@ -419,18 +413,12 @@ class Enclosure:
         """Enclosure of min(x, y) given enclosures of x and y."""
         return Enclosure(min(self.lo, other.lo), min(self.hi, other.hi))
 
-    def hull(self, other: "Enclosure") -> "Enclosure":
-        lo = self.lo if self.lo <= other.lo else other.lo
-        hi = self.hi if self.hi >= other.hi else other.hi
-        return Enclosure(lo, hi)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         lo, hi = self.float_bounds()
         tag = "=" if self.is_exact else "~"
         return f"Enclosure[{lo!r}, {hi!r}]{tag}"
 
 
-ZERO = Enclosure.exact_int(0)
 ONE = Enclosure.exact_int(1)
 
 

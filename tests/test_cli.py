@@ -38,6 +38,15 @@ depth = 2
 tasks = analyze,enumerate
 """
 
+TOUCH_CFG = """
+sequence = power
+q1 = 4
+growth = 4
+tau = 1/2
+depth = 2
+tasks = analyze,enumerate
+"""
+
 
 class TestParsing:
     def test_rationals(self):
@@ -110,6 +119,27 @@ class TestRun:
         assert code == 1
         assert report["results"]["enumerate"]["aborted_at"] == 2
         assert any("budget" in w for w in report["warnings"])
+
+    @pytest.mark.parametrize("theta, code, levels", [("68/97", 1, 0), ("0", 0, 2)])
+    def test_touching_arcs_off_the_grid(self, theta, code, levels, tmp_path, capsys):
+        # the level-1 radius 4**-(3/2) is exactly 1/(2*4): the true arcs touch,
+        # and with an off-grid shift the outer arcs overlap by one grid unit
+        cfg_path = tmp_path / "touch.cfg"
+        cfg_path.write_text(TOUCH_CFG + f"theta = {theta}\n")
+        assert main(["run", str(cfg_path), "--format", "csv", "--out", str(tmp_path)]) == code
+        report = json.loads((tmp_path / "report.json").read_text())
+        enum = report["results"]["enumerate"]
+        assert len(enum["levels"]) == levels
+        assert len((tmp_path / "levels.csv").read_text().splitlines()) == levels + 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if code:
+            assert enum["aborted_at"] == 1
+            assert "enumerate: level 1 could not be certified: outer arcs for q=4 overlap" in err
+        else:
+            assert enum["aborted_at"] is None
+            assert enum["levels"][0]["count"] == {"min": 4, "max": 4}
+            assert parse_rational(enum["levels"][0]["min_gap"]) == 0
 
     def test_canonical_reports_reproducible(self):
         cfg = parse_config(POWER_CFG)

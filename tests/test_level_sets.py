@@ -144,6 +144,33 @@ class TestBuildLevel:
         with pytest.raises(IndeterminateRadiusError):
             build_level(2, params)
 
+    def test_overlapping_outer_arcs_rejected(self):
+        # radius 4**-(3/2) = 1/(2*4) exactly: the true arcs touch, and off the
+        # grid the outward-rounded outer arcs overlap by one grid unit
+        from liminfdim.level_sets import IndeterminateRadiusError
+
+        params = LevelParams(theta=(F(68, 97),), tau=F(1, 2))
+        with pytest.raises(IndeterminateRadiusError, match="outer arcs for q=4 overlap"):
+            build_level(4, params)
+        with pytest.raises(IndeterminateRadiusError) as exc:
+            prefix_intersection(QSequence((4, 256)), params)
+        assert exc.value.level == 1 and exc.value.partial is None
+
+    def test_overlap_at_a_deeper_level_keeps_the_partial_result(self):
+        # level 2 (q = 16) has radius exactly 1/32, and theta = 1/6 puts a
+        # touching point of its arcs at the centre of every level-1 arc
+        from liminfdim.level_sets import IndeterminateRadiusError
+        from liminfdim.numerics import Enclosure
+
+        def radius(q, prec):
+            return Enclosure.from_fraction(F(1, 64) if q == 4 else F(1, 2 * q), prec)
+
+        params = LevelParams(theta=(F(1, 6),), tau=F(1), radius=radius)
+        with pytest.raises(IndeterminateRadiusError) as exc:
+            prefix_intersection(QSequence((4, 16)), params)
+        assert exc.value.level == 2
+        assert [st.level for st in exc.value.partial.levels] == [1]
+
     def test_sandwich_membership(self):
         # rational probes: inner members are true members, true members are in outer
         params = LevelParams(theta=(F(1, 7),), tau=F(3, 2))

@@ -1,0 +1,251 @@
+"""One residue-window kernel for the level sets and the Cantor tree.
+
+``residue_span`` answers "which m put (m + theta)/q inside this window" on
+integers.  ``build_level(within=...)`` builds each level already cut to the
+windows of the set it refines, ``ArcList.intersect`` cuts on the same path,
+and the tree walks its child ranges and ball windows through the kernel on
+one integer grid.  These tests check the kernel against brute force, the
+intersection against point membership, the fused build against build then
+intersect, and the tree against the ``Fraction`` formulas it replaced, which
+are kept here as the reference.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from liminfdim.cantor import Ball, build_tree
+from liminfdim.dimension import RegimeViolationError
+from liminfdim.level_sets import (
+    ArcList,
+    IndeterminateRadiusError,
+    LevelParams,
+    build_level,
+    constant_radius,
+    residue_span,
+)
+from liminfdim.numerics import Enclosure
+from liminfdim.sequences import QSequence
+
+THETAS = st.sampled_from([F(0), F(1, 2), F(1, 3), F(5, 8), F(96, 97), F(45, 97), F(68, 97),
+                          F(7, 1000), F(999, 1000)])
+
+
+# -- the kernel ---------------------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(lo=st.integers(-60, 100), width=st.integers(-20, 100), den=st.integers(1, 32),
+       q=st.integers(1, 16), theta=st.fractions(0, 1).filter(lambda t: t < 1))
+def test_residue_span_matches_brute_force(lo, width, den, q, theta):
+    hi = min(lo + width, 100)
+    first, last = residue_span(lo, hi, den, q, theta)
+    # every centre (m + theta)/q of the window has |m| <= 16 * 100 + 1
+    tn, td = theta.numerator, theta.denominator
+    inside = [m for m in range(-1700, 1700)
+              if lo * q * td <= (m * td + tn) * den <= hi * q * td]
+    if inside:
+        assert (first, last) == (inside[0], inside[-1])
+    else:
+        assert first > last
+
+
+# -- arc lists ------------------------------------------------------------------------
+
+@st.composite
+def arc_lists(draw, scale):
+    """Valid arc lists on 2**scale points: touching, long and wrapping arcs."""
+    size = 1 << scale
+    if draw(st.integers(0, 9)) == 0:
+        return ArcList.full_circle(scale)
+    start = draw(st.integers(0, size - 1))
+    arcs, pos = [], start
+    for gap, length in draw(st.lists(st.tuples(st.integers(0, size // 2), st.integers(1, size)),
+                                     max_size=6)):
+        lo = pos + gap
+        if lo + length > start + size:
+            break
+        arcs.append((lo, lo + length))
+        pos = lo + length
+    front = [(lo - size, hi - size) for lo, hi in arcs if lo >= size]
+    return ArcList(scale, tuple(front + [a for a in arcs if a[0] < size]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+@example(data=None)
+def test_intersect_matches_point_membership(data):
+    if data is None:  # both operands run through 0, one arc of each is long
+        a, b = ArcList(4, ((5, 7), (9, 20))), ArcList(4, ((1, 2), (6, 17)))
+    else:
+        a = data.draw(arc_lists(data.draw(st.integers(1, 5))))
+        b = data.draw(arc_lists(data.draw(st.integers(1, 5))))
+    a.validate()
+    b.validate()
+    c = a.intersect(b)
+    c.validate()
+    assert c == b.intersect(a)
+    # every grid point and every half-grid point of the finer grid
+    n = 2 << c.scale
+    for k in range(n):
+        x = F(k, n)
+        assert c.contains(x) == (a.contains(x) and b.contains(x)), (a, b, c, x)
+
+
+# -- the fused build ------------------------------------------------------------------
+
+RADII = st.one_of(st.none(), st.sampled_from([F(1, 4), F(3, 16), F(1, 8), F(1, 64), F(3, 8)]))
+
+
+def level_params(theta, tau, radius):
+    return LevelParams(theta=(theta,), tau=tau,
+                       radius=None if radius is None else constant_radius(radius))
+
+
+@settings(max_examples=150, deadline=None)
+@given(qs=st.lists(st.integers(1, 60), min_size=2, max_size=3), theta=THETAS,
+       tau=st.sampled_from([F(1, 3), F(1, 2), F(1), F(3, 2)]), radius=RADII,
+       prec=st.sampled_from([8, 16, 64, 128]))
+def test_build_within_equals_build_then_intersect(qs, theta, tau, radius, prec):
+    params = level_params(theta, tau, radius)
+    try:
+        within = build_level(qs[0], params, prec)
+        for q in qs[1:-1]:
+            within = within.intersect(build_level(q, params, prec, scale=within.outer.scale))
+        whole = build_level(qs[-1], params, prec, scale=within.outer.scale)
+    except IndeterminateRadiusError:
+        assume(False)
+    cut = build_level(qs[-1], params, prec, within=within)
+    cut.validate()
+    assert cut == within.intersect(whole)
+
+
+# -- the tree, against the Fraction formulas it replaced ------------------------------------
+
+def fraction_child_range(tree, coord, level, m):
+    theta = tree.params.theta[coord]
+    q, q_next = tree.qs.terms[level - 1], tree.qs.terms[level]
+    r_lo = tree.params.radius_enclosure(q, tree.prec).lo.as_fraction()
+    r_next = tree.params.radius_enclosure(q_next, tree.prec).hi.as_fraction()
+    c = (m + theta) / q
+    lo = (c - r_lo + r_next) * q_next - theta
+    hi = (c + r_lo - r_next) * q_next - theta
+    m_min = -((-lo.numerator) // lo.denominator)
+    m_max = hi.numerator // hi.denominator
+    return m_min, max(0, m_max - m_min + 1)
+
+
+def fraction_window_counts(tree, coord, center, rad_hi, rad_lo):
+    theta = tree.params.theta[coord]
+    counts, candidates = [], None
+    for k in range(tree.depth):
+        q = tree.qs.terms[k]
+        r_hi = tree.params.radius_enclosure(q, tree.prec).hi.as_fraction()
+
+        def ranges_for(lo_f, hi_f):
+            out = []
+            for shift in (-1, 0, 1):
+                lo = (lo_f + shift) * q - theta
+                hi = (hi_f + shift) * q - theta
+                m_lo = -((-lo.numerator) // lo.denominator)
+                m_hi = hi.numerator // hi.denominator
+                if m_lo <= m_hi:
+                    out.append((m_lo, m_hi))
+            return out
+
+        meet = ranges_for(center - rad_hi - r_hi, center + rad_hi + r_hi)
+        inside = ranges_for(center - rad_lo + r_hi, center + rad_lo - r_hi)
+        if candidates is None:
+            child_ranges = [(0, q - 1)]
+        else:
+            child_ranges = []
+            for m in candidates:
+                start, _ = fraction_child_range(tree, coord, k, m)
+                child_ranges.append((start, start + tree.branching_1d[k] - 1))
+
+        def overlap(a, b):
+            return sum(max(0, min(a1, b1) - max(a0, b0) + 1) for a0, a1 in a for b0, b1 in b)
+
+        counts.append((overlap(child_ranges, meet), overlap(child_ranges, inside)))
+        candidates = [m for c0, c1 in child_ranges for w0, w1 in meet
+                      for m in range(max(c0, w0), min(c1, w1) + 1)]
+        if len(candidates) > 1 << 14:
+            break
+        if not candidates:
+            counts.extend([(0, 0)] * (tree.depth - k - 1))
+            break
+    return counts
+
+
+def fraction_ball_measure(tree, ball):
+    rad_lo = ball.radius.lo.as_fraction()
+    rad_hi = ball.radius.hi.as_fraction()
+    if rad_lo >= F(1, 2):
+        return Enclosure.exact_int(1)
+    per_coord = [fraction_window_counts(tree, i, ball.center[i], rad_hi, rad_lo)
+                 for i in range(tree.params.d)]
+    best_hi, best_lo = F(1), F(0)
+    for k in range(min(len(c) for c in per_coord)):
+        meet = inside = 1
+        for c in per_coord:
+            meet *= c[k][0]
+            inside *= c[k][1]
+        best_hi = min(best_hi, meet * tree.node_measure(k + 1))
+        best_lo = max(best_lo, inside * tree.node_measure(k + 1))
+    return Enclosure.from_endpoints(min(best_lo, best_hi), best_hi, tree.prec)
+
+
+@st.composite
+def trees(draw):
+    d = draw(st.integers(1, 2))
+    tau = draw(st.sampled_from([F(1, 2), F(1), F(3, 2)]))
+    terms = [draw(st.integers(4, 12))]
+    for _ in range(draw(st.integers(1, 2))):
+        base = int(terms[-1] ** float(1 + tau)) + 1
+        terms.append(base * draw(st.integers(4, 12)) + draw(st.integers(0, 7)))
+    params = LevelParams(theta=tuple(draw(THETAS) for _ in range(d)), tau=tau, d=d)
+    try:
+        return build_tree(QSequence(tuple(terms)), params, prec=draw(st.sampled_from([64, 128])))
+    except RegimeViolationError:
+        assume(False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(tree=trees(), data=st.data())
+def test_tree_matches_fraction_formulas(tree, data):
+    rng = data.draw(st.randoms(use_true_random=False))
+    for coord in range(tree.params.d):
+        for level in range(1, tree.depth):
+            q = tree.qs.terms[level - 1]
+            for m in rng.sample(range(-3 * q, 3 * q), min(30, 6 * q)):
+                assert tree.child_range_1d(coord, level, m) == \
+                    fraction_child_range(tree, coord, level, m)
+    for _ in range(10):
+        if rng.random() < 0.5:
+            center = tree.sample_point(rng, perturb=rng.random() < 0.5)
+        else:
+            center = tuple(F(rng.randrange(10 ** 6), 10 ** 6) for _ in range(tree.params.d))
+        if rng.random() < 0.5:
+            radius = Enclosure.from_fraction(F(rng.randint(1, 1 << 20), 1 << rng.randint(18, 60)))
+        else:
+            radius = Enclosure.from_fraction(F(1, rng.randint(3, 10 ** 7)), tree.prec)
+        ball = Ball(center, radius)
+        mu, ref = tree.ball_measure(ball), fraction_ball_measure(tree, ball)
+        assert (mu.lo, mu.hi) == (ref.lo, ref.hi)
+        # the per-level counts too: the measure reads only the tightest level
+        rad_lo, rad_hi = radius.lo.as_fraction(), radius.hi.as_fraction()
+        for i, c in enumerate(center):
+            assert tree._window_counts(i, tree.depth, c, rad_hi, rad_lo) == \
+                fraction_window_counts(tree, i, c, rad_hi, rad_lo)
+
+
+@pytest.mark.parametrize("terms, theta", [((7, 557), F(68, 97)), ((9, 657, 4316500), F(5, 8))])
+def test_child_ranges_match_fraction_formula_everywhere(terms, theta):
+    # a child centre lands within 2 * q_next**-tau of a window end for about
+    # one parent in seven here, so every parent residue is checked
+    tree = build_tree(QSequence(terms), LevelParams(theta=(theta,), tau=F(1)))
+    for level in range(1, tree.depth):
+        q = tree.qs.terms[level - 1]
+        for m in range(-q, 2 * q):
+            assert tree.child_range_1d(0, level, m) == fraction_child_range(tree, 0, level, m)
