@@ -61,6 +61,14 @@ class HolderCertificate:
         return float(self.max_ratio)
 
 
+def check_holder(s: Fraction, samples: int, d: int) -> None:
+    """A Holder certificate in dimension d needs 0 < s < d + 1 and a sample."""
+    if not 0 < s < d + 1:
+        raise ValueError(f"Holder exponent {s} out of range (0, {d + 1})")
+    if samples < 1:
+        raise ValueError("need at least one sample")
+
+
 class CantorTree:
     """Finite-depth nested subdivision of the level-set intersection."""
 
@@ -324,10 +332,7 @@ class CantorTree:
         the analytic lower bound lives in the dimension module.
         """
         s = Fraction(s)
-        if not 0 < s < self.params.d + 1:
-            raise ValueError("Holder exponent out of range")
-        if samples < 1:
-            raise ValueError("need at least one sample")
+        check_holder(s, samples, self.params.d)
         rng = random.Random(seed)
         r_min = self.min_separation(self.depth) / 4
         # bit lengths stand in for log2(r_min); exact dyadic radii, no floats

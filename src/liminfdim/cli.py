@@ -112,14 +112,13 @@ def run(cfg: ExperimentConfig, canonical: bool = False) -> tuple[dict, int]:
         elif task == "multiplicative":
             alpha = stats.alpha_last if stats.alpha_last is not None else Fraction(0)
             lower, upper = mult_bounds(cfg.tau, alpha, cfg.d, prec)
-            critical = cfg.d - 1 + Fraction(1, cfg.tau + 1)
             cover, cost = hyperbolic_cover(cfg.gamma, cfg.mult_s, prec)
             results["multiplicative"] = {
                 "lower": rep.value_json(lower),
                 "upper": rep.value_json(upper),
-                "critical_s": rep.fraction_str(critical),
+                "critical_s": rep.fraction_str(upper),  # the upper bound is the critical s
                 "cost_exponent_at_critical":
-                    rep.fraction_str(mult_cost_exponent(cfg.d, cfg.tau, critical)),
+                    rep.fraction_str(mult_cost_exponent(cfg.d, cfg.tau, upper)),
                 "cover": {
                     "gamma": rep.fraction_str(cfg.gamma),
                     "s": rep.fraction_str(cfg.mult_s),

@@ -1,8 +1,10 @@
 """Flat exact-rational experiment configuration.
 
-Config files are `key = value` lines with `#` comments.  Rationals must be
-written exactly, as `p`, `p/q` or dyadic `m*2^e`; decimal floats are
-rejected so no value silently loses exactness on the way in.
+Config files are `key = value` lines with `#` comments.  Each key is read by
+the reader of its field's type: integers in decimal or '0x...' hex, and
+rationals exactly, as `p`, `p/q` or dyadic `m*2^e`; decimal floats are
+rejected so no value silently loses exactness on the way in.  The config
+owns the file format only: every value is checked by the code that uses it.
 """
 
 from __future__ import annotations
@@ -10,21 +12,17 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional, get_args, get_origin, get_type_hints
 
-from .sequences import (
-    AlternatingSpec,
-    ContractiveSpec,
-    ExplicitSpec,
-    PowerSpec,
-    SequenceSpec,
-)
+from .cantor import check_holder
+from .level_sets import LevelParams
+from .multiplicative import check_cover
+from .numerics import _resolve_prec
+from .sequences import SPECS, QSequence, SequenceSpec
 
 PRECISION_ENV_VAR = "LIMINFDIM_PRECISION"
 
 TASKS = ("analyze", "enumerate", "dimension", "cantor", "multiplicative")
-
-_SEQUENCE_KINDS = ("explicit", "power", "contractive", "alternating")
 
 
 class ConfigError(ValueError):
@@ -86,64 +84,72 @@ class ExperimentConfig:
     mult_s: Fraction = Fraction(8, 5)
 
     def validate(self) -> None:
-        if self.sequence not in _SEQUENCE_KINDS:
+        """Check every value, whatever the tasks: the config's own rules
+        here, every other value by the rule of the code that reads it."""
+        if self.sequence not in SPECS:
             raise ConfigError(f"unknown sequence kind '{self.sequence}', "
-                              f"expected one of {', '.join(_SEQUENCE_KINDS)}", key="sequence")
-        if self.tau <= 0:
-            raise ConfigError("tau must be positive", key="tau")
-        if self.depth < 1:
-            raise ConfigError("depth must be >= 1", key="depth")
-        if self.d < 1:
-            raise ConfigError("d must be >= 1", key="d")
-        if not self.theta:
-            self.theta = tuple(Fraction(0) for _ in range(self.d))
-        if len(self.theta) != self.d:
-            raise ConfigError(f"theta needs {self.d} components, got {len(self.theta)}",
-                              key="theta")
-        for t in self.theta:
-            if not 0 <= t < 1:
-                raise ConfigError("theta components must lie in [0, 1)", key="theta")
+                              f"expected one of {', '.join(SPECS)}", key="sequence")
         for t in self.tasks:
             if t not in TASKS:
                 raise ConfigError(f"unknown task '{t}', expected a subset of "
                                   f"{', '.join(TASKS)}", key="tasks")
-        if self.sequence == "explicit" and not self.terms:
-            raise ConfigError("explicit sequences need 'terms'", key="terms")
+        if self.depth < 1:
+            raise ConfigError("depth must be >= 1", key="depth")
         if self.sequence == "explicit" and len(self.terms) < self.depth:
             raise ConfigError(f"depth {self.depth} needs {self.depth} explicit terms, "
                               f"got {len(self.terms)}", key="terms")
-        if self.precision is not None and self.precision < 8:
-            raise ConfigError("precision must be at least 8 bits", key="precision")
+        if not self.theta:
+            self.theta = tuple(Fraction(0) for _ in range(self.d))
+        _checked("d, theta, tau", LevelParams, self.theta, self.tau, self.d)
+        _checked(", ".join(f.name for f in fields(SPECS[self.sequence])), self.spec)
+        if self.sequence == "explicit":
+            _checked("terms", QSequence, self.terms[:self.depth])
+        else:
+            _checked("q1", QSequence, (self.q1,))
+        self.resolved_precision()
+        _checked("gamma, mult_s", check_cover, self.gamma, self.mult_s)
+        _checked("holder_s, holder_samples", check_holder,
+                 self.holder_s, self.holder_samples, self.d)
 
     def resolved_precision(self) -> int:
+        """The precision key, else $LIMINFDIM_PRECISION, else the default,
+        checked by numerics' precision rule."""
         if self.precision is not None:
-            return self.precision
+            return _checked("precision", _resolve_prec, self.precision)
         env = os.environ.get(PRECISION_ENV_VAR)
-        if env:
-            try:
-                return int(env)
-            except ValueError as exc:
-                raise ConfigError(f"bad {PRECISION_ENV_VAR} value '{env}'") from exc
-        return 128
+        try:
+            return _resolve_prec(_parse_int(env) if env else None)
+        except ValueError as exc:
+            raise ConfigError(f"bad {PRECISION_ENV_VAR} value '{env}': {exc}") from exc
 
     def spec(self) -> SequenceSpec:
-        if self.sequence == "explicit":
-            return ExplicitSpec(tuple(self.terms))
-        if self.sequence == "power":
-            return PowerSpec(self.q1, self.growth)
-        if self.sequence == "contractive":
-            return ContractiveSpec(self.q1, self.tau)
-        return AlternatingSpec(self.q1, self.tau, self.eta)
+        cls = SPECS[self.sequence]
+        return cls(*(getattr(self, f.name) for f in fields(cls)))
 
 
-_INT_KEYS = {"q1", "d", "depth", "precision", "component_budget", "node_budget",
-             "seed", "holder_samples"}
-_RATIONAL_KEYS = {"growth", "eta", "tau", "holder_s", "gamma", "mult_s"}
+def _checked(keys: str, owner: Callable, *args):
+    """owner(*args), its ValueError turned into a ConfigError naming the keys
+    whose values the owner was given."""
+    try:
+        return owner(*args)
+    except ValueError as exc:
+        raise ConfigError(str(exc), key=keys) from exc
+
+
+# one reader per field type, so every key of a type reads the same way
+_READERS = {int: _parse_int, Optional[int]: _parse_int, Fraction: parse_rational, str: str}
+_FIELD_TYPES = get_type_hints(ExperimentConfig)
+
+
+def _read(tp, text: str):
+    """A value of field type tp, one of _READERS' or a comma list of one."""
+    if get_origin(tp) is tuple:
+        return tuple(_read(get_args(tp)[0], v.strip()) for v in text.split(",") if v.strip())
+    return _READERS[tp](text)
 
 
 def parse_config(text: str) -> ExperimentConfig:
     cfg = ExperimentConfig()
-    known = {f.name for f in fields(ExperimentConfig)}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -152,25 +158,10 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError("expected 'key = value'", line=lineno)
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in known:
+        if key not in _FIELD_TYPES:
             raise ConfigError(f"unknown key '{key}'", line=lineno, key=key)
         try:
-            if key in _INT_KEYS:
-                setattr(cfg, key, int(value))
-            elif key in _RATIONAL_KEYS:
-                setattr(cfg, key, parse_rational(value))
-            elif key == "sequence":
-                cfg.sequence = value
-            elif key == "terms":
-                cfg.terms = tuple(int(v.strip()) for v in value.split(",") if v.strip())
-            elif key == "theta":
-                cfg.theta = tuple(parse_rational(v) for v in value.split(",") if v.strip())
-            elif key == "tasks":
-                cfg.tasks = tuple(v.strip() for v in value.split(",") if v.strip())
-            else:  # pragma: no cover - the key sets above are exhaustive
-                raise ConfigError(f"unhandled key '{key}'", line=lineno, key=key)
-        except ConfigError:
-            raise
+            setattr(cfg, key, _read(_FIELD_TYPES[key], value))
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(str(exc), line=lineno, key=key) from exc
     cfg.validate()

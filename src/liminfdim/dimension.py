@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from typing import Iterator, Optional, Union
 
 from .level_sets import CertifiedCount
@@ -92,24 +93,28 @@ class CoverReport:
     d: int
     tau: Fraction
     branching: Union[tuple[int, ...], RegimeViolationError]  # or the first empty level
-    prefix: QSequence              # q_1 .. q_J
+    q: int                         # q_J
     prec: int
     parent: Optional[CoverReport] = field(default=None, repr=False, compare=False)  # depth J-1
 
     @cached_property
     def _product(self) -> Enclosure:  # q_1 * prod_{k=2..J} (4 q_{k-1}**-(1+tau) q_k + 2)
         if self.parent is None:
-            return Enclosure.exact_int(self.prefix.terms[0])
-        factor = self.parent.shrink.scale_int(4 * self.prefix.terms[-1]).add_int(2)
+            return Enclosure.exact_int(self.q)
+        factor = self.parent.shrink.scale_int(4 * self.q).add_int(2)
         return self.parent._product * factor
+
+    def _lineage(self) -> list[CoverReport]:
+        """The records of depths 1..J, oldest first."""
+        lineage = [self]
+        while lineage[-1].parent is not None:
+            lineage.append(lineage[-1].parent)
+        return lineage[::-1]
 
     @cached_property
     def raw_count(self) -> Enclosure:
         """The cover size N before integer rounding, the product to the power d."""
-        lineage = [self]
-        while lineage[-1].parent is not None:
-            lineage.append(lineage[-1].parent)
-        for record in reversed(lineage):  # oldest first, so no product recurses deeply
+        for record in self._lineage():  # oldest first, so no product recurses deeply
             prod = record._product
         raw = prod
         for _ in range(self.d - 1):
@@ -123,7 +128,7 @@ class CoverReport:
     @cached_property
     def shrink(self) -> Enclosure:
         """q_J**-(1+tau): half the side, and the factor of level J+1."""
-        return dir_pow(self.prefix.terms[-1], -(1 + self.tau), self.prec)
+        return dir_pow(self.q, -(1 + self.tau), self.prec)
 
     @property
     def side(self) -> Enclosure:
@@ -138,11 +143,12 @@ class CoverReport:
     @property
     def regime(self) -> RegimeResult:
         """Growth-regime verdict of the prefix, computed each time it is read."""
-        return validate_regime(self.prefix, self.tau, self.prec)
+        prefix = QSequence(tuple(record.q for record in self._lineage()))
+        return validate_regime(prefix, self.tau, self.prec)
 
     @cached_property
     def _log_scale(self) -> Enclosure:  # (1+tau) log2 q_J
-        return log2_int(self.prefix.terms[-1], self.prec).mul_frac(1 + self.tau, self.prec)
+        return log2_int(self.q, self.prec).mul_frac(1 + self.tau, self.prec)
 
     @cached_property
     def upper(self) -> Enclosure:
@@ -185,8 +191,8 @@ def depth_series(qs: QSequence, tau: Fraction, d: int = 1,
             b = record.shrink.scale_int(q).lo.floor()
             branching = branching + (b,) if b >= 1 else RegimeViolationError(
                 j, f"floor(q_{j} / q_{j - 1}**(1+tau)) = 0, the subdivision has no children")
-        record = CoverReport(depth=j, d=d, tau=tau, branching=branching,
-                             prefix=QSequence(qs.terms[:j]), prec=p, parent=record)
+        record = CoverReport(depth=j, d=d, tau=tau, branching=branching, q=q, prec=p,
+                             parent=record)
         yield record
 
 
@@ -195,7 +201,7 @@ def _record_at(qs, tau, d, depth, prec) -> CoverReport:
     depth = len(qs) if depth is None else depth
     if not 1 <= depth <= len(qs):
         raise ValueError(f"depth must be in 1..{len(qs)}")
-    *_, record = depth_series(QSequence(qs.terms[:depth]), tau, d, prec)
+    *_, record = islice(depth_series(qs, tau, d, prec), depth)
     return record
 
 

@@ -321,7 +321,6 @@ def build_level(
     params: LevelParams,
     prec: Optional[int] = None,
     coord: int = 0,
-    scale: Optional[int] = None,
     within: Optional[TorusIntervalSet] = None,
 ) -> TorusIntervalSet:
     """Certified sandwich of one coordinate's level set for modulus q.
@@ -330,18 +329,17 @@ def build_level(
     centred at (p + theta)/q.  With ``within`` the result is that set
     intersected with ``within`` (inner with inner, outer with outer): each
     window builds only the arcs of the residues ``residue_span`` gives, cut
-    to the window.  The grid defaults to ``within``'s, else to the radius's
-    own.  A radius certainly above 1/(2q) covers the torus.  A radius
-    enclosure straddling 1/(2q) raises ``IndeterminateRadiusError``, and so
-    do outer arcs that overlap: the radius is then within a grid step of
-    1/(2q), where the true arcs may touch.
+    to the window.  The grid is ``within``'s, else the radius's own.  A
+    radius certainly above 1/(2q) covers the torus.  A radius enclosure
+    straddling 1/(2q) raises ``IndeterminateRadiusError``, and so do outer
+    arcs that overlap: the radius is then within a grid step of 1/(2q),
+    where the true arcs may touch.
     """
     if q < 1:
         raise ValueError("modulus must be a positive integer")
     renc = params.radius_enclosure(q, prec)
     p = _resolve_prec(prec)
-    if scale is None:
-        scale = within.outer.scale if within is not None else _scale_for([renc], p)
+    scale = within.outer.scale if within is not None else _scale_for([renc], p)
     full = ArcList.full_circle(scale)
     inner_w, outer_w = (full, full) if within is None else \
         (within.inner.rescale(scale), within.outer.rescale(scale))
@@ -473,7 +471,7 @@ def prefix_intersection(
         if any(_candidate_estimate(s.outer, q, r_hi) > component_budget for s in sets):
             raise BudgetExceededError(j, partial)
         try:
-            sets = [build_level(q, params, p, coord=i, scale=scale, within=s)
+            sets = [build_level(q, params, p, coord=i, within=s)
                     for i, s in enumerate(sets)]
         except IndeterminateRadiusError as exc:
             exc.level, exc.partial = j, partial

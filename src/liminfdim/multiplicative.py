@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
+from .dimension import theoretical_dimension
 from .numerics import Enclosure, _resolve_prec, _split_pow2, dir_pow
 
 
@@ -32,26 +33,18 @@ def mult_bounds(
 ) -> tuple[Union[Fraction, Enclosure], Fraction]:
     """(lower, upper) dimension bounds for the multiplicative set.
 
-    lower = d - 1 + (1 - tau*alpha)/(tau+1), clamped at d - 1;
-    upper = d - 1 + 1/(tau+1).  Exact rationals when alpha is a Fraction.
+    lower = d - 1 + the d = 1 dimension formula (1 - tau*alpha)/(tau+1),
+    clamped at d - 1; upper = d - 1 + 1/(tau+1), the critical exponent.
+    Exact rationals when alpha is a Fraction.
     """
-    tau = Fraction(tau)
-    if tau <= 0:
-        raise ValueError("tau must be positive")
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    upper = d - 1 + Fraction(1, tau + 1)
-    if isinstance(alpha, Enclosure):
-        p = _resolve_prec(prec)
-        inner = (-alpha.mul_frac(tau, p)).add_int(1)
-        lower = inner.mul_frac(Fraction(1, tau + 1), p).add_int(d - 1)
-        floor_val = Fraction(d - 1)
-        lo_f = max(lower.lo.as_fraction(), floor_val)
-        hi_f = max(lower.hi.as_fraction(), floor_val)
-        return Enclosure.from_endpoints(lo_f, hi_f, p), upper
-    alpha = Fraction(alpha)
-    lower_f = d - 1 + (1 - tau * alpha) / (tau + 1)
-    return max(lower_f, Fraction(d - 1)), upper
+    lower = theoretical_dimension(tau, alpha, 1, prec).value
+    upper = d - 1 + Fraction(1, Fraction(tau) + 1)
+    if isinstance(lower, Enclosure):
+        return Enclosure.from_endpoints(lower.lo.as_fraction() + d - 1,
+                                        lower.hi.as_fraction() + d - 1, prec), upper
+    return lower + d - 1, upper
 
 
 def mult_cost_exponent(d: int, tau: Fraction, s: Fraction) -> Fraction:
@@ -90,6 +83,21 @@ class SquareCover:
         return len(self.squares)
 
 
+def check_cover(gamma: Fraction, s: Fraction) -> int:
+    """K with gamma = 2**-K, once gamma is a dyadic power in (0, 1] and the
+    cost exponent s lies in (1, 2]; raises ValueError otherwise."""
+    gamma = Fraction(gamma)
+    if not Fraction(1) >= gamma > 0:
+        raise ValueError("gamma must lie in (0, 1]")
+    odd_num, _ = _split_pow2(gamma.numerator)
+    odd_den, k_den = _split_pow2(gamma.denominator)
+    if odd_num != 1 or odd_den != 1:
+        raise ValueError("gamma must be a dyadic power 2**-K")
+    if not 1 < Fraction(s) <= 2:
+        raise ValueError("the cost exponent is meaningful for s in (1, 2] only")
+    return k_den - (gamma.numerator.bit_length() - 1)
+
+
 def hyperbolic_cover(
     gamma: Fraction,
     s: Fraction,
@@ -106,15 +114,7 @@ def hyperbolic_cover(
     gamma = Fraction(gamma)
     s = Fraction(s)
     p = _resolve_prec(prec)
-    if not Fraction(1) >= gamma > 0:
-        raise ValueError("gamma must lie in (0, 1]")
-    odd_num, _ = _split_pow2(gamma.numerator)
-    odd_den, k_den = _split_pow2(gamma.denominator)
-    if odd_num != 1 or odd_den != 1:
-        raise ValueError("gamma must be a dyadic power 2**-K")
-    big_k = k_den - (gamma.numerator.bit_length() - 1)
-    if not (1 < s <= 2):
-        raise ValueError("the cost exponent is meaningful for s in (1, 2] only")
+    big_k = check_cover(gamma, s)
 
     if big_k == 0:
         sq = Square(Fraction(0), Fraction(0), Fraction(1))

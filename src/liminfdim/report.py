@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Union
 
 from .cantor import HolderCertificate
-from .config import ExperimentConfig
+from .config import ExperimentConfig, parse_rational
 from .level_sets import CertifiedCount, LevelStats
 from .numerics import DirectedReal, Enclosure
 from .sequences import ExponentStats, RegimeResult
@@ -171,7 +171,7 @@ def levels_csv(levels: list[dict]) -> str:
         gap = st["min_gap"]
         w.writerow([st["level"], st["count"]["min"], st["count"]["max"],
                     st["max_len_float"],
-                    float(Fraction(gap)) if gap is not None else "",
+                    float(parse_rational(gap)) if gap is not None else "",
                     st["total_len_float"]])
     return buf.getvalue()
 

@@ -71,8 +71,6 @@ class ExplicitSpec:
 
     terms: tuple[int, ...]
 
-    kind = "explicit"
-
 
 @dataclass(frozen=True)
 class PowerSpec:
@@ -80,8 +78,6 @@ class PowerSpec:
 
     q1: int
     growth: Fraction
-
-    kind = "power"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "growth", Fraction(self.growth))
@@ -95,8 +91,6 @@ class ContractiveSpec:
 
     q1: int
     tau: Fraction
-
-    kind = "contractive"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tau", Fraction(self.tau))
@@ -113,8 +107,6 @@ class AlternatingSpec:
     tau: Fraction
     eta: Fraction
 
-    kind = "alternating"
-
     def __post_init__(self) -> None:
         object.__setattr__(self, "tau", Fraction(self.tau))
         object.__setattr__(self, "eta", Fraction(self.eta))
@@ -125,6 +117,10 @@ class AlternatingSpec:
 
 
 SequenceSpec = Union[ExplicitSpec, PowerSpec, ContractiveSpec, AlternatingSpec]
+
+# the family of each sequence kind; a spec's fields name its parameters
+SPECS = {"explicit": ExplicitSpec, "power": PowerSpec,
+         "contractive": ContractiveSpec, "alternating": AlternatingSpec}
 
 
 def _ceil_root(x: int, b: int) -> int:

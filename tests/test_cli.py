@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -6,12 +7,13 @@ from fractions import Fraction as F
 import pytest
 
 from liminfdim.cli import MissingSeriesError, main, plot, run
-from liminfdim.config import ConfigError, parse_config, parse_rational
+from liminfdim.config import PRECISION_ENV_VAR, ConfigError, parse_config, parse_rational
 from liminfdim.numerics import DOWN, UP, DirectedReal
 from liminfdim.report import (
     DECIMAL_MAX_BITS,
     dyadic_str,
     fraction_str,
+    config_json,
     int_json,
     parse_json,
     render_json,
@@ -64,6 +66,17 @@ class TestParsing:
         assert cfg.sequence == "power" and cfg.depth == 6
         assert cfg.tasks == ("analyze", "dimension")
         assert cfg.theta == (F(0),)
+        # every integer key reads the '0x...' form the report's config echo writes
+        big = (1 << DECIMAL_MAX_BITS) + 1
+        cfg = parse_config(f"sequence = explicit\nterms = 3, {int_json(big)}\nq1 = 0x4\n"
+                           "d = 0X1\ndepth = 0x2\nprecision = 0x80\nseed = -0x10\n"
+                           "holder_samples = +0xa\ngamma = 0x1/0x40\n")
+        assert cfg.terms == (3, big) and int_json(big).startswith("0x")
+        assert (cfg.q1, cfg.d, cfg.depth, cfg.precision) == (4, 1, 2, 128)
+        assert (cfg.seed, cfg.holder_samples, cfg.gamma) == (-16, 10, F(1, 64))
+        echo = "\n".join(f"{key} = {', '.join(map(str, v)) if isinstance(v, list) else v}"
+                         for key, v in config_json(cfg).items())
+        assert parse_config(echo) == cfg
 
     def test_unknown_key(self):
         with pytest.raises(ConfigError) as exc:
@@ -278,6 +291,50 @@ class TestEndToEnd:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("extra, env, key", [
+        ("tasks = analyze,cantor\nholder_s = 5\n", None, "holder_s"),
+        ("tasks = analyze,cantor\nholder_samples = 0\n", None, "holder_samples"),
+        ("tasks = analyze,multiplicative\nmult_s = 3\n", None, "mult_s"),
+        ("tasks = analyze,multiplicative\ngamma = 1/3\n", None, "gamma"),
+        ("growth = 1\n", None, "growth"),
+        ("sequence = alternating\neta = 2\n", None, "eta"),
+        ("sequence = explicit\nterms = 5, 3, 9, 20\n", None, "terms"),
+        ("q1 = -3\n", None, "q1"),
+        ("", "abc", PRECISION_ENV_VAR),
+        ("", "4", PRECISION_ENV_VAR),
+    ], ids=["holder_s", "holder_samples", "mult_s", "gamma", "growth", "eta", "terms", "q1",
+            "env-not-int", "env-too-low"])
+    def test_invalid_values_rejected_at_load(self, extra, env, key, tmp_path, capsys,
+                                             monkeypatch):
+        # each value is checked by the rule of the code that reads it, before any task runs
+        if env is None:
+            monkeypatch.delenv(PRECISION_ENV_VAR, raising=False)
+        else:
+            monkeypatch.setenv(PRECISION_ENV_VAR, env)
+        cfg_path = tmp_path / "probe.cfg"
+        cfg_path.write_text("sequence = power\nq1 = 4\ngrowth = 4\ntau = 1\ndepth = 3\n"
+                            + extra)
+        out_dir = tmp_path / "out"
+        assert main(["run", str(cfg_path), "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err
+        named = re.match(r"config error: key '([^']*)'", err)
+        assert key in (named.group(1).split(", ") if named else err)
+        assert not (out_dir / "report.json").exists()
+
+    def test_levels_csv_reads_hex_gaps(self, tmp_path, monkeypatch):
+        # past DECIMAL_MAX_BITS the report writes min_gap in hex; the CSV reads it back
+        monkeypatch.delenv(PRECISION_ENV_VAR, raising=False)
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(ENUM_CFG + "precision = 15000\n")
+        out_dir = tmp_path / "out"
+        assert main(["run", str(cfg_path), "--format", "csv", "--out", str(out_dir)]) == 0
+        levels = json.loads((out_dir / "report.json").read_text())["results"]["enumerate"]["levels"]
+        rows = (out_dir / "levels.csv").read_text().splitlines()[1:]
+        assert any(st["min_gap"].startswith("0x") for st in levels)
+        assert [float(row.split(",")[4]) for row in rows] == \
+            [float(parse_rational(st["min_gap"])) for st in levels]
 
     def test_depth_override_checked_against_terms(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"

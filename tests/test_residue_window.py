@@ -22,6 +22,7 @@ from liminfdim.level_sets import (
     ArcList,
     IndeterminateRadiusError,
     LevelParams,
+    TorusIntervalSet,
     build_level,
     constant_radius,
     residue_span,
@@ -111,9 +112,11 @@ def test_build_within_equals_build_then_intersect(qs, theta, tau, radius, prec):
     params = level_params(theta, tau, radius)
     try:
         within = build_level(qs[0], params, prec)
+        full = ArcList.full_circle(within.outer.scale)
+        on_grid = TorusIntervalSet(full, full)  # the whole torus on within's grid
         for q in qs[1:-1]:
-            within = within.intersect(build_level(q, params, prec, scale=within.outer.scale))
-        whole = build_level(qs[-1], params, prec, scale=within.outer.scale)
+            within = within.intersect(build_level(q, params, prec, within=on_grid))
+        whole = build_level(qs[-1], params, prec, within=on_grid)
     except IndeterminateRadiusError:
         assume(False)
     cut = build_level(qs[-1], params, prec, within=within)
