@@ -38,7 +38,8 @@ cover, _ = hyperbolic_cover(F(1, 64), F(8, 5))
 steps = 256
 curve = [(x / steps, min(1.0, (1 / 64) / (x / steps))) for x in range(1, steps + 1)]
 out = Path(__file__).with_name("hyperbolic_cover.svg")
+unit = 2.0 ** -cover.big_k  # the squares are integer triples on this grid
 out.write_text(square_overlay("cover of x*y <= 1/64",
-                              [(float(s.x), float(s.y), float(s.side))
-                               for s in cover.squares], curve), encoding="ascii")
+                              [(x * unit, y * unit, side * unit)
+                               for x, y, side in cover.squares], curve), encoding="ascii")
 print("\nwrote", out)

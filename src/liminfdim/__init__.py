@@ -39,7 +39,6 @@ from .level_sets import (
     prefix_intersection,
 )
 from .multiplicative import (
-    Square,
     SquareCover,
     hyperbolic_cover,
     mult_bounds,

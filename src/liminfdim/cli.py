@@ -124,8 +124,9 @@ def run(cfg: ExperimentConfig, canonical: bool = False) -> tuple[dict, int]:
                     "s": rep.fraction_str(cfg.mult_s),
                     "squares": cover.total_squares(),
                     "s_cost": rep.enclosure_json(cost),
-                    "rects": [[rep.fraction_str(sq.x), rep.fraction_str(sq.y),
-                               rep.fraction_str(sq.side)] for sq in cover.squares],
+                    "rects": [[rep.grid_str(x, cover.big_k), rep.grid_str(y, cover.big_k),
+                               rep.grid_str(side, cover.big_k)]
+                              for x, y, side in cover.squares],
                 },
             }
         timing[task] = time.perf_counter() - t0

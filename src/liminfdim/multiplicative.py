@@ -58,26 +58,20 @@ def mult_cost_exponent(d: int, tau: Fraction, s: Fraction) -> Fraction:
 
 
 @dataclass(frozen=True)
-class Square:
-    """Axis-aligned closed square [x, x+side] x [y, y+side], dyadic corners."""
-
-    x: Fraction
-    y: Fraction
-    side: Fraction
-
-    def covers(self, px: Fraction, py: Fraction) -> bool:
-        return self.x <= px <= self.x + self.side and self.y <= py <= self.y + self.side
-
-
-@dataclass(frozen=True)
 class SquareCover:
-    """Dyadic squares covering {x in [0,1]^2 : x1*x2 <= gamma}."""
+    """Dyadic squares covering {x in [0,1]^2 : x1*x2 <= 2**-big_k}.
 
-    gamma: Fraction
-    squares: tuple[Square, ...]
+    Each square is an integer triple (x, y, side) on the grid 2**-big_k: the
+    closed square [x, x+side] x [y, y+side] scaled by 2**big_k.
+    """
+
+    big_k: int
+    squares: tuple[tuple[int, int, int], ...]
 
     def covers(self, px: Fraction, py: Fraction) -> bool:
-        return any(sq.covers(px, py) for sq in self.squares)
+        px, py = px * (1 << self.big_k), py * (1 << self.big_k)
+        return any(x <= px <= x + side and y <= py <= y + side
+                   for x, y, side in self.squares)
 
     def total_squares(self) -> int:
         return len(self.squares)
@@ -111,30 +105,22 @@ def hyperbolic_cover(
     single corner square of side 2**-ceil(K/2) holds the rest.  The s-cost
     stays within a constant multiple of gamma**(s-1) for s in (1, 2].
     """
-    gamma = Fraction(gamma)
     s = Fraction(s)
     p = _resolve_prec(prec)
     big_k = check_cover(gamma, s)
+    one = 1 << big_k
 
-    if big_k == 0:
-        sq = Square(Fraction(0), Fraction(0), Fraction(1))
-        return SquareCover(gamma, (sq,)), Enclosure.exact_int(1)
-
-    squares: list[Square] = []
+    squares: list[tuple[int, int, int]] = []
     cost = Enclosure.exact_int(0)
     half_cols = -(-big_k // 2)  # ceil(K/2)
     for k in range(half_cols):
-        side = Fraction(1, 1 << (big_k - k - 1))
+        side = 1 << (k + 1)  # 2**(k+1-K) on the grid 2**-K
         count = max(1, 1 << max(0, big_k - 2 * k - 2))
-        x0 = Fraction(1, 1 << (k + 1))
-        x0 = min(x0, 1 - side)  # keep the lone wide square inside the unit box
-        for j in range(count):
-            x = x0 + j * side
-            squares.append(Square(x, Fraction(0), side))
-            squares.append(Square(Fraction(0), x, side))
-        term = dir_pow(2, -s * (big_k - k - 1), p).scale_int(2 * count)
-        cost = cost + term
-    corner_side = Fraction(1, 1 << half_cols)
-    squares.append(Square(Fraction(0), Fraction(0), corner_side))
+        x0 = min(one >> (k + 1), one - side)  # keep the lone wide square inside the unit box
+        for x in range(x0, x0 + count * side, side):
+            squares.append((x, 0, side))
+            squares.append((0, x, side))
+        cost = cost + dir_pow(2, -s * (big_k - k - 1), p).scale_int(2 * count)
+    squares.append((0, 0, one >> half_cols))
     cost = cost + dir_pow(2, -s * half_cols, p)
-    return SquareCover(gamma, tuple(squares)), cost
+    return SquareCover(big_k, tuple(squares)), cost

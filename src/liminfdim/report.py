@@ -48,6 +48,13 @@ def dyadic_str(d: DirectedReal) -> str:
     return f"{int_json(d.mantissa)}*2^{d.exponent}"
 
 
+def grid_str(n: int, big_k: int) -> str:
+    """n / 2**big_k for n >= 0, written as fraction_str writes it."""
+    shift = min(big_k, (n & -n).bit_length() - 1) if n else big_k
+    num = int_json(n >> shift)
+    return f"{num}" if shift == big_k else f"{num}/{int_json(1 << (big_k - shift))}"
+
+
 def enclosure_json(enc: Enclosure) -> dict:
     return {
         "lo": dyadic_str(enc.lo),

@@ -201,8 +201,8 @@ def test_08_multiplicative_bounds_and_cover():
         for K in range(4, 13):
             gamma = F(1, 1 << K)
             cover, cost = hyperbolic_cover(gamma, F(8, 5))
-            squares = [(float(sq.x), float(sq.y), float(sq.side))
-                       for sq in cover.squares]
+            unit = 2.0 ** -K
+            squares = [(x * unit, y * unit, side * unit) for x, y, side in cover.squares]
             for _ in range(10 ** 4):
                 x = F(rng.getrandbits(30), 1 << 30)
                 cap = min(F(1), gamma / x) if x > 0 else F(1)

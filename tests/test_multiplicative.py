@@ -103,7 +103,8 @@ class TestHyperbolicCover:
         for K in (4, 6, 9, 12):
             gamma = F(1, 1 << K)
             cover, _ = hyperbolic_cover(gamma, F(8, 5))
-            sq = [(float(s.x), float(s.y), float(s.side)) for s in cover.squares]
+            unit = 2.0 ** -K
+            sq = [(x * unit, y * unit, s * unit) for x, y, s in cover.squares]
             for _ in range(2000):
                 x = F(rng.getrandbits(30), 1 << 30)
                 cap = min(F(1), gamma / x) if x > 0 else F(1)
