@@ -40,6 +40,7 @@ from .level_sets import (
 )
 from .multiplicative import (
     SquareCover,
+    cover_size,
     hyperbolic_cover,
     mult_bounds,
     mult_cost_exponent,

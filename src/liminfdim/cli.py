@@ -23,7 +23,8 @@ from .config import ConfigError, ExperimentConfig, load_config, parse_rational
 from .dimension import RegimeViolationError, depth_series, theoretical_dimension
 from .level_sets import (BudgetExceededError, IndeterminateRadiusError, LevelParams,
                          prefix_intersection)
-from .multiplicative import hyperbolic_cover, mult_bounds, mult_cost_exponent
+from .multiplicative import (check_cover, cover_size, hyperbolic_cover, mult_bounds,
+                             mult_cost_exponent)
 from .sequences import GenerationError, exponent_stats, generate, regime_from_steps
 from .svg import Plot, square_overlay
 
@@ -112,14 +113,15 @@ def run(cfg: ExperimentConfig, canonical: bool = False) -> tuple[dict, int]:
         elif task == "multiplicative":
             alpha = stats.alpha_last if stats.alpha_last is not None else Fraction(0)
             lower, upper = mult_bounds(cfg.tau, alpha, cfg.d, prec)
-            cover, cost = hyperbolic_cover(cfg.gamma, cfg.mult_s, prec)
-            results["multiplicative"] = {
-                "lower": rep.value_json(lower),
-                "upper": rep.value_json(upper),
-                "critical_s": rep.fraction_str(upper),  # the upper bound is the critical s
-                "cost_exponent_at_critical":
-                    rep.fraction_str(mult_cost_exponent(cfg.d, cfg.tau, upper)),
-                "cover": {
+            size = cover_size(check_cover(cfg.gamma, cfg.mult_s))
+            cover_json = None
+            if size > cfg.component_budget:
+                warnings.append(f"multiplicative: the cover needs {size} squares, over the "
+                                f"component budget of {cfg.component_budget}")
+                exit_code = 1
+            else:
+                cover, cost = hyperbolic_cover(cfg.gamma, cfg.mult_s, prec)
+                cover_json = {
                     "gamma": rep.fraction_str(cfg.gamma),
                     "s": rep.fraction_str(cfg.mult_s),
                     "squares": cover.total_squares(),
@@ -127,7 +129,14 @@ def run(cfg: ExperimentConfig, canonical: bool = False) -> tuple[dict, int]:
                     "rects": [[rep.grid_str(x, cover.big_k), rep.grid_str(y, cover.big_k),
                                rep.grid_str(side, cover.big_k)]
                               for x, y, side in cover.squares],
-                },
+                }
+            results["multiplicative"] = {
+                "lower": rep.value_json(lower),
+                "upper": rep.value_json(upper),
+                "critical_s": rep.fraction_str(upper),  # the upper bound is the critical s
+                "cost_exponent_at_critical":
+                    rep.fraction_str(mult_cost_exponent(cfg.d, cfg.tau, upper)),
+                "cover": cover_json,
             }
         timing[task] = time.perf_counter() - t0
 
@@ -172,7 +181,7 @@ def plot(report: dict, kind: str, path: str) -> None:
         Path(path).write_text(p.render(), encoding="ascii")
     elif kind == "cover_overlay":
         mult = results.get("multiplicative")
-        if not mult:
+        if not mult or not mult["cover"]:
             raise MissingSeriesError(kind, "multiplicative")
         gamma = parse_rational(mult["cover"]["gamma"])
         rects = [(float(parse_rational(x)), float(parse_rational(y)),
@@ -252,7 +261,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                 rows = [r for r in res["dimension"]["series"] if r["lower"]]
                 (out / "dimension.csv").write_text(
                     rep.dimension_csv(rows), encoding="ascii")
-            if "multiplicative" in res:
+            if "multiplicative" in res and res["multiplicative"]["cover"]:
                 (out / "cover.csv").write_text(
                     rep.cover_csv(res["multiplicative"]["cover"]["rects"]), encoding="ascii")
         for w in report["warnings"]:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil, floor
 from typing import Optional, Union
 
 from .dimension import theoretical_dimension
@@ -69,8 +70,10 @@ class SquareCover:
     squares: tuple[tuple[int, int, int], ...]
 
     def covers(self, px: Fraction, py: Fraction) -> bool:
+        # integer corners: x <= p <= x + side iff x <= floor(p) and ceil(p) <= x + side
         px, py = px * (1 << self.big_k), py * (1 << self.big_k)
-        return any(x <= px <= x + side and y <= py <= y + side
+        fx, cx, fy, cy = floor(px), ceil(px), floor(py), ceil(py)
+        return any(x <= fx and cx <= x + side and y <= fy and cy <= y + side
                    for x, y, side in self.squares)
 
     def total_squares(self) -> int:
@@ -90,6 +93,16 @@ def check_cover(gamma: Fraction, s: Fraction) -> int:
     if not 1 < Fraction(s) <= 2:
         raise ValueError("the cost exponent is meaningful for s in (1, 2] only")
     return k_den - (gamma.numerator.bit_length() - 1)
+
+
+def _column_counts(big_k: int) -> list[int]:
+    """Squares in each column k = 0..ceil(K/2)-1 of the cover of gamma = 2**-K."""
+    return [max(1, 1 << max(0, big_k - 2 * k - 2)) for k in range(-(-big_k // 2))]
+
+
+def cover_size(big_k: int) -> int:
+    """Squares in hyperbolic_cover's cover of gamma = 2**-big_k, without building it."""
+    return 1 + 2 * sum(_column_counts(big_k))
 
 
 def hyperbolic_cover(
@@ -112,10 +125,10 @@ def hyperbolic_cover(
 
     squares: list[tuple[int, int, int]] = []
     cost = Enclosure.exact_int(0)
-    half_cols = -(-big_k // 2)  # ceil(K/2)
-    for k in range(half_cols):
+    counts = _column_counts(big_k)
+    half_cols = len(counts)  # ceil(K/2)
+    for k, count in enumerate(counts):
         side = 1 << (k + 1)  # 2**(k+1-K) on the grid 2**-K
-        count = max(1, 1 << max(0, big_k - 2 * k - 2))
         x0 = min(one >> (k + 1), one - side)  # keep the lone wide square inside the unit box
         for x in range(x0, x0 + count * side, side):
             squares.append((x, 0, side))

@@ -5,7 +5,10 @@ import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from liminfdim import cli
 from liminfdim.cli import MissingSeriesError, main, plot, run
 from liminfdim.config import PRECISION_ENV_VAR, ConfigError, parse_config, parse_rational
 from liminfdim.numerics import DOWN, UP, DirectedReal
@@ -14,6 +17,7 @@ from liminfdim.report import (
     dyadic_str,
     fraction_str,
     config_json,
+    grid_str,
     int_json,
     parse_json,
     render_json,
@@ -38,6 +42,16 @@ terms = 3, 81
 tau = 1
 depth = 2
 tasks = analyze,enumerate
+"""
+
+MULT_CFG = """
+sequence = power
+q1 = 4
+growth = 4
+tau = 1/2
+d = 2
+depth = 4
+tasks = analyze,multiplicative
 """
 
 TOUCH_CFG = """
@@ -221,6 +235,63 @@ class TestHugeIntegers:
             assert 0 < hi - lo < F(1, 1 << 14990)
             assert dyadic_str(DirectedReal.from_fraction(lo, None, DOWN)) == e["lo"]
             assert dyadic_str(DirectedReal.from_fraction(hi, None, UP)) == e["hi"]
+
+
+class TestCoverReport:
+    @pytest.mark.parametrize("K, rects", [
+        (0, [["0", "0", "1"]]),
+        # the lone column square is clamped to 1 - side = 0: the unit square, twice
+        (1, [["0", "0", "1"], ["0", "0", "1"], ["0", "0", "1/2"]]),
+        (2, [["1/2", "0", "1/2"], ["0", "1/2", "1/2"], ["0", "0", "1/2"]]),
+        (3, [["1/2", "0", "1/4"], ["0", "1/2", "1/4"], ["3/4", "0", "1/4"],
+             ["0", "3/4", "1/4"], ["1/4", "0", "1/2"], ["0", "1/4", "1/2"],
+             ["0", "0", "1/4"]]),
+    ])
+    def test_small_covers_by_hand(self, K, rects):
+        report, code = run(parse_config(MULT_CFG + f"gamma = 1*2^-{K}\n"))
+        cover = report["results"]["multiplicative"]["cover"]
+        assert code == 0 and cover["rects"] == rects and cover["squares"] == len(rects)
+
+    def test_rects_parse_back_to_the_grid(self):
+        for K in (0, 1, 5, 9, 12):
+            report, _ = run(parse_config(MULT_CFG + f"gamma = 1*2^-{K}\n"))
+            rects = report["results"]["multiplicative"]["cover"]["rects"]
+            squares = cli.hyperbolic_cover(F(1, 1 << K), F(8, 5))[0].squares
+            assert [[parse_rational(v) for v in r] for r in rects] == \
+                [[F(v, 1 << K) for v in sq] for sq in squares]
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.one_of(st.integers(0, 1 << 70), st.integers(0, 3).map(lambda e: e << 14300)),
+           big_k=st.integers(0, 14400))
+    def test_grid_str_is_fraction_str(self, n, big_k):
+        assert grid_str(n, big_k) == fraction_str(F(n, 1 << big_k))
+
+    @pytest.mark.parametrize("extra, code", [
+        ("gamma = 1*2^-6\ncomponent_budget = 43\n", 0),
+        ("gamma = 1*2^-6\ncomponent_budget = 42\n", 1),
+        ("gamma = 1*2^-10\ncomponent_budget = 100\n", 1),
+        # 2**38 squares in the first column alone: refused before anything is built
+        ("gamma = 1*2^-40\n", 1),
+    ], ids=["K6-at-budget", "K6-over", "K10-over", "K40-default-budget"])
+    def test_cover_over_component_budget(self, extra, code, tmp_path, monkeypatch, capsys):
+        if code:
+            def refuse(*args):
+                raise AssertionError("a cover over budget must not be built")
+            monkeypatch.setattr(cli, "hyperbolic_cover", refuse)
+        cfg_path = tmp_path / "mult.cfg"
+        cfg_path.write_text(MULT_CFG + extra)
+        assert main(["run", str(cfg_path), "--format", "csv", "--out", str(tmp_path)]) == code
+        mult = json.loads((tmp_path / "report.json").read_text())["results"]["multiplicative"]
+        assert mult["upper"]["exact_value"] == "5/3"
+        err = capsys.readouterr().err
+        assert (tmp_path / "cover.csv").exists() == (code == 0)
+        if code:
+            assert mult["cover"] is None and "over the component budget" in err
+            assert main(["plot", str(tmp_path / "report.json"), "--kind", "cover_overlay",
+                         "--out", str(tmp_path / "cover.svg")]) == 2
+            assert "Traceback" not in capsys.readouterr().err
+        else:
+            assert mult["cover"]["squares"] == 43 and err == ""
 
 
 class TestPlot:

@@ -5,6 +5,7 @@ import mpmath
 import pytest
 
 from liminfdim.multiplicative import (
+    cover_size,
     hyperbolic_cover,
     mult_bounds,
     mult_cost_exponent,
@@ -121,6 +122,27 @@ class TestHyperbolicCover:
                        (F(1, 256), F(1)), (F(1, 2), F(1, 128))]:
             assert x * y <= F(1, 256)
             assert cover.covers(x, y)
+
+    @pytest.mark.parametrize("K", range(8))
+    def test_covers_every_point_of_a_finer_grid(self, K):
+        # on the grid 2**-(K+2): every point of the region is covered, and no
+        # square reaches past x*y <= 3*gamma (the odd-K last column's bound)
+        cover, _ = hyperbolic_cover(F(1, 1 << K), F(8, 5))
+        n = 1 << (K + 2)
+        grid = [F(i, n) for i in range(n + 1)]
+        for i, x in enumerate(grid):
+            for j, y in enumerate(grid):
+                covered = cover.covers(x, y)
+                if i * j <= n * n >> K:
+                    assert covered, (K, x, y)
+                elif covered:
+                    assert i * j <= 3 * (n * n >> K), (K, x, y)
+
+    def test_size_matches_construction(self):
+        for K in range(17):
+            cover, _ = hyperbolic_cover(F(1, 1 << K), F(8, 5))
+            assert cover.big_k == K
+            assert cover_size(K) == cover.total_squares()
 
     def test_scaling_band(self):
         # s_cost(gamma) * gamma^-(s-1) stays in a narrow band at s = 1.6
