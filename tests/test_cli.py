@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from liminfdim import cli
 from liminfdim.cli import MissingSeriesError, main, plot, run
 from liminfdim.config import PRECISION_ENV_VAR, ConfigError, parse_config, parse_rational
+from liminfdim.multiplicative import hyperbolic_cover
 from liminfdim.numerics import DOWN, UP, DirectedReal
 from liminfdim.report import (
     DECIMAL_MAX_BITS,
@@ -256,7 +257,7 @@ class TestCoverReport:
         for K in (0, 1, 5, 9, 12):
             report, _ = run(parse_config(MULT_CFG + f"gamma = 1*2^-{K}\n"))
             rects = report["results"]["multiplicative"]["cover"]["rects"]
-            squares = cli.hyperbolic_cover(F(1, 1 << K), F(8, 5))[0].squares
+            squares = hyperbolic_cover(F(1, 1 << K), F(8, 5))[0].squares
             assert [[parse_rational(v) for v in r] for r in rects] == \
                 [[F(v, 1 << K) for v in sq] for sq in squares]
 
