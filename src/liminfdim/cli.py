@@ -5,7 +5,8 @@ report (plus CSV files with ``--format csv``); ``liminfdim plot`` renders a
 report series as a standalone SVG; every CSV is rendered from the report.
 Exit codes: 0 success, 1 the run stopped early with a partial report (a
 budget was exhausted, or a level could not be certified), 2 configuration
-errors, sequence-generation errors included.
+errors, sequence-generation errors included, and output that cannot be
+written.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import sys
 import time
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 from typing import Optional
 
@@ -121,14 +123,15 @@ def run(cfg: ExperimentConfig, canonical: bool = False) -> tuple[dict, int]:
                 exit_code = 1
             else:
                 cover, cost = hyperbolic_cover(cfg.gamma, cfg.mult_s, prec)
+                # one string per distinct grid value, shared by every square that has it
+                grid = {n: rep.grid_str(n, cover.big_k)
+                        for n in set(chain.from_iterable(cover.squares))}
                 cover_json = {
                     "gamma": rep.fraction_str(cfg.gamma),
                     "s": rep.fraction_str(cfg.mult_s),
                     "squares": cover.total_squares(),
                     "s_cost": rep.enclosure_json(cost),
-                    "rects": [[rep.grid_str(x, cover.big_k), rep.grid_str(y, cover.big_k),
-                               rep.grid_str(side, cover.big_k)]
-                              for x, y, side in cover.squares],
+                    "rects": [[grid[x], grid[y], grid[side]] for x, y, side in cover.squares],
                 }
             results["multiplicative"] = {
                 "lower": rep.value_json(lower),
@@ -210,6 +213,22 @@ def _apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> None:
     cfg.validate()
 
 
+def _write_outputs(report: dict, out: Path, fmt: str, canonical: bool) -> None:
+    """report.json, plus with fmt 'csv' the CSV file of each task that has one."""
+    (out / "report.json").write_text(rep.render_json(report, canonical), encoding="ascii")
+    if fmt == "csv":
+        res = report["results"]
+        if "enumerate" in res:
+            (out / "levels.csv").write_text(
+                rep.levels_csv(res["enumerate"]["levels"]), encoding="ascii")
+        if "dimension" in res:
+            rows = [r for r in res["dimension"]["series"] if r["lower"]]
+            (out / "dimension.csv").write_text(rep.dimension_csv(rows), encoding="ascii")
+        if "multiplicative" in res and res["multiplicative"]["cover"]:
+            (out / "cover.csv").write_text(
+                rep.cover_csv(res["multiplicative"]["cover"]["rects"]), encoding="ascii")
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="liminfdim",
@@ -243,27 +262,17 @@ def main(argv: Optional[list[str]] = None) -> int:
         except (ConfigError, OSError, ValueError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
+        out = Path(args.out)
         try:
+            out.mkdir(parents=True, exist_ok=True)  # before any task runs
             report, code = run(cfg, canonical=args.canonical)
+            _write_outputs(report, out, args.format, args.canonical)
         except GenerationError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "report.json").write_text(
-            rep.render_json(report, canonical=args.canonical), encoding="ascii")
-        if args.format == "csv":
-            res = report["results"]
-            if "enumerate" in res:
-                (out / "levels.csv").write_text(
-                    rep.levels_csv(res["enumerate"]["levels"]), encoding="ascii")
-            if "dimension" in res:
-                rows = [r for r in res["dimension"]["series"] if r["lower"]]
-                (out / "dimension.csv").write_text(
-                    rep.dimension_csv(rows), encoding="ascii")
-            if "multiplicative" in res and res["multiplicative"]["cover"]:
-                (out / "cover.csv").write_text(
-                    rep.cover_csv(res["multiplicative"]["cover"]["rects"]), encoding="ascii")
+        except OSError as exc:
+            print(f"output error: {exc}", file=sys.stderr)
+            return 2
         for w in report["warnings"]:
             print(f"warning: {w}", file=sys.stderr)
         return code

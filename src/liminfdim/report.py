@@ -7,7 +7,10 @@ humans.  Integers that grow with the sequence terms or the precision
 up to ``DECIMAL_MAX_BITS`` bits and as '0x...' hex beyond, so no report
 runs into the interpreter's limit on int-to-decimal conversion.  Canonical
 mode drops the timing block and sorts keys, making reports byte-identical
-across runs of the same configuration.
+across runs of the same configuration.  ``render_json`` writes the bytes
+``json.dumps(report, indent=2, sort_keys=canonical)`` would write, with its
+own renderer: a cover's ``rects`` table is one join, not one encoder step
+per string.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ import csv
 import io
 import json
 from fractions import Fraction
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Union
 
 from .cantor import HolderCertificate
@@ -154,11 +159,58 @@ def config_json(cfg: ExperimentConfig) -> dict:
     }
 
 
+def _chunks(node, pad: str, sort_keys: bool, out: list[str]) -> None:
+    """Append node to out as ``json.dumps(node, indent=2, sort_keys=sort_keys)``
+    writes it when nested where a newline and indent read ``pad``.  Keys must
+    be strings.  Chunks, not one string per container, so that a large table
+    is copied once, by the caller's final join."""
+    if isinstance(node, str):
+        out.append(_json_str(node))
+        return
+    if not isinstance(node, (dict, list, tuple)):
+        out.append(json.dumps(node))
+        return
+    if not node:
+        out.append("{}" if isinstance(node, dict) else "[]")
+        return
+    inner = pad + "  "
+    if isinstance(node, dict):
+        sep = "{" + inner
+        for key, value in sorted(node.items()) if sort_keys else node.items():
+            out.append(f"{sep}{_json_str(key)}: ")
+            _chunks(value, inner, sort_keys, out)
+            sep = "," + inner
+        out.append(pad + "}")
+        return
+    widths = set(map(len, node)) if set(map(type, node)) == {list} else set()
+    if len(widths) == 1 and set(map(type, chain.from_iterable(node))) == {str}:
+        # a table of strings, as a cover's rects: every cell goes through one
+        # encoder map and every row through one join, with no Python call per row
+        cell = inner + "  "
+        cells = map(_json_str, chain.from_iterable(node))
+        rows = map(("," + cell).join, zip(*[cells] * widths.pop()))
+        out.append("[" + inner + "[" + cell)
+        out.append((inner + "]," + inner + "[" + cell).join(rows))
+        out.append(inner + "]" + pad + "]")
+        return
+    sep = "[" + inner
+    for item in node:
+        out.append(sep)
+        _chunks(item, inner, sort_keys, out)
+        sep = "," + inner
+    out.append(pad + "]")
+
+
 def render_json(report: dict, canonical: bool = False) -> str:
+    """The report as ``json.dumps(report, indent=2, sort_keys=canonical)``
+    writes it, plus a newline; canonical mode drops ``timing``."""
     doc = dict(report)
     if canonical:
         doc.pop("timing", None)
-    return json.dumps(doc, sort_keys=canonical, indent=2) + "\n"
+    out: list[str] = []
+    _chunks(doc, "\n", canonical, out)
+    out.append("\n")
+    return "".join(out)
 
 
 def parse_json(text: str) -> dict:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liminfdim import cli
+from liminfdim import report as report_module
 from liminfdim.cli import MissingSeriesError, main, plot, run
 from liminfdim.config import PRECISION_ENV_VAR, ConfigError, parse_config, parse_rational
 from liminfdim.multiplicative import hyperbolic_cover
@@ -254,12 +255,26 @@ class TestCoverReport:
         assert code == 0 and cover["rects"] == rects and cover["squares"] == len(rects)
 
     def test_rects_parse_back_to_the_grid(self):
-        for K in (0, 1, 5, 9, 12):
+        for K in range(13):
             report, _ = run(parse_config(MULT_CFG + f"gamma = 1*2^-{K}\n"))
             rects = report["results"]["multiplicative"]["cover"]["rects"]
             squares = hyperbolic_cover(F(1, 1 << K), F(8, 5))[0].squares
+            assert rects == [[grid_str(v, K) for v in sq] for sq in squares]
             assert [[parse_rational(v) for v in r] for r in rects] == \
                 [[F(v, 1 << K) for v in sq] for sq in squares]
+
+    def test_one_grid_str_call_per_distinct_value(self, monkeypatch):
+        # gamma = 2^-16: 43,691 squares, 131,073 grid values, 21,853 of them distinct
+        calls = []
+
+        def counted(n, big_k):
+            calls.append(n)
+            return grid_str(n, big_k)
+
+        monkeypatch.setattr(report_module, "grid_str", counted)
+        report, _ = run(parse_config(MULT_CFG + "gamma = 1*2^-16\n"))
+        rects = report["results"]["multiplicative"]["cover"]["rects"]
+        assert len(rects) == 43691 and len(set(calls)) == len(calls) == 21853
 
     @settings(max_examples=200, deadline=None)
     @given(n=st.one_of(st.integers(0, 1 << 70), st.integers(0, 3).map(lambda e: e << 14300)),
@@ -407,6 +422,27 @@ class TestEndToEnd:
         assert any(st["min_gap"].startswith("0x") for st in levels)
         assert [float(row.split(",")[4]) for row in rows] == \
             [float(parse_rational(st["min_gap"])) for st in levels]
+
+    @pytest.mark.parametrize("out, error", [
+        ("taken", "File exists"),
+        ("taken/sub", "Not a directory"),
+        ("dir", "Is a directory"),
+    ], ids=["out-is-a-file", "out-under-a-file", "report-is-a-directory"])
+    def test_output_errors(self, out, error, tmp_path, capsys, monkeypatch):
+        # the output directory is made before any task runs; it or a report
+        # file that cannot be written exits 2 with one line, not a traceback
+        if out.startswith("taken"):
+            def refuse(*args, **kwargs):
+                raise AssertionError("no task may run without an output directory")
+            monkeypatch.setattr(cli, "run", refuse)
+        (tmp_path / "taken").write_text("")
+        (tmp_path / "dir" / "report.json").mkdir(parents=True)
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(MULT_CFG)
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ") and error in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
 
     def test_depth_override_checked_against_terms(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"

@@ -1,0 +1,93 @@
+"""The report writer: ``render_json`` against ``json.dumps``, and canonical
+reports read back through ``parse_json`` and ``parse_rational``."""
+
+import json
+import re
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from liminfdim.cli import run
+from liminfdim.config import load_config, parse_rational
+from liminfdim.numerics import EXACT, DirectedReal
+from liminfdim.report import dyadic_str, fraction_str, parse_json, render_json
+
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = (sorted((ROOT / "demos" / "configs").glob("*.cfg"))
+           + sorted((ROOT / "tests" / "golden").glob("*.cfg")))
+
+# 'p', 'p/q' and 'm*2^e', each integer part in decimal or '0x...' hex
+RATIONAL = re.compile(r"-?(0x[0-9a-f]+|[0-9]+)(/(0x[0-9a-f]+|[0-9]+)|\*2\^-?[0-9]+)?")
+
+
+def reference_json(doc: dict, canonical: bool) -> str:
+    """What render_json must write, byte for byte."""
+    doc = dict(doc)
+    if canonical:
+        doc.pop("timing", None)
+    return json.dumps(doc, sort_keys=canonical, indent=2) + "\n"
+
+
+TEXT = st.text(st.one_of(st.sampled_from('"\\/\n\r\t\b\f\x00\x1f\x7f'), st.characters()),
+               max_size=8)
+SCALARS = st.one_of(
+    TEXT,
+    st.integers(-(1 << 200), 1 << 200),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.just(-0.0),
+    st.booleans(),
+    st.none(),
+)
+# lists of string lists: equal widths (a cover's rects), ragged, empty rows, tuple rows
+TABLES = st.one_of(
+    st.integers(0, 4).flatmap(lambda w: st.lists(st.lists(TEXT, min_size=w, max_size=w),
+                                                 max_size=6)),
+    st.lists(st.lists(TEXT, max_size=4), max_size=6),
+    st.lists(st.tuples(TEXT, TEXT), max_size=4),
+)
+TREES = st.recursive(
+    st.one_of(SCALARS, TABLES),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(TEXT, children, max_size=4),
+    ),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=st.dictionaries(st.one_of(TEXT, st.just("timing")), TREES, max_size=6),
+       canonical=st.booleans())
+def test_render_json_is_json_dumps(doc, canonical):
+    assert render_json(doc, canonical) == reference_json(doc, canonical)
+
+
+def _strings(node):
+    if isinstance(node, str):
+        yield node
+    elif isinstance(node, dict):
+        for value in node.values():
+            yield from _strings(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _strings(value)
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)
+def test_canonical_report_round_trips(config, monkeypatch):
+    monkeypatch.delenv("LIMINFDIM_PRECISION", raising=False)
+    report, _ = run(load_config(str(config)), canonical=True)
+    assert parse_json(render_json(report, True)) == report
+    exact = [s for s in _strings(report) if RATIONAL.fullmatch(s)]
+    assert exact
+    for s in exact:
+        x = parse_rational(s)
+        written = dyadic_str(DirectedReal.from_fraction(x, None, EXACT)) if "*2^" in s \
+            else fraction_str(x)
+        assert written == s
+    mult = report["results"].get("multiplicative")
+    if mult and mult["cover"]:
+        assert all(RATIONAL.fullmatch(v) for row in mult["cover"]["rects"] for v in row)
