@@ -246,12 +246,6 @@ class CantorTree:
                         out.append((first, last))
                 return out
 
-            # arcs meeting the window: centre within rad_hi + r_hi (closed);
-            # arcs with outer arc inside the closed ball: centre within
-            # rad_lo - r_hi (an inverted window yields no ranges)
-            meet = ranges_for(c - ball_hi - r_hi, c + ball_hi + r_hi)
-            inside = ranges_for(c - ball_lo + r_hi, c + ball_lo - r_hi)
-
             if candidates is None:
                 child_ranges = [(0, q - 1)]
             else:
@@ -259,6 +253,17 @@ class CantorTree:
                 for m in candidates:
                     start, _ = self.child_range_1d(coord, k, m)
                     child_ranges.append((start, start + self.branching_1d[k] - 1))
+
+            # arcs meeting the window: centre within rad_hi + r_hi (closed);
+            # arcs with outer arc inside the closed ball: centre within
+            # rad_lo - r_hi (an inverted window yields no ranges).  A meeting
+            # window as long as the circle would put a residue in two of its
+            # shifted copies; then every candidate meets it, and once
+            if 2 * (ball_hi + r_hi) >= den:
+                meet = [(min(c0 for c0, _ in child_ranges), max(c1 for _, c1 in child_ranges))]
+            else:
+                meet = ranges_for(c - ball_hi - r_hi, c + ball_hi + r_hi)
+            inside = ranges_for(c - ball_lo + r_hi, c + ball_lo - r_hi)
 
             def overlap_count(a: list[tuple[int, int]], b: list[tuple[int, int]]) -> int:
                 total = 0

@@ -273,6 +273,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         except OSError as exc:
             print(f"output error: {exc}", file=sys.stderr)
             return 2
+        except Exception as exc:  # a defect, not a config or budget outcome
+            print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 3
         for w in report["warnings"]:
             print(f"warning: {w}", file=sys.stderr)
         return code

@@ -13,9 +13,11 @@ never materialised; see ``prefix_intersection``.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from .numerics import Enclosure, _resolve_prec, dir_pow
@@ -237,17 +239,25 @@ def _cut(scale: int, windows: Iterable[tuple[int, int]], meeting) -> ArcList:
     (lo, hi), in that window's unrolled frame (hi > 2**scale for a window
     across 0).  Each arc is cut to the window; parts past 0 go to the front.
     """
-    size = 1 << scale
-    front: list[tuple[int, int]] = []
     out: list[tuple[int, int]] = []
     for wlo, whi in windows:
-        for lo, hi in meeting(wlo, whi):
-            lo, hi = max(lo, wlo), min(hi, whi)
-            if lo < hi:
-                if lo < size:
-                    out.append((lo, hi))
-                else:
-                    front.append((lo - size, hi - size))
+        out += _clip(meeting(wlo, whi), wlo, whi)
+    return _circle_order(scale, out)
+
+
+def _clip(arcs: Iterable[tuple[int, int]], wlo: int, whi: int) -> list[tuple[int, int]]:
+    """The arcs cut to the window (wlo, whi), empty parts dropped."""
+    return [(lo, hi) for lo, hi in ((max(a, wlo), min(b, whi)) for a, b in arcs) if lo < hi]
+
+
+def _circle_order(scale: int, out: list[tuple[int, int]]) -> ArcList:
+    """Arcs sorted by lower end in the unrolled frame, as an ArcList: those
+    that start at or past 2**scale move, shifted back by it, to the front.
+    ``out`` is the caller's scratch list and is cut short."""
+    size = 1 << scale
+    k = bisect_left(out, size, key=itemgetter(0))
+    front = [(lo - size, hi - size) for lo, hi in out[k:]]
+    del out[k:]
     return ArcList(scale, tuple(front + out))
 
 
@@ -327,9 +337,12 @@ def build_level(
 
     The set is the union over p = 0..q-1 of open arcs of the level radius
     centred at (p + theta)/q.  With ``within`` the result is that set
-    intersected with ``within`` (inner with inner, outer with outer): each
-    window builds only the arcs of the residues ``residue_span`` gives, cut
-    to the window.  The grid is ``within``'s, else the radius's own.  A
+    intersected with ``within`` (inner with inner, outer with outer).  Each
+    window (or the whole circle) takes one ``residue_span`` call, and its
+    residues first..last become one run of arcs built from the arithmetic
+    progression of their centres.  Both ends of an arc rise with m, so only
+    the run's first and last few arcs can cross the window; only those are
+    cut.  The grid is ``within``'s, else the radius's own.  A
     radius certainly above 1/(2q) covers the torus.  A radius enclosure
     straddling 1/(2q) raises ``IndeterminateRadiusError``, and so do outer
     arcs that overlap: the radius is then within a grid step of 1/(2q),
@@ -354,24 +367,43 @@ def build_level(
     tn, td = theta.numerator, theta.denominator
     size = 1 << scale
     den = q * td
-
-    def arcs(first: int, last: int, inner: bool) -> Iterable[tuple[int, int]]:
-        # the centre of residue m lies in [cf, cl] on the grid; inner arcs
-        # round inward, outer arcs outward
-        for m in range(first, last + 1):
-            cf, rem = divmod((m * td + tn) << scale, den)
-            cl = cf + 1 if rem else cf
-            yield (cl - r_lo, cf + r_lo) if inner else (cf - r_hi, cl + r_hi)
+    step = td << scale
 
     def cut(windows: ArcList, inner: bool) -> ArcList:
+        if inner and r_lo == 0:
+            return ArcList(scale, ())  # a zero radius on this grid: every inner arc is empty
         if windows.full:
             # every residue once: the q arcs from the first outer arc that
             # starts at or after 0 fit in the window (0, 2 * size) uncut
             first = residue_span(r_hi, r_hi, size, q, theta)[0]
-            return _cut(scale, ((0, 2 * size),), lambda lo, hi: arcs(first, first + q - 1, inner))
-        r = r_lo if inner else r_hi
-        return _cut(scale, windows.arcs,
-                    lambda lo, hi: arcs(*residue_span(lo - r, hi + r, size, q, theta), inner))
+            spans = [(0, 2 * size, first, first + q - 1)]
+        else:
+            r = r_lo if inner else r_hi
+            spans = [(wlo, whi, *residue_span(wlo - r, whi + r, size, q, theta))
+                     for wlo, whi in windows.arcs]
+        out: list[tuple[int, int]] = []
+        for wlo, whi, first, last in spans:
+            if first > last:
+                continue
+            # the centre of residue m lies in [cf, cf + 1 if rem else cf] on
+            # the grid; inner arcs round inward, outer arcs outward
+            n0 = (first * td + tn) << scale
+            centres = map(divmod, range(n0, n0 + (last - first + 1) * step, step), repeat(den))
+            if inner:
+                run = [(cf + (1 if rem else 0) - r_lo, cf + r_lo) for cf, rem in centres]
+            else:
+                run = [(cf - r_hi, cf + (1 if rem else 0) + r_hi) for cf, rem in centres]
+            # both ends rise with m: only a prefix starts before the window
+            # and only a suffix ends after it, so only those are cut
+            i, j = 0, len(run)
+            while i < j and run[i][0] < wlo:
+                i += 1
+            while j > i and run[j - 1][1] > whi:
+                j -= 1
+            run[j:] = _clip(run[j:], wlo, whi)
+            run[:i] = _clip(run[:i], wlo, whi)
+            out += run
+        return _circle_order(scale, out)
 
     inner, outer = cut(inner_w, True), cut(outer_w, False)
     a = outer.arcs

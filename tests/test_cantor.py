@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction as F
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from liminfdim.cantor import Ball, build_tree
 from liminfdim.dimension import RegimeViolationError
@@ -152,6 +154,71 @@ class TestBallMeasure:
         ball = Ball((c, c), Enclosure.exact_dyadic(1, -16))
         mu = tree.ball_measure(ball)
         assert mu.lo.as_fraction() == mu.hi.as_fraction() == F(1, 64) ** 2
+
+
+def brute_force_mass(tree, ball):
+    """(inside, meeting): the exact leaf mass whose closed outer arcs lie
+    inside / meet the closed ball, from every leaf of ``nodes_1d``.  However
+    the mass sits inside the leaves, the ball's measure lies between them."""
+    rad_lo, rad_hi = ball.radius.lo.as_fraction(), ball.radius.hi.as_fraction()
+    if rad_lo >= F(1, 2):
+        return F(1), F(1)
+    q = tree.qs.terms[-1]
+    leaf_r = F(tree._r_hi[-1], 1 << tree._scale)
+    inside = meet = 1
+    for i, x in enumerate(ball.center):
+        theta = tree.params.theta[i]
+        dist = [abs(((m + theta) / q - x + F(1, 2)) % 1 - F(1, 2))
+                for m in tree.nodes_1d(i, tree.depth)]
+        inside *= sum(t <= rad_lo - leaf_r for t in dist)
+        meet *= sum(t <= rad_hi + leaf_r for t in dist)
+    mu = tree.node_measure(tree.depth)
+    return inside * mu, meet * mu
+
+
+def assert_encloses_brute_force(tree, ball):
+    mu = tree.ball_measure(ball)
+    inside, meet = brute_force_mass(tree, ball)
+    assert mu.lo.as_fraction() <= inside and meet <= mu.hi.as_fraction(), \
+        (mu.lo.as_fraction(), mu.hi.as_fraction(), inside, meet)
+
+
+@st.composite
+def small_trees(draw):
+    d = draw(st.integers(1, 2))
+    tau = draw(st.sampled_from([F(1, 2), F(1)]))
+    terms = [draw(st.integers(4, 9))]
+    for _ in range(draw(st.integers(2, 3))):
+        base = int(terms[-1] ** float(1 + tau)) + 1
+        terms.append(base * draw(st.integers(2, 4)) + draw(st.integers(0, 7)))
+    theta = tuple(draw(st.sampled_from([F(0), F(1, 2), F(71, 97), F(2, 97), F(5, 8)]))
+                  for _ in range(d))
+    try:
+        return build_tree(QSequence(tuple(terms)), LevelParams(theta=theta, tau=tau, d=d))
+    except RegimeViolationError:
+        assume(False)
+
+
+class TestBallMeasureSound:
+    def test_window_longer_than_circle(self):
+        # at level 1 the meeting window c +- (0.4941 + 1/100) is longer than
+        # the circle, so residue 3 of coordinate 0 lies in two shifted copies
+        # of it; walking its subtree twice counted 4788 leaves inside, not 4662
+        tree = build_tree(QSequence((10, 803, 5804000, 235804915299936)),
+                          LevelParams(theta=(F(71, 97), F(2, 97)), tau=F(1), d=2))
+        ball = Ball((F(871, 1000), F(37, 125)), Enclosure.from_fraction(F(2122158171, 1 << 32)))
+        assert brute_force_mass(tree, ball) == (F(2701, 3200), F(2701, 3200))
+        assert_encloses_brute_force(tree, ball)
+
+    @settings(max_examples=60, deadline=None)
+    @given(tree=small_trees(), data=st.data())
+    def test_encloses_brute_force(self, tree, data):
+        center = tuple(data.draw(st.fractions(0, 1, max_denominator=1000).filter(lambda x: x < 1))
+                       for _ in range(tree.params.d))
+        radius = data.draw(st.one_of(
+            st.fractions(F(1, 1000), F(1, 2), max_denominator=10 ** 6),
+            st.integers(1, 1 << 12).map(lambda k: F(1, 2) - F(k, 1 << 16))))
+        assert_encloses_brute_force(tree, Ball(center, Enclosure.from_fraction(radius, 64)))
 
 
 class TestHolder:

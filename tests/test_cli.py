@@ -444,6 +444,18 @@ class TestEndToEnd:
         assert err.startswith("output error: ") and error in err
         assert len(err.splitlines()) == 1 and "Traceback" not in err
 
+    def test_internal_error_exits_3(self, tmp_path, capsys, monkeypatch):
+        # an unexpected exception in a task is a defect: exit 3 with one line,
+        # not a traceback with the "stopped early" code 1
+        def fail(*args, **kwargs):
+            raise RuntimeError("boom")
+        monkeypatch.setattr(cli, "prefix_intersection", fail)
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(ENUM_CFG)
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
+        assert not (tmp_path / "out" / "report.json").exists()
+
     def test_depth_override_checked_against_terms(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(ENUM_CFG)

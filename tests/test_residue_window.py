@@ -6,8 +6,9 @@ windows of the set it refines, ``ArcList.intersect`` cuts on the same path,
 and the tree walks its child ranges and ball windows through the kernel on
 one integer grid.  These tests check the kernel against brute force, the
 intersection against point membership, the fused build against build then
-intersect, and the tree against the ``Fraction`` formulas it replaced, which
-are kept here as the reference.
+intersect and against the per-arc builder it replaced, and the tree against
+the ``Fraction`` formulas it replaced; the replaced code is kept here as the
+reference.
 """
 
 from fractions import Fraction as F
@@ -23,11 +24,13 @@ from liminfdim.level_sets import (
     IndeterminateRadiusError,
     LevelParams,
     TorusIntervalSet,
+    _radius_grid,
+    _scale_for,
     build_level,
     constant_radius,
     residue_span,
 )
-from liminfdim.numerics import Enclosure
+from liminfdim.numerics import Enclosure, _resolve_prec
 from liminfdim.sequences import QSequence
 
 THETAS = st.sampled_from([F(0), F(1, 2), F(1, 3), F(5, 8), F(96, 97), F(45, 97), F(68, 97),
@@ -124,6 +127,101 @@ def test_build_within_equals_build_then_intersect(qs, theta, tau, radius, prec):
     assert cut == within.intersect(whole)
 
 
+# -- the run builder, against the per-arc builder it replaced ---------------------------
+
+def reference_cut(scale, windows, meeting):
+    size = 1 << scale
+    front, out = [], []
+    for wlo, whi in windows:
+        for lo, hi in meeting(wlo, whi):
+            lo, hi = max(lo, wlo), min(hi, whi)
+            if lo < hi:
+                if lo < size:
+                    out.append((lo, hi))
+                else:
+                    front.append((lo - size, hi - size))
+    return ArcList(scale, tuple(front + out))
+
+
+def reference_build_level(q, params, prec=None, coord=0, within=None):
+    """``build_level`` as one generator step and one cut per arc."""
+    renc = params.radius_enclosure(q, prec)
+    p = _resolve_prec(prec)
+    scale = within.outer.scale if within is not None else _scale_for([renc], p)
+    full = ArcList.full_circle(scale)
+    inner_w, outer_w = (full, full) if within is None else \
+        (within.inner.rescale(scale), within.outer.rescale(scale))
+    if renc.lo.as_fraction() > F(1, 2 * q):
+        return TorusIntervalSet(inner_w, outer_w)
+    if renc.hi.as_fraction() > F(1, 2 * q):
+        raise IndeterminateRadiusError("straddles")
+    r_lo, r_hi = _radius_grid(renc, scale)
+    theta = params.theta[coord]
+    tn, td = theta.numerator, theta.denominator
+    size = 1 << scale
+
+    def arcs(first, last, inner):
+        for m in range(first, last + 1):
+            cf, rem = divmod((m * td + tn) << scale, q * td)
+            cl = cf + 1 if rem else cf
+            yield (cl - r_lo, cf + r_lo) if inner else (cf - r_hi, cl + r_hi)
+
+    def cut(windows, inner):
+        if windows.full:
+            first = residue_span(r_hi, r_hi, size, q, theta)[0]
+            return reference_cut(scale, ((0, 2 * size),),
+                                 lambda lo, hi: arcs(first, first + q - 1, inner))
+        r = r_lo if inner else r_hi
+        return reference_cut(scale, windows.arcs,
+                             lambda lo, hi: arcs(*residue_span(lo - r, hi + r, size, q, theta),
+                                                 inner))
+
+    inner, outer = cut(inner_w, True), cut(outer_w, False)
+    a = outer.arcs
+    if (2 * r_hi + 2) * q > size and a and (
+            a[-1][1] - size > a[0][0] or any(nxt[0] < cur[1] for cur, nxt in zip(a, a[1:]))):
+        raise IndeterminateRadiusError("overlap")
+    return TorusIntervalSet(inner, outer)
+
+
+def outcome(build, q, params, prec, within):
+    try:
+        return build(q, params, prec, 0, within)
+    except IndeterminateRadiusError as exc:
+        return "straddles" if "straddles" in str(exc) else "overlap"
+
+
+@st.composite
+def half_spacing_radii(draw, q):
+    """Constant radii at, just below and just above 1/(2q), or well inside."""
+    k = draw(st.integers(8, 40))  # 2**-k < 1/(2q) for every q drawn
+    return draw(st.sampled_from([F(1, 2 * q), F(1, 2 * q) - F(1, 1 << k),
+                                 F(1, 2 * q) + F(1, 1 << k), F(1, 4 * q), F(1, 3 * q + 1)]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), q=st.one_of(st.just(1), st.integers(1, 40)), theta=THETAS,
+       prec=st.sampled_from([8, 16, 64]))
+@example(data=None, q=4, theta=F(0), prec=16)
+def test_runs_equal_per_arc_build(data, q, theta, prec):
+    if data is None:  # touching outer arcs on the grid, windows across 0
+        radius = F(1, 8)
+        within = TorusIntervalSet(ArcList(6, ((3, 30), (40, 70))), ArcList(6, ((2, 31), (35, 71))))
+    else:
+        radius = data.draw(st.one_of(st.none(), half_spacing_radii(q)))
+        if data.draw(st.booleans()):
+            within = None  # the full circle on the radius's own grid
+        else:
+            scale = data.draw(st.integers(1, 12))
+            inner = data.draw(arc_lists(data.draw(st.integers(1, scale))))
+            within = TorusIntervalSet(inner, data.draw(arc_lists(scale)))
+    params = level_params(theta, F(1, 2), radius)
+    got = outcome(build_level, q, params, prec, within)
+    assert got == outcome(reference_build_level, q, params, prec, within)
+    if not isinstance(got, str):
+        got.validate()
+
+
 # -- the tree, against the Fraction formulas it replaced ------------------------------------
 
 def fraction_child_range(tree, coord, level, m):
@@ -157,8 +255,6 @@ def fraction_window_counts(tree, coord, center, rad_hi, rad_lo):
                     out.append((m_lo, m_hi))
             return out
 
-        meet = ranges_for(center - rad_hi - r_hi, center + rad_hi + r_hi)
-        inside = ranges_for(center - rad_lo + r_hi, center + rad_lo - r_hi)
         if candidates is None:
             child_ranges = [(0, q - 1)]
         else:
@@ -166,6 +262,11 @@ def fraction_window_counts(tree, coord, center, rad_hi, rad_lo):
             for m in candidates:
                 start, _ = fraction_child_range(tree, coord, k, m)
                 child_ranges.append((start, start + tree.branching_1d[k] - 1))
+        if 2 * (rad_hi + r_hi) >= 1:  # every candidate meets a window that long, once
+            meet = [(min(c0 for c0, _ in child_ranges), max(c1 for _, c1 in child_ranges))]
+        else:
+            meet = ranges_for(center - rad_hi - r_hi, center + rad_hi + r_hi)
+        inside = ranges_for(center - rad_lo + r_hi, center + rad_lo - r_hi)
 
         def overlap(a, b):
             return sum(max(0, min(a1, b1) - max(a0, b0) + 1) for a0, a1 in a for b0, b1 in b)
