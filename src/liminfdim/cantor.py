@@ -36,13 +36,14 @@ _QUERY_FANOUT_CAP = 1 << 14
 
 @dataclass(frozen=True)
 class Ball:
-    """Closed sup-norm ball with a certified radius."""
+    """Closed sup-norm ball on the torus with a certified radius; the centre
+    is held reduced mod 1."""
 
     center: tuple[Fraction, ...]
     radius: Enclosure
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "center", tuple(Fraction(c) for c in self.center))
+        object.__setattr__(self, "center", tuple(Fraction(c) % 1 for c in self.center))
         if self.radius.lo.mantissa <= 0:
             raise ValueError("ball radius must be certainly positive")
 
@@ -223,7 +224,12 @@ class CantorTree:
                        rad_hi: Fraction, rad_lo: Fraction) -> list[tuple[int, int]]:
         """Per level: (number of tree arcs meeting the closed window
         [center - rad_hi, center + rad_hi], number certainly inside the open
-        ball of radius >= rad_lo), walking only candidate subtrees."""
+        ball of radius >= rad_lo), walking only candidate subtrees.
+
+        The candidates are held as the child residue ranges they come from.
+        Each window takes one ``residue_span`` call per level; its copies one
+        circle to either side are that span shifted by -q and +q.  The walk
+        stops after the first level where more than 2**14 nodes meet."""
         theta = self.params.theta[coord]
         # one denominator for the centre, the dyadic ball radii and the grid
         bits = max(self._scale, rad_hi.denominator.bit_length(), rad_lo.denominator.bit_length())
@@ -233,65 +239,32 @@ class CantorTree:
         ball_lo = rad_lo.numerator * (den // rad_lo.denominator)
         grid = den >> self._scale
         counts: list[tuple[int, int]] = []
-        candidates: Optional[list[int]] = None
+        candidates = [(0, self.qs.terms[0] - 1)]
         for k in range(level_limit):
             q = self.qs.terms[k]
             r_hi = self._r_hi[k] * grid
-
-            def ranges_for(lo: int, hi: int) -> list[tuple[int, int]]:
-                out = []
-                for shift in (-den, 0, den):
-                    first, last = residue_span(lo + shift, hi + shift, den, q, theta)
-                    if first <= last:
-                        out.append((first, last))
-                return out
-
-            if candidates is None:
-                child_ranges = [(0, q - 1)]
-            else:
-                child_ranges = []
-                for m in candidates:
-                    start, _ = self.child_range_1d(coord, k, m)
-                    child_ranges.append((start, start + self.branching_1d[k] - 1))
-
+            if k:
+                b = self.branching_1d[k]
+                candidates = [(start, start + b - 1) for start, _ in
+                              (self.child_range_1d(coord, k, m)
+                               for lo, hi in meet for m in range(lo, hi + 1))]
             # arcs meeting the window: centre within rad_hi + r_hi (closed);
             # arcs with outer arc inside the closed ball: centre within
             # rad_lo - r_hi (an inverted window yields no ranges).  A meeting
             # window as long as the circle would put a residue in two of its
-            # shifted copies; then every candidate meets it, and once
+            # copies; then every candidate meets it, and once
             if 2 * (ball_hi + r_hi) >= den:
-                meet = [(min(c0 for c0, _ in child_ranges), max(c1 for _, c1 in child_ranges))]
+                meet = candidates
             else:
-                meet = ranges_for(c - ball_hi - r_hi, c + ball_hi + r_hi)
-            inside = ranges_for(c - ball_lo + r_hi, c + ball_lo - r_hi)
-
-            def overlap_count(a: list[tuple[int, int]], b: list[tuple[int, int]]) -> int:
-                total = 0
-                for (a0, a1) in a:
-                    for (b0, b1) in b:
-                        total += max(0, min(a1, b1) - max(a0, b0) + 1)
-                return total
-
-            n_meet = overlap_count(child_ranges, meet)
-            n_inside = overlap_count(child_ranges, inside)
-            counts.append((n_meet, n_inside))
-
-            new_candidates: list[int] = []
-            overflow = False
-            for (c0, c1) in child_ranges:
-                for (w0, w1) in meet:
-                    lo_m, hi_m = max(c0, w0), min(c1, w1)
-                    if lo_m <= hi_m:
-                        if len(new_candidates) + hi_m - lo_m + 1 > _QUERY_FANOUT_CAP:
-                            overflow = True
-                            break
-                        new_candidates.extend(range(lo_m, hi_m + 1))
-                if overflow:
-                    break
-            if overflow:
+                meet = _overlaps(candidates, residue_span(
+                    c - ball_hi - r_hi, c + ball_hi + r_hi, den, q, theta), q)
+            inside = _overlaps(candidates, residue_span(
+                c - ball_lo + r_hi, c + ball_lo - r_hi, den, q, theta), q)
+            n_meet = sum(hi - lo + 1 for lo, hi in meet)
+            counts.append((n_meet, sum(hi - lo + 1 for lo, hi in inside)))
+            if n_meet > _QUERY_FANOUT_CAP:
                 break
-            candidates = new_candidates
-            if not candidates:
+            if not n_meet:
                 counts.extend([(0, 0)] * (level_limit - k - 1))
                 break
         return counts
@@ -361,6 +334,15 @@ class CantorTree:
         assert best is not None and worst is not None
         return HolderCertificate(s=s, samples=samples, seed=seed,
                                  max_ratio=best, worst_ball=worst)
+
+
+def _overlaps(ranges: list[tuple[int, int]], span: tuple[int, int],
+              q: int) -> list[tuple[int, int]]:
+    """The nonempty overlaps of closed integer ranges with a residue span
+    and its copies one circle to either side, the span shifted by -q and +q."""
+    first, last = span
+    return [(lo, hi) for r0, r1 in ranges for s in (-q, 0, q)
+            if (lo := max(r0, first + s)) <= (hi := min(r1, last + s))]
 
 
 def build_tree(

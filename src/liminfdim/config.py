@@ -9,7 +9,6 @@ owns the file format only: every value is checked by the code that uses it.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable, Optional, get_args, get_origin, get_type_hints
@@ -19,8 +18,6 @@ from .level_sets import LevelParams
 from .multiplicative import check_cover
 from .numerics import _resolve_prec
 from .sequences import SPECS, QSequence, SequenceSpec
-
-PRECISION_ENV_VAR = "LIMINFDIM_PRECISION"
 
 TASKS = ("analyze", "enumerate", "dimension", "cantor", "multiplicative")
 
@@ -112,15 +109,9 @@ class ExperimentConfig:
                  self.holder_s, self.holder_samples, self.d)
 
     def resolved_precision(self) -> int:
-        """The precision key, else $LIMINFDIM_PRECISION, else the default,
-        checked by numerics' precision rule."""
-        if self.precision is not None:
-            return _checked("precision", _resolve_prec, self.precision)
-        env = os.environ.get(PRECISION_ENV_VAR)
-        try:
-            return _resolve_prec(_parse_int(env) if env else None)
-        except ValueError as exc:
-            raise ConfigError(f"bad {PRECISION_ENV_VAR} value '{env}': {exc}") from exc
+        """The precision key, else the default, checked by numerics'
+        precision rule."""
+        return _checked("precision", _resolve_prec, self.precision)
 
     def spec(self) -> SequenceSpec:
         cls = SPECS[self.sequence]

@@ -216,33 +216,20 @@ class ArcList:
         if b.full:
             return a
         # b unrolled once around the circle: every arc of a, taken as a
-        # window, finds the arcs of b that meet it by bisection
+        # window, finds the arcs of b that meet it by bisection and cuts them
+        # to itself; parts past 0 go to the front
         size = 1 << scale
         unrolled = [(lo - size, hi - size) for lo, hi in b.arcs[-1:] if hi > size]
         unrolled += b.arcs
         unrolled += [(lo + size, hi + size) for lo, hi in b.arcs]
         his = [hi for _, hi in unrolled]
-
-        def meeting(wlo: int, whi: int) -> Iterable[tuple[int, int]]:
-            i = bisect_right(his, wlo)
-            while i < len(unrolled) and unrolled[i][0] < whi:
-                yield unrolled[i]
-                i += 1
-
-        return _cut(a.scale, a.arcs, meeting)
-
-
-def _cut(scale: int, windows: Iterable[tuple[int, int]], meeting) -> ArcList:
-    """The parts of an arc union inside the windows, in circle order.
-
-    ``meeting(lo, hi)`` yields, in order, the arcs that may meet the window
-    (lo, hi), in that window's unrolled frame (hi > 2**scale for a window
-    across 0).  Each arc is cut to the window; parts past 0 go to the front.
-    """
-    out: list[tuple[int, int]] = []
-    for wlo, whi in windows:
-        out += _clip(meeting(wlo, whi), wlo, whi)
-    return _circle_order(scale, out)
+        out: list[tuple[int, int]] = []
+        for wlo, whi in a.arcs:
+            i = j = bisect_right(his, wlo)
+            while j < len(unrolled) and unrolled[j][0] < whi:
+                j += 1
+            out += _clip(unrolled[i:j], wlo, whi)
+        return _circle_order(scale, out)
 
 
 def _clip(arcs: Iterable[tuple[int, int]], wlo: int, whi: int) -> list[tuple[int, int]]:

@@ -210,6 +210,30 @@ class TestBallMeasureSound:
         assert brute_force_mass(tree, ball) == (F(2701, 3200), F(2701, 3200))
         assert_encloses_brute_force(tree, ball)
 
+    def test_centre_off_the_unit_interval(self):
+        # a window's copies one circle to either side reach the tree only
+        # from a centre within a circle of it; the ball reduces its centre
+        tree = build_tree(QSequence((9, 657, 4316500)), params_1d(F(5, 8)))
+        radius = Enclosure.from_fraction(F(1, 16))
+        mu = tree.ball_measure(Ball((F(3, 10),), radius))
+        assert mu.lo.as_fraction() <= F(1, 9) <= mu.hi.as_fraction()  # one whole level-1 box
+        assert mu.hi.as_fraction() - mu.lo.as_fraction() < F(1, 1 << 120)
+        for c in (F(13, 10), F(-7, 10), F(53, 10), F(-37, 10)):
+            moved = tree.ball_measure(Ball((c,), radius))
+            assert (moved.lo, moved.hi) == (mu.lo, mu.hi), c
+
+    @settings(max_examples=60, deadline=None)
+    @given(tree=small_trees(), data=st.data())
+    def test_integer_shift_of_centre(self, tree, data):
+        center = tuple(data.draw(st.fractions(0, 1, max_denominator=1000).filter(lambda x: x < 1))
+                       for _ in range(tree.params.d))
+        shift = tuple(data.draw(st.integers(-10 ** 6, 10 ** 6)) for _ in center)
+        radius = Enclosure.from_fraction(
+            data.draw(st.fractions(F(1, 1000), F(1, 2), max_denominator=10 ** 6)), 64)
+        mu = tree.ball_measure(Ball(center, radius))
+        moved = tree.ball_measure(Ball(tuple(c + n for c, n in zip(center, shift)), radius))
+        assert (moved.lo, moved.hi) == (mu.lo, mu.hi)
+
     @settings(max_examples=60, deadline=None)
     @given(tree=small_trees(), data=st.data())
     def test_encloses_brute_force(self, tree, data):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from liminfdim import cli
 from liminfdim import report as report_module
 from liminfdim.cli import MissingSeriesError, main, plot, run
-from liminfdim.config import PRECISION_ENV_VAR, ConfigError, parse_config, parse_rational
+from liminfdim.config import ConfigError, parse_config, parse_rational
 from liminfdim.multiplicative import hyperbolic_cover
 from liminfdim.numerics import DOWN, UP, DirectedReal
 from liminfdim.report import (
@@ -108,11 +108,9 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_config("sequence = power\nd = 2\ntheta = 1/2\n")
 
-    def test_env_var_precision(self, monkeypatch):
+    def test_precision_default_and_key(self):
         cfg = parse_config("sequence = power\n")
         assert cfg.resolved_precision() == 128
-        monkeypatch.setenv("LIMINFDIM_PRECISION", "64")
-        assert cfg.resolved_precision() == 64
         cfg2 = parse_config("sequence = power\nprecision = 32\n")
         assert cfg2.resolved_precision() == 32  # explicit config wins
 
@@ -379,26 +377,20 @@ class TestEndToEnd:
         assert err.startswith("config error: ") and message in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("extra, env, key", [
-        ("tasks = analyze,cantor\nholder_s = 5\n", None, "holder_s"),
-        ("tasks = analyze,cantor\nholder_samples = 0\n", None, "holder_samples"),
-        ("tasks = analyze,multiplicative\nmult_s = 3\n", None, "mult_s"),
-        ("tasks = analyze,multiplicative\ngamma = 1/3\n", None, "gamma"),
-        ("growth = 1\n", None, "growth"),
-        ("sequence = alternating\neta = 2\n", None, "eta"),
-        ("sequence = explicit\nterms = 5, 3, 9, 20\n", None, "terms"),
-        ("q1 = -3\n", None, "q1"),
-        ("", "abc", PRECISION_ENV_VAR),
-        ("", "4", PRECISION_ENV_VAR),
+    @pytest.mark.parametrize("extra, key", [
+        ("tasks = analyze,cantor\nholder_s = 5\n", "holder_s"),
+        ("tasks = analyze,cantor\nholder_samples = 0\n", "holder_samples"),
+        ("tasks = analyze,multiplicative\nmult_s = 3\n", "mult_s"),
+        ("tasks = analyze,multiplicative\ngamma = 1/3\n", "gamma"),
+        ("growth = 1\n", "growth"),
+        ("sequence = alternating\neta = 2\n", "eta"),
+        ("sequence = explicit\nterms = 5, 3, 9, 20\n", "terms"),
+        ("q1 = -3\n", "q1"),
+        ("precision = 4\n", "precision"),
     ], ids=["holder_s", "holder_samples", "mult_s", "gamma", "growth", "eta", "terms", "q1",
-            "env-not-int", "env-too-low"])
-    def test_invalid_values_rejected_at_load(self, extra, env, key, tmp_path, capsys,
-                                             monkeypatch):
+            "precision"])
+    def test_invalid_values_rejected_at_load(self, extra, key, tmp_path, capsys):
         # each value is checked by the rule of the code that reads it, before any task runs
-        if env is None:
-            monkeypatch.delenv(PRECISION_ENV_VAR, raising=False)
-        else:
-            monkeypatch.setenv(PRECISION_ENV_VAR, env)
         cfg_path = tmp_path / "probe.cfg"
         cfg_path.write_text("sequence = power\nq1 = 4\ngrowth = 4\ntau = 1\ndepth = 3\n"
                             + extra)
@@ -410,9 +402,8 @@ class TestEndToEnd:
         assert key in (named.group(1).split(", ") if named else err)
         assert not (out_dir / "report.json").exists()
 
-    def test_levels_csv_reads_hex_gaps(self, tmp_path, monkeypatch):
+    def test_levels_csv_reads_hex_gaps(self, tmp_path):
         # past DECIMAL_MAX_BITS the report writes min_gap in hex; the CSV reads it back
-        monkeypatch.delenv(PRECISION_ENV_VAR, raising=False)
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(ENUM_CFG + "precision = 15000\n")
         out_dir = tmp_path / "out"

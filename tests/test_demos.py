@@ -20,7 +20,6 @@ DEMOS = sorted((ROOT / "demos").glob("0*.py"))
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    env.pop("LIMINFDIM_PRECISION", None)
     proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
                           env=env, cwd=ROOT, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -23,8 +23,7 @@ CASES = [(cfg, GOLDEN / cfg.stem) for cfg in
 
 
 @pytest.mark.parametrize("config, golden", CASES, ids=lambda p: p.stem)
-def test_canonical_report_matches_golden(config, golden, tmp_path, monkeypatch):
-    monkeypatch.delenv("LIMINFDIM_PRECISION", raising=False)
+def test_canonical_report_matches_golden(config, golden, tmp_path):
     assert main(["run", str(config), "--canonical", "--format", "csv",
                  "--out", str(tmp_path)]) == 0
     written = sorted(p.name for p in tmp_path.iterdir())

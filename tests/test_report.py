@@ -77,8 +77,7 @@ def _strings(node):
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)
-def test_canonical_report_round_trips(config, monkeypatch):
-    monkeypatch.delenv("LIMINFDIM_PRECISION", raising=False)
+def test_canonical_report_round_trips(config):
     report, _ = run(load_config(str(config)), canonical=True)
     assert parse_json(render_json(report, True)) == report
     exact = [s for s in _strings(report) if RATIONAL.fullmatch(s)]

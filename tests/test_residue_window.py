@@ -6,11 +6,13 @@ windows of the set it refines, ``ArcList.intersect`` cuts on the same path,
 and the tree walks its child ranges and ball windows through the kernel on
 one integer grid.  These tests check the kernel against brute force, the
 intersection against point membership, the fused build against build then
-intersect and against the per-arc builder it replaced, and the tree against
-the ``Fraction`` formulas it replaced; the replaced code is kept here as the
-reference.
+intersect and against the per-arc builder it replaced, the tree against
+the ``Fraction`` formulas it replaced, and the tree's ball walk on residue
+ranges against the candidate lists it replaced; the replaced code is kept
+here as the reference.
 """
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -282,12 +284,12 @@ def fraction_window_counts(tree, coord, center, rad_hi, rad_lo):
     return counts
 
 
-def fraction_ball_measure(tree, ball):
+def fraction_ball_measure(tree, ball, window_counts=fraction_window_counts):
     rad_lo = ball.radius.lo.as_fraction()
     rad_hi = ball.radius.hi.as_fraction()
     if rad_lo >= F(1, 2):
         return Enclosure.exact_int(1)
-    per_coord = [fraction_window_counts(tree, i, ball.center[i], rad_hi, rad_lo)
+    per_coord = [window_counts(tree, i, ball.center[i], rad_hi, rad_lo)
                  for i in range(tree.params.d)]
     best_hi, best_lo = F(1), F(0)
     for k in range(min(len(c) for c in per_coord)):
@@ -353,3 +355,127 @@ def test_child_ranges_match_fraction_formula_everywhere(terms, theta):
         q = tree.qs.terms[level - 1]
         for m in range(-q, 2 * q):
             assert tree.child_range_1d(0, level, m) == fraction_child_range(tree, 0, level, m)
+
+
+# -- the ball walk on residue ranges, against the candidate lists it replaced ------------
+
+def candidate_window_counts(tree, coord, center, rad_hi, rad_lo):
+    """``_window_counts`` as one integer residue per candidate, three
+    ``residue_span`` calls per window (one per shift of the window by a
+    circle) and a fan-out cap checked while the candidate list grows, so it
+    never holds more than 2**14 candidates and runs on any tree."""
+    theta = tree.params.theta[coord]
+    bits = max(tree._scale, rad_hi.denominator.bit_length(), rad_lo.denominator.bit_length())
+    den = center.denominator << bits
+    c = center.numerator << bits
+    ball_hi = rad_hi.numerator * (den // rad_hi.denominator)
+    ball_lo = rad_lo.numerator * (den // rad_lo.denominator)
+    grid = den >> tree._scale
+    counts, candidates = [], None
+    for k in range(tree.depth):
+        q = tree.qs.terms[k]
+        r_hi = tree._r_hi[k] * grid
+
+        def ranges_for(lo, hi):
+            spans = [residue_span(lo + s, hi + s, den, q, theta) for s in (-den, 0, den)]
+            return [(first, last) for first, last in spans if first <= last]
+
+        if candidates is None:
+            child_ranges = [(0, q - 1)]
+        else:
+            child_ranges = []
+            for m in candidates:
+                start, _ = tree.child_range_1d(coord, k, m)
+                child_ranges.append((start, start + tree.branching_1d[k] - 1))
+        if 2 * (ball_hi + r_hi) >= den:  # every candidate meets a window that long, once
+            meet = [(min(c0 for c0, _ in child_ranges), max(c1 for _, c1 in child_ranges))]
+        else:
+            meet = ranges_for(c - ball_hi - r_hi, c + ball_hi + r_hi)
+        inside = ranges_for(c - ball_lo + r_hi, c + ball_lo - r_hi)
+
+        def overlap(a, b):
+            return sum(max(0, min(a1, b1) - max(a0, b0) + 1) for a0, a1 in a for b0, b1 in b)
+
+        counts.append((overlap(child_ranges, meet), overlap(child_ranges, inside)))
+        new_candidates, overflow = [], False
+        for c0, c1 in child_ranges:
+            for w0, w1 in meet:
+                lo_m, hi_m = max(c0, w0), min(c1, w1)
+                if lo_m <= hi_m:
+                    if len(new_candidates) + hi_m - lo_m + 1 > 1 << 14:
+                        overflow = True
+                        break
+                    new_candidates.extend(range(lo_m, hi_m + 1))
+            if overflow:
+                break
+        if overflow:
+            break
+        candidates = new_candidates
+        if not candidates:
+            counts.extend([(0, 0)] * (tree.depth - k - 1))
+            break
+    return counts
+
+
+@st.composite
+def walk_trees(draw):
+    """The power tree (4, 256, 2**32, 2**128), whose level 3 has 2**22 nodes
+    and level 4 has 2**86, so walks stop at the fan-out cap; or a small tree."""
+    if draw(st.booleans()):
+        d = draw(st.integers(1, 2))
+        params = LevelParams(theta=tuple(draw(THETAS) for _ in range(d)), tau=F(1), d=d)
+        return build_tree(QSequence((4, 256, 1 << 32, 1 << 128)), params, prec=128)
+    return draw(trees())
+
+
+@st.composite
+def walk_radii(draw, tree):
+    """Exact dyadic and non-exact radii, down to a leaf and up to just under
+    1/2, where the meeting windows are longer than the circle."""
+    kind = draw(st.sampled_from(["dyadic", "inexact", "near-half"]))
+    if kind == "dyadic":
+        e = draw(st.integers(2, tree.qs.terms[-1].bit_length() * 2 + 2))
+        return Enclosure.from_fraction(F(draw(st.integers(1 << 20, (1 << 21) - 1)), 1 << (20 + e)))
+    if kind == "inexact":
+        return Enclosure.from_fraction(F(1, draw(st.integers(3, 10 ** 12))), tree.prec)
+    return Enclosure.from_fraction(F(1, 2) - F(1, draw(st.integers(3, 1 << 40))), tree.prec)
+
+
+POWER_D2 = build_tree(QSequence((4, 256, 1 << 32, 1 << 128)),
+                      LevelParams(theta=(F(5, 8), F(1, 3)), tau=F(1), d=2), prec=128)
+
+
+def assert_walk_matches(tree, center, radius):
+    rad_lo, rad_hi = radius.lo.as_fraction(), radius.hi.as_fraction()
+    for i, c in enumerate(center):
+        assert tree._window_counts(i, tree.depth, c, rad_hi, rad_lo) == \
+            candidate_window_counts(tree, i, c, rad_hi, rad_lo)
+    ball = Ball(center, radius)
+    mu = tree.ball_measure(ball)
+    ref = fraction_ball_measure(tree, ball, candidate_window_counts)
+    assert (mu.lo, mu.hi) == (ref.lo, ref.hi)
+
+
+@pytest.mark.parametrize("radius", [
+    # 65,536 level-3 nodes meet per coordinate: the walk stops there, at the cap
+    Enclosure.from_fraction(F(1, 1 << 12)),
+    # 5,461 level-3 nodes meet, so level 4 is walked; the radius is not exact
+    Enclosure.from_fraction(F(1, 3 << 19), 128),
+    # meeting windows longer than the circle on level 1: 7/16 + 1/16 >= 1/2
+    Enclosure.from_fraction(F(1, 2) - F(1, 1 << 30), 128),
+], ids=["capped", "inexact-deep", "near-half"])
+def test_walk_matches_candidate_lists_on_the_power_tree(radius):
+    assert_walk_matches(POWER_D2, POWER_D2.sample_point(random.Random(1)), radius)
+
+
+@settings(max_examples=40, deadline=None)
+@given(tree=walk_trees(), data=st.data())
+def test_walk_matches_candidate_lists(tree, data):
+    for _ in range(4):
+        if data.draw(st.booleans()):
+            center = tree.sample_point(data.draw(st.randoms(use_true_random=False)),
+                                       perturb=data.draw(st.booleans()))
+        else:
+            center = tuple(data.draw(st.fractions(0, 1, max_denominator=10 ** 6)
+                                     .filter(lambda x: x < 1)) for _ in range(tree.params.d))
+        assert_walk_matches(tree, center, data.draw(walk_radii(tree)))
