@@ -10,7 +10,7 @@ range.
 """
 
 from .cantor import Ball, CantorTree, HolderCertificate, build_tree
-from .config import ExperimentConfig, load_config, parse_config, parse_rational
+from .config import ExperimentConfig, load_config, parse_config
 from .dimension import (
     CoverReport,
     DimensionValue,
@@ -35,7 +35,6 @@ from .level_sets import (
     build_level,
     constant_radius,
     count_shifted_rationals,
-    intersect,
     prefix_intersection,
 )
 from .multiplicative import (
@@ -54,6 +53,7 @@ from .numerics import (
     log2_int,
     log_ratio,
 )
+from .report import parse_rational
 from .sequences import (
     AlternatingSpec,
     ContractiveSpec,

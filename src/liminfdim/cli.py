@@ -21,7 +21,7 @@ from typing import Optional
 
 from . import report as rep
 from .cantor import build_tree
-from .config import ConfigError, ExperimentConfig, load_config, parse_rational
+from .config import ConfigError, ExperimentConfig, config_json, load_config
 from .dimension import RegimeViolationError, depth_series, theoretical_dimension
 from .level_sets import (BudgetExceededError, IndeterminateRadiusError, LevelParams,
                          prefix_intersection)
@@ -39,7 +39,7 @@ class MissingSeriesError(KeyError):
 
 def run(cfg: ExperimentConfig, canonical: bool = False) -> tuple[dict, int]:
     """Execute the configured tasks; returns (report, exit_code)."""
-    prec = cfg.resolved_precision()
+    prec = cfg.precision
     warnings: list[str] = []
     results: dict = {}
     timing: dict = {}
@@ -144,7 +144,7 @@ def run(cfg: ExperimentConfig, canonical: bool = False) -> tuple[dict, int]:
         timing[task] = time.perf_counter() - t0
 
     report = {
-        "config": rep.config_json(cfg),
+        "config": config_json(cfg),
         "results": results,
         "warnings": warnings,
     }
@@ -186,9 +186,9 @@ def plot(report: dict, kind: str, path: str) -> None:
         mult = results.get("multiplicative")
         if not mult or not mult["cover"]:
             raise MissingSeriesError(kind, "multiplicative")
-        gamma = parse_rational(mult["cover"]["gamma"])
-        rects = [(float(parse_rational(x)), float(parse_rational(y)),
-                  float(parse_rational(s))) for x, y, s in mult["cover"]["rects"]]
+        gamma = rep.parse_rational(mult["cover"]["gamma"])
+        rects = [(float(rep.parse_rational(x)), float(rep.parse_rational(y)),
+                  float(rep.parse_rational(s))) for x, y, s in mult["cover"]["rects"]]
         steps = 256
         curve = []
         for i in range(1, steps + 1):

@@ -1,10 +1,13 @@
 """Flat exact-rational experiment configuration.
 
-Config files are `key = value` lines with `#` comments.  Each key is read by
-the reader of its field's type: integers in decimal or '0x...' hex, and
+Config files are `key = value` lines with `#` comments.  The typed fields of
+``ExperimentConfig`` are the only list of keys.  Each key is read by the
+reader of its field's type: integers in decimal or '0x...' hex, and
 rationals exactly, as `p`, `p/q` or dyadic `m*2^e`; decimal floats are
-rejected so no value silently loses exactness on the way in.  The config
-owns the file format only: every value is checked by the code that uses it.
+rejected so no value silently loses exactness on the way in.  The report's
+echo of a config, ``config_json``, writes each key with the writer of its
+type, in a form the reader takes back.  The config owns the file format
+only: every value is checked by the code that uses it.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ from typing import Callable, Optional, get_args, get_origin, get_type_hints
 from .cantor import check_holder
 from .level_sets import LevelParams
 from .multiplicative import check_cover
-from .numerics import _resolve_prec
+from .numerics import DEFAULT_PRECISION, _resolve_prec
+from .report import _parse_int, fraction_str, int_json, parse_rational
 from .sequences import SPECS, QSequence, SequenceSpec
 
 TASKS = ("analyze", "enumerate", "dimension", "cantor", "multiplicative")
@@ -35,30 +39,6 @@ class ConfigError(ValueError):
         self.key = key
 
 
-def _parse_int(text: str) -> int:
-    """A decimal integer, or a '0x...' / '-0x...' hex one as reports write it."""
-    text = text.strip()
-    return int(text, 16) if text.lstrip("+-")[:2].lower() == "0x" else int(text)
-
-
-def parse_rational(text: str) -> Fraction:
-    """Exact rational from 'p', 'p/q' or 'm*2^e'; decimals are rejected.
-
-    p, q and m may also be written in hex ('0x...'), as reports write
-    integers too long for decimal.
-    """
-    text = text.strip()
-    if "." in text:
-        raise ValueError(f"decimal floats are not exact, write '{text}' as p/q or m*2^e")
-    if "*2^" in text:
-        m_str, e_str = text.split("*2^", 1)
-        return Fraction(_parse_int(m_str)) * Fraction(2) ** int(e_str)
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(_parse_int(num), _parse_int(den))
-    return Fraction(_parse_int(text))
-
-
 @dataclass
 class ExperimentConfig:
     sequence: str = "power"
@@ -70,7 +50,7 @@ class ExperimentConfig:
     theta: tuple[Fraction, ...] = ()
     d: int = 1
     depth: int = 4
-    precision: Optional[int] = None
+    precision: int = DEFAULT_PRECISION
     component_budget: int = 10 ** 7
     node_budget: int = 10 ** 6
     tasks: tuple[str, ...] = ("analyze",)
@@ -103,15 +83,10 @@ class ExperimentConfig:
             _checked("terms", QSequence, self.terms[:self.depth])
         else:
             _checked("q1", QSequence, (self.q1,))
-        self.resolved_precision()
+        self.precision = _checked("precision", _resolve_prec, self.precision)
         _checked("gamma, mult_s", check_cover, self.gamma, self.mult_s)
         _checked("holder_s, holder_samples", check_holder,
                  self.holder_s, self.holder_samples, self.d)
-
-    def resolved_precision(self) -> int:
-        """The precision key, else the default, checked by numerics'
-        precision rule."""
-        return _checked("precision", _resolve_prec, self.precision)
 
     def spec(self) -> SequenceSpec:
         cls = SPECS[self.sequence]
@@ -127,8 +102,10 @@ def _checked(keys: str, owner: Callable, *args):
         raise ConfigError(str(exc), key=keys) from exc
 
 
-# one reader per field type, so every key of a type reads the same way
-_READERS = {int: _parse_int, Optional[int]: _parse_int, Fraction: parse_rational, str: str}
+# one reader and one writer per field type, so every key of a type reads and
+# is echoed the same way; a tuple is a comma list in a file, a list in a report
+_READERS = {int: _parse_int, Fraction: parse_rational, str: str}
+_WRITERS = {int: int_json, Fraction: fraction_str, str: str}
 _FIELD_TYPES = get_type_hints(ExperimentConfig)
 
 
@@ -137,6 +114,18 @@ def _read(tp, text: str):
     if get_origin(tp) is tuple:
         return tuple(_read(get_args(tp)[0], v.strip()) for v in text.split(",") if v.strip())
     return _READERS[tp](text)
+
+
+def _write(tp, value):
+    """The JSON form of a value of field type tp, which _read takes back."""
+    if get_origin(tp) is tuple:
+        return [_write(get_args(tp)[0], v) for v in value]
+    return _WRITERS[tp](value)
+
+
+def config_json(cfg: ExperimentConfig) -> dict:
+    """Every key of cfg, in field order, as the report echoes it."""
+    return {key: _write(tp, getattr(cfg, key)) for key, tp in _FIELD_TYPES.items()}
 
 
 def parse_config(text: str) -> ExperimentConfig:

@@ -187,9 +187,6 @@ class ArcList:
         """Smallest gap between consecutive arcs around the circle."""
         if self.full or not self.arcs:
             return None
-        if len(self.arcs) == 1:
-            lo, hi = self.arcs[0]
-            return Fraction(lo + self.size - hi, self.size)
         gaps = [self.arcs[i + 1][0] - self.arcs[i][1] for i in range(len(self.arcs) - 1)]
         gaps.append(self.arcs[0][0] + self.size - self.arcs[-1][1])
         return Fraction(min(gaps), self.size)
@@ -401,11 +398,6 @@ def build_level(
             f"outer arcs for q={q} overlap: the radius is within a grid step of 1/(2q), "
             "where the true arcs may touch")
     return TorusIntervalSet(inner, outer)
-
-
-def intersect(a: TorusIntervalSet, b: TorusIntervalSet) -> TorusIntervalSet:
-    """Intersection of two certified sets (inner with inner, outer with outer)."""
-    return a.intersect(b)
 
 
 # ---------------------------------------------------------------------------

@@ -126,8 +126,6 @@ class DirectedReal:
         if odd == 1:
             return DirectedReal(num, -k, direction)
         p = _resolve_prec(prec)
-        if num == 0:
-            return DirectedReal(0, 0, direction)
         t = p + 2 - (abs(num).bit_length() - den.bit_length())
         t = max(t, 1)
         scaled = num << t
@@ -447,25 +445,15 @@ def _pow_bracket(p_int: int, shift: int, sign: int, b: int, prec: int) -> Enclos
 
     est = (math.log2(p_int) + shift) * sign / b
     s = prec + 2 - math.floor(est)
+    # for an integer n, n**b <= X exactly when n**b <= floor(X)
     for _ in range(4):
         if sign > 0:
             # n = floor(2**s * (p * 2**shift)**(1/b)):  n**b <= p * 2**(s*b + shift)
-            d = s * b + shift
-            if d >= 0:
-                n = _iroot(p_int << d, b)
-            else:
-                n = _iroot(p_int >> -d, b)
-                while (n + 1) ** b * (1 << -d) <= p_int:
-                    n += 1
+            n = _iroot(_shift_floor(p_int, s * b + shift), b)
         else:
             # n = floor(2**s / (p * 2**shift)**(1/b)):  n**b * p <= 2**(s*b - shift)
             d = s * b - shift
-            if d < 0:
-                n = 0
-            else:
-                n = _iroot((1 << d) // p_int, b)
-                while (n + 1) ** b * p_int <= (1 << d):
-                    n += 1
+            n = _iroot((1 << d) // p_int, b) if d >= 0 else 0
         if n.bit_length() >= prec + 2:
             break
         s += prec + 2 - n.bit_length() + 1

@@ -1,16 +1,16 @@
-"""Report assembly and serialisation.
+"""Report assembly and serialisation, and the exact-number codec.
 
 Every numeric result is serialised as its certified range in exact form
 (rationals as 'p/q', dyadics as 'm*2^e') next to float renderings for
-humans.  Integers that grow with the sequence terms or the precision
-(terms, counts, and the parts of 'p/q' and 'm*2^e') are written in decimal
-up to ``DECIMAL_MAX_BITS`` bits and as '0x...' hex beyond, so no report
-runs into the interpreter's limit on int-to-decimal conversion.  Canonical
-mode drops the timing block and sorts keys, making reports byte-identical
-across runs of the same configuration.  ``render_json`` writes the bytes
-``json.dumps(report, indent=2, sort_keys=canonical)`` would write, with its
-own renderer: a cover's ``rects`` table is one join, not one encoder step
-per string.
+humans.  Integers (terms, counts, config keys, and the parts of 'p/q' and
+'m*2^e') are written in decimal up to ``DECIMAL_MAX_BITS`` bits and as
+'0x...' hex beyond, so no report runs into the interpreter's limit on
+int-to-decimal conversion; ``parse_rational`` reads every form back, in
+reports and config files alike.  Canonical mode drops the timing block and
+sorts keys, making reports byte-identical across runs of the same
+configuration.  ``render_json`` writes the bytes ``json.dumps(report,
+indent=2, sort_keys=canonical)`` would write, with its own renderer: a
+cover's ``rects`` table is one join, not one encoder step per string.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from json.encoder import encode_basestring_ascii as _json_str
 from typing import Union
 
 from .cantor import HolderCertificate
-from .config import ExperimentConfig, parse_rational
 from .level_sets import CertifiedCount, LevelStats
 from .numerics import DirectedReal, Enclosure
 from .sequences import ExponentStats, RegimeResult
@@ -41,6 +40,30 @@ def int_json(n: int) -> Union[int, str]:
     """n itself up to DECIMAL_MAX_BITS bits, else its '0x...' hex string;
     ``int(s, 0)`` reads either form back."""
     return n if n.bit_length() <= DECIMAL_MAX_BITS else hex(n)
+
+
+def _parse_int(text: str) -> int:
+    """A decimal integer, or a '0x...' / '-0x...' hex one as int_json writes it."""
+    text = text.strip()
+    return int(text, 16) if text.lstrip("+-")[:2].lower() == "0x" else int(text)
+
+
+def parse_rational(text: str) -> Fraction:
+    """Exact rational from 'p', 'p/q' or 'm*2^e'; decimals are rejected.
+
+    p, q and m may also be written in hex ('0x...'), as reports write
+    integers too long for decimal.
+    """
+    text = text.strip()
+    if "." in text:
+        raise ValueError(f"decimal floats are not exact, write '{text}' as p/q or m*2^e")
+    if "*2^" in text:
+        m_str, e_str = text.split("*2^", 1)
+        return Fraction(_parse_int(m_str)) * Fraction(2) ** int(e_str)
+    if "/" in text:
+        num, den = text.split("/", 1)
+        return Fraction(_parse_int(num), _parse_int(den))
+    return Fraction(_parse_int(text))
 
 
 def fraction_str(x: Fraction) -> str:
@@ -125,37 +148,14 @@ def cover_report_json(report) -> dict:
 def certificate_json(cert: HolderCertificate) -> dict:
     return {
         "s": fraction_str(cert.s),
-        "n": cert.samples,
-        "seed": cert.seed,
+        "n": int_json(cert.samples),
+        "seed": int_json(cert.seed),
         "max_ratio": fraction_str(cert.max_ratio),
         "max_ratio_float": cert.max_ratio_float(),
         "worst_ball": {
             "center": [fraction_str(c) for c in cert.worst_ball.center],
             "radius": enclosure_json(cert.worst_ball.radius),
         },
-    }
-
-
-def config_json(cfg: ExperimentConfig) -> dict:
-    return {
-        "sequence": cfg.sequence,
-        "terms": [int_json(q) for q in cfg.terms],
-        "q1": int_json(cfg.q1),
-        "growth": fraction_str(cfg.growth),
-        "eta": fraction_str(cfg.eta),
-        "tau": fraction_str(cfg.tau),
-        "theta": [fraction_str(t) for t in cfg.theta],
-        "d": cfg.d,
-        "depth": cfg.depth,
-        "precision": cfg.resolved_precision(),
-        "component_budget": cfg.component_budget,
-        "node_budget": cfg.node_budget,
-        "tasks": list(cfg.tasks),
-        "seed": cfg.seed,
-        "holder_s": fraction_str(cfg.holder_s),
-        "holder_samples": cfg.holder_samples,
-        "gamma": fraction_str(cfg.gamma),
-        "mult_s": fraction_str(cfg.mult_s),
     }
 
 

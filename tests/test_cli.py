@@ -2,6 +2,7 @@ import json
 import re
 import subprocess
 import sys
+from dataclasses import fields, replace
 from fractions import Fraction as F
 
 import pytest
@@ -9,16 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liminfdim import cli
+from liminfdim import config as config_module
 from liminfdim import report as report_module
 from liminfdim.cli import MissingSeriesError, main, plot, run
-from liminfdim.config import ConfigError, parse_config, parse_rational
+from liminfdim.config import (ConfigError, ExperimentConfig, config_json, parse_config,
+                              parse_rational)
 from liminfdim.multiplicative import hyperbolic_cover
 from liminfdim.numerics import DOWN, UP, DirectedReal
 from liminfdim.report import (
     DECIMAL_MAX_BITS,
     dyadic_str,
     fraction_str,
-    config_json,
     grid_str,
     int_json,
     parse_json,
@@ -90,9 +92,21 @@ class TestParsing:
         assert cfg.terms == (3, big) and int_json(big).startswith("0x")
         assert (cfg.q1, cfg.d, cfg.depth, cfg.precision) == (4, 1, 2, 128)
         assert (cfg.seed, cfg.holder_samples, cfg.gamma) == (-16, 10, F(1, 64))
-        echo = "\n".join(f"{key} = {', '.join(map(str, v)) if isinstance(v, list) else v}"
-                         for key, v in config_json(cfg).items())
-        assert parse_config(echo) == cfg
+        # integer keys past DECIMAL_MAX_BITS are echoed in hex and read back
+        huge = replace(cfg, seed=-big, component_budget=big, node_budget=big << 1)
+        for c in (cfg, huge):
+            echo = "\n".join(f"{key} = {', '.join(map(str, v)) if isinstance(v, list) else v}"
+                             for key, v in config_json(c).items())
+            assert parse_config(echo) == c
+        assert [config_json(huge)[k][:3] for k in ("seed", "component_budget", "node_budget")] \
+            == ["-0x", "0x1", "0x2"]
+
+    def test_echo_keys_are_the_fields(self):
+        # one typed table: every field is echoed, in field order, and every
+        # field type has a reader and a writer
+        names = [f.name for f in fields(ExperimentConfig)]
+        assert list(config_json(parse_config(POWER_CFG))) == names
+        assert config_module._READERS.keys() == config_module._WRITERS.keys()
 
     def test_unknown_key(self):
         with pytest.raises(ConfigError) as exc:
@@ -110,9 +124,12 @@ class TestParsing:
 
     def test_precision_default_and_key(self):
         cfg = parse_config("sequence = power\n")
-        assert cfg.resolved_precision() == 128
+        assert cfg.precision == 128
         cfg2 = parse_config("sequence = power\nprecision = 32\n")
-        assert cfg2.resolved_precision() == 32  # explicit config wins
+        assert cfg2.precision == 32  # explicit config wins
+        cfg3 = ExperimentConfig(precision=None)
+        cfg3.validate()
+        assert cfg3.precision == 128
 
 
 class TestRun:
@@ -203,6 +220,27 @@ class TestHugeIntegers:
             cover = report["results"]["dimension"]["cover_report"]
             n_min, n_max = (int(str(cover[k]), 0) for k in ("N_min", "N_max"))
             assert 1 <= n_min <= n_max and n_max.bit_length() > DECIMAL_MAX_BITS
+
+    HUGE = "0x" + "f" * 4000
+
+    @pytest.mark.parametrize("text, key", [
+        (f"tasks = analyze\nseed = {HUGE}\n", "seed"),
+        (f"tasks = analyze\ncomponent_budget = {HUGE}\n", "component_budget"),
+        ("sequence = explicit\nterms = 9, 657, 4316500\ntau = 1\ndepth = 3\n"
+         f"tasks = cantor\nholder_samples = 2\nseed = {HUGE}\n", "seed"),
+    ], ids=["seed", "component_budget", "cantor-seed"])
+    def test_huge_config_integers(self, text, key, tmp_path):
+        # every integer a user can set reaches the report through int_json
+        cfg_path = tmp_path / "huge.cfg"
+        cfg_path.write_text(text)
+        out_dir = tmp_path / "out"
+        assert main(["run", str(cfg_path), "--out", str(out_dir)]) == 0
+        report = json.loads((out_dir / "report.json").read_text())
+        assert report["config"][key].startswith("0x")
+        assert int(report["config"][key], 0) == int(self.HUGE, 16)
+        if "cantor" in text:
+            cert = report["results"]["cantor"]["certificate"]
+            assert int(cert["seed"], 0) == int(self.HUGE, 16) and cert["n"] == 2
 
     def test_small_integers_stay_decimal(self):
         assert int_json(10 ** 4000) == 10 ** 4000

@@ -11,7 +11,6 @@ from liminfdim.level_sets import (
     build_level,
     constant_radius,
     count_shifted_rationals,
-    intersect,
     prefix_intersection,
 )
 from liminfdim.sequences import QSequence
@@ -69,6 +68,11 @@ class TestArcList:
         assert a.wraps()
         # gaps: 250-20 = 230 inside, 10-(260-256) = 6 across zero
         assert a.min_gap() == F(6, 256)
+
+    def test_single_arc_gap(self):
+        # one arc leaves one gap, around the circle from its end to its start
+        assert ArcList(8, ((10, 20),)).min_gap() == F(246, 256)
+        assert ArcList(8, ((250, 262),)).min_gap() == F(244, 256)
 
     def test_contains_with_wrap(self):
         a = ArcList(8, ((250, 262),))
@@ -202,7 +206,7 @@ class TestIntersect:
         params = LevelParams(theta=(F(0),), tau=F(1))
         a = build_level(1, LevelParams(theta=(F(0),), tau=F(1), radius=constant_radius(F(1))))
         b = build_level(5, params)
-        c = intersect(a, b)
+        c = a.intersect(b)
         assert c.count == b.count
         assert c.length_bounds() == b.length_bounds()
 
@@ -211,7 +215,7 @@ class TestIntersect:
         pb = LevelParams(theta=(F(1, 2),), tau=F(1), radius=constant_radius(F(1, 100)))
         a = build_level(1, pa)
         b = build_level(1, pb)
-        c = intersect(a, b)
+        c = a.intersect(b)
         assert c.count == CertifiedCount(0, 0)
 
 

@@ -1,0 +1,157 @@
+"""The power kernel against its earlier form, under hypothesis.
+
+``reference_pow_bracket`` is ``numerics._pow_bracket`` as it was written
+before its integer roots were taken of floored integers directly: it takes
+the root of a floored radicand and then steps n up while (n + 1)**b still
+fits under the unfloored bound.  For an integer n, n**b <= X exactly when
+n**b <= floor(X), so those steps can never run, and ``dir_pow`` and
+``Enclosure.pow_frac`` must return the same enclosures bit for bit,
+direction tags included.
+"""
+
+import math
+from fractions import Fraction as F
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from liminfdim.numerics import (
+    DOWN,
+    EXACT,
+    UP,
+    DirectedReal,
+    Enclosure,
+    _iroot,
+    _split_pow2,
+    dir_pow,
+)
+
+
+def reference_pow_bracket(p_int: int, shift: int, sign: int, b: int, prec: int) -> Enclosure:
+    odd, k = _split_pow2(p_int)
+    total_shift = k + shift
+    root = _iroot(odd, b)
+    if root ** b == odd and total_shift % b == 0:
+        e = total_shift // b
+        if sign > 0:
+            return Enclosure.exact_dyadic(root, e)
+        if root == 1:
+            return Enclosure.exact_dyadic(1, -e)
+        return Enclosure.from_fraction(F(1, root << e) if e >= 0
+                                       else F(1 << -e, root), prec)
+
+    est = (math.log2(p_int) + shift) * sign / b
+    s = prec + 2 - math.floor(est)
+    for _ in range(4):
+        if sign > 0:
+            d = s * b + shift
+            if d >= 0:
+                n = _iroot(p_int << d, b)
+            else:
+                n = _iroot(p_int >> -d, b)
+                while (n + 1) ** b * (1 << -d) <= p_int:
+                    n += 1
+        else:
+            d = s * b - shift
+            if d < 0:
+                n = 0
+            else:
+                n = _iroot((1 << d) // p_int, b)
+                while (n + 1) ** b * p_int <= (1 << d):
+                    n += 1
+        if n.bit_length() >= prec + 2:
+            break
+        s += prec + 2 - n.bit_length() + 1
+    return Enclosure(DirectedReal(n, -s, DOWN), DirectedReal(n + 1, -s, UP))
+
+
+def reference_dir_pow(q: int, e: F, prec: int) -> Enclosure:
+    if q == 1 or e == 0:
+        return Enclosure.exact_int(1)
+    a, b = e.numerator, e.denominator
+    return reference_pow_bracket(q ** abs(a), 0, 1 if a > 0 else -1, b, prec)
+
+
+def reference_pow_frac(x: Enclosure, s: F, prec: int) -> Enclosure:
+    lo_b, hi_b = (x.lo, x.hi) if s > 0 else (x.hi, x.lo)
+    a, b = s.numerator, s.denominator
+
+    def bracket(y: DirectedReal) -> Enclosure:
+        return reference_pow_bracket(y.mantissa ** abs(a), y.exponent * abs(a),
+                                     1 if a > 0 else -1, b, prec)
+    return Enclosure(bracket(lo_b).lo, bracket(hi_b).hi)
+
+
+def bits(enc: Enclosure) -> tuple:
+    """Everything an enclosure holds, direction tags included."""
+    return tuple((d.mantissa, d.exponent, d.direction) for d in (enc.lo, enc.hi))
+
+
+PRECS = st.integers(8, 1024)
+EXPONENTS = st.builds(F, st.integers(-9, 9).filter(bool), st.integers(1, 12))
+
+
+@st.composite
+def bases(draw):
+    """A base that is an exact power times a power of two about as often as not."""
+    if draw(st.booleans()):
+        return draw(st.integers(2, 2 ** 80))
+    root = draw(st.integers(1, 2 ** 20))
+    return root ** draw(st.integers(1, 12)) << draw(st.integers(0, 40))
+
+
+@st.composite
+def dyadics(draw):
+    return DirectedReal(draw(bases()), draw(st.integers(-200, 200)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(bases(), EXPONENTS, PRECS)
+def test_dir_pow_matches_reference(q, e, prec):
+    assert bits(dir_pow(q, e, prec)) == bits(reference_dir_pow(q, e, prec))
+
+
+@settings(max_examples=300, deadline=None)
+@given(dyadics(), dyadics(), EXPONENTS, PRECS)
+def test_pow_frac_matches_reference(x, y, s, prec):
+    lo, hi = min(x, y), max(x, y)
+    enc = Enclosure(DirectedReal(lo.mantissa, lo.exponent, EXACT if lo == hi else DOWN),
+                    DirectedReal(hi.mantissa, hi.exponent, EXACT if lo == hi else UP))
+    assert bits(enc.pow_frac(s, prec)) == bits(reference_pow_frac(enc, s, prec))
+
+
+@settings(max_examples=200, deadline=None)
+@given(PRECS, st.integers(2, 12), st.integers(1, 40), st.data())
+def test_just_under_an_exact_power(prec, b, u, data):
+    # q = m**b * 2**(b*u) - 1 with m of prec + 3 bits puts the kernel's first
+    # radicand q / 2**(b*u) just under m**b, so flooring and ceiling it give
+    # roots m - 1 and m
+    m = data.draw(st.integers((1 << (prec + 2)) + 1, (1 << (prec + 3)) - 1))
+    q = (m ** b << (b * u)) - 1
+    assert bits(dir_pow(q, F(1, b), prec)) == bits(reference_dir_pow(q, F(1, b), prec))
+
+
+@settings(max_examples=200, deadline=None)
+@given(PRECS, st.integers(2, 12), st.integers(1, 40), st.data())
+def test_reciprocal_just_under_an_exact_power(prec, b, extra, data):
+    # the same for a negative exponent: with d = b * w past 2b times the bits
+    # of m, q = floor(2**d / m**b) + 1 puts the kernel's radicand 2**d / q
+    # strictly between m**b - 1 and m**b
+    m = data.draw(st.integers((1 << (prec + 2)) + 1, (1 << (prec + 3)) - 1))
+    d = b * (2 * (prec + 3) + extra)
+    q = (1 << d) // m ** b + 1
+    assert bits(dir_pow(q, F(-1, b), prec)) == bits(reference_dir_pow(q, F(-1, b), prec))
+
+
+def test_exact_powers_with_shifts():
+    # odd parts that are perfect powers, with and without a shift that divides out
+    for q, e in [(2 ** 12 * 3 ** 4, F(1, 4)), (2 ** 13 * 3 ** 4, F(1, 4)),
+                 (5 ** 6, F(-1, 3)), (2 ** 9, F(-2, 3)), (7 ** 10 << 5, F(3, 5))]:
+        for prec in (8, 64, 1024):
+            assert bits(dir_pow(q, e, prec)) == bits(reference_dir_pow(q, e, prec))
+
+
+@given(st.sampled_from([DOWN, UP, EXACT]), PRECS)
+def test_zero_is_exact_dyadic(direction, prec):
+    z = DirectedReal.from_fraction(F(0), prec, direction)
+    assert (z.mantissa, z.exponent, z.direction) == (0, 0, direction)
