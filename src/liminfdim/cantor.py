@@ -13,13 +13,17 @@ ball-measure queries cheap even when a level has 2**64 boxes.
 
 Ball queries return certified enclosures: box/ball intersection tests use
 outer arcs and the upper ball radius, containment tests use the lower ball
-radius, so the reported range always brackets the true measure.
+radius, so the reported range always brackets the true measure.  A query
+walks the levels holding tree-index ranges: in index order a level's
+residues rise, so the nodes meeting a window form one index range per copy
+of the window and parent range, found from the ends of the parent range.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -224,13 +228,23 @@ class CantorTree:
                        rad_hi: Fraction, rad_lo: Fraction) -> list[tuple[int, int]]:
         """Per level: (number of tree arcs meeting the closed window
         [center - rad_hi, center + rad_hi], number certainly inside the open
-        ball of radius >= rad_lo), walking only candidate subtrees.
+        ball of radius >= rad_lo), walking only the subtrees that meet it.
 
-        The candidates are held as the child residue ranges they come from.
-        Each window takes one ``residue_span`` call per level; its copies one
-        circle to either side are that span shifted by -q and +q.  The walk
-        stops after the first level where more than 2**14 nodes meet."""
+        The walk holds tree-index ranges.  Node i of a level is child
+        i mod b of node i // b of the level above, and in that order the
+        residues rise, so the nodes with residues in one copy of a window's
+        ``residue_span`` (the span shifted by -q, 0 or +q, for the window and
+        its copies one circle to either side) are one index range among the
+        children of each range above.  A node meets the window only if its
+        parent does, so the meeting ranges of one level hold the candidates
+        of the next.  Each end of a range is found at the end parent of the
+        range above, or else by bisecting the parents; a parent strictly
+        inside a meeting range lies in the window with all its children, so
+        mostly the end parent or its neighbour holds the end.  Each parent
+        probed costs one ``child_range_1d`` call, made once per walk.  The
+        walk stops after the first level where more than 2**14 nodes meet."""
         theta = self.params.theta[coord]
+        branching = self.branching_1d
         # one denominator for the centre, the dyadic ball radii and the grid
         bits = max(self._scale, rad_hi.denominator.bit_length(), rad_lo.denominator.bit_length())
         den = center.denominator << bits
@@ -238,28 +252,66 @@ class CantorTree:
         ball_hi = rad_hi.numerator * (den // rad_hi.denominator)
         ball_lo = rad_lo.numerator * (den // rad_lo.denominator)
         grid = den >> self._scale
+        # starts[k][p]: the first child residue of node p of the level above
+        # level k; level 1 is the children of one root, residues 0..q_1 - 1
+        starts: list[dict[int, int]] = [{0: 0}] + [{} for _ in range(1, level_limit)]
+
+        def start(k: int, p: int) -> int:
+            s = starts[k].get(p)
+            if s is None:
+                b = branching[k - 1]
+                s = starts[k][p] = self.child_range_1d(coord, k, start(k - 1, p // b) + p % b)[0]
+            return s
+
+        def cut(k: int, parents: list[tuple[int, int]], span: tuple[int, int],
+                q: int) -> list[tuple[int, int]]:
+            # the nonempty index ranges of the children of each parent range
+            # with residues in the span shifted by -q, 0 and +q
+            b = branching[k]
+            out = []
+            for plo, phi in parents:
+                lowest, highest = start(k, plo), start(k, phi) + b - 1
+                for s in (-q, 0, q):
+                    first, last = span[0] + s, span[1] + s
+                    if highest < first or lowest > last:
+                        continue
+                    p, st = plo, lowest
+                    if st + b - 1 < first:
+                        # the first parent with a child at or past `first`
+                        p = plo + 1 + bisect_left(range(plo + 1, phi + 1), True,
+                                                  key=lambda p: start(k, p) + b - 1 >= first)
+                        st = start(k, p)
+                    lo = p * b + max(0, first - st)
+                    p, st = phi, highest - b + 1
+                    if st > last:
+                        # the last parent with a child at or before `last`
+                        p = plo - 1 + bisect_left(range(plo, phi), True,
+                                                  key=lambda p: start(k, p) > last)
+                        st = start(k, p)
+                    hi = p * b + min(b - 1, last - st)
+                    if lo <= hi:
+                        out.append((lo, hi))
+            return out
+
         counts: list[tuple[int, int]] = []
-        candidates = [(0, self.qs.terms[0] - 1)]
+        meet = [(0, 0)]  # the root
         for k in range(level_limit):
             q = self.qs.terms[k]
+            b = branching[k]
             r_hi = self._r_hi[k] * grid
-            if k:
-                b = self.branching_1d[k]
-                candidates = [(start, start + b - 1) for start, _ in
-                              (self.child_range_1d(coord, k, m)
-                               for lo, hi in meet for m in range(lo, hi + 1))]
-            # arcs meeting the window: centre within rad_hi + r_hi (closed);
             # arcs with outer arc inside the closed ball: centre within
-            # rad_lo - r_hi (an inverted window yields no ranges).  A meeting
-            # window as long as the circle would put a residue in two of its
-            # copies; then every candidate meets it, and once
-            if 2 * (ball_hi + r_hi) >= den:
-                meet = candidates
-            else:
-                meet = _overlaps(candidates, residue_span(
-                    c - ball_hi - r_hi, c + ball_hi + r_hi, den, q, theta), q)
-            inside = _overlaps(candidates, residue_span(
+            # rad_lo - r_hi (an inverted window yields no ranges)
+            inside = cut(k, meet, residue_span(
                 c - ball_lo + r_hi, c + ball_lo - r_hi, den, q, theta), q)
+            # arcs meeting the window: centre within rad_hi + r_hi (closed).
+            # A meeting window as long as the circle would put a residue in
+            # two of its copies; then every child of the ranges above meets
+            # it, and once
+            if 2 * (ball_hi + r_hi) >= den:
+                meet = [(plo * b, phi * b + b - 1) for plo, phi in meet]
+            else:
+                meet = cut(k, meet, residue_span(
+                    c - ball_hi - r_hi, c + ball_hi + r_hi, den, q, theta), q)
             n_meet = sum(hi - lo + 1 for lo, hi in meet)
             counts.append((n_meet, sum(hi - lo + 1 for lo, hi in inside)))
             if n_meet > _QUERY_FANOUT_CAP:
@@ -326,7 +378,7 @@ class CantorTree:
             r = max(r_min, min(Fraction(1), r))
             ball = Ball(point, Enclosure.from_fraction(r))
             mu = self.ball_measure(ball)
-            denom = Enclosure.from_fraction(r).pow_frac(s, self.prec)
+            denom = ball.radius.pow_frac(s, self.prec)
             ratio = mu.hi.as_fraction() / denom.lo.as_fraction()
             if best is None or ratio > best:
                 best = ratio
@@ -334,15 +386,6 @@ class CantorTree:
         assert best is not None and worst is not None
         return HolderCertificate(s=s, samples=samples, seed=seed,
                                  max_ratio=best, worst_ball=worst)
-
-
-def _overlaps(ranges: list[tuple[int, int]], span: tuple[int, int],
-              q: int) -> list[tuple[int, int]]:
-    """The nonempty overlaps of closed integer ranges with a residue span
-    and its copies one circle to either side, the span shifted by -q and +q."""
-    first, last = span
-    return [(lo, hi) for r0, r1 in ranges for s in (-q, 0, q)
-            if (lo := max(r0, first + s)) <= (hi := min(r1, last + s))]
 
 
 def build_tree(

@@ -3,10 +3,12 @@
 ``liminfdim run <config>`` executes the requested tasks and writes a JSON
 report (plus CSV files with ``--format csv``); ``liminfdim plot`` renders a
 report series as a standalone SVG; every CSV is rendered from the report.
-Exit codes: 0 success, 1 the run stopped early with a partial report (a
-budget was exhausted, or a level could not be certified), 2 configuration
+Exit codes: 0 success; 1 the run stopped early with a partial report (a
+budget was exhausted, or a level could not be certified); 2 configuration
 errors, sequence-generation errors included, and output that cannot be
-written.
+written; 3 an internal error, an unexpected exception inside the run,
+reported as one line ``internal error: <Type>: <message>`` on stderr with no
+report written.
 """
 
 from __future__ import annotations

@@ -56,19 +56,18 @@ def _iroot(x: int, b: int) -> int:
         return x
     if b == 2:
         return math.isqrt(x)
-    # Newton iteration from an over-estimate; monotone decreasing.
+    # Newton iteration with floor division stops at r = floor(x**(1/b)):
+    # nxt = floor(((b-1) g + x / g**(b-1)) / b), as nested floors of an
+    # integer sum agree, and that is >= floor(x**(1/b)) = r by AM-GM; while
+    # g > r, g**b > x, so x / g**(b-1) < g and nxt < g.  The start
+    # 2**ceil(bits / b) exceeds x**(1/b), so the iterates fall strictly
+    # while g > r, never below r, and the first g with nxt >= g is r.
     g = 1 << -(-x.bit_length() // b)
     while True:
-        t = g ** (b - 1)
-        nxt = ((b - 1) * g + x // t) // b
+        nxt = ((b - 1) * g + x // g ** (b - 1)) // b
         if nxt >= g:
-            break
+            return g
         g = nxt
-    while g ** b > x:
-        g -= 1
-    while (g + 1) ** b <= x:
-        g += 1
-    return g
 
 
 def _split_pow2(n: int) -> tuple[int, int]:

@@ -7,6 +7,10 @@ fits under the unfloored bound.  For an integer n, n**b <= X exactly when
 n**b <= floor(X), so those steps can never run, and ``dir_pow`` and
 ``Enclosure.pow_frac`` must return the same enclosures bit for bit,
 direction tags included.
+
+``reference_iroot`` is ``numerics._iroot`` as it was before its Newton
+iteration lost the two fix-up loops that followed it; the reference bracket
+takes its roots.
 """
 
 import math
@@ -27,10 +31,49 @@ from liminfdim.numerics import (
 )
 
 
+def reference_iroot(x: int, b: int) -> int:
+    """Floor of the b-th root: Newton's iteration from an over-estimate,
+    then stepped down while g**b > x and up while (g + 1)**b <= x."""
+    if x < 2 or b == 1:
+        return x
+    if b == 2:
+        return math.isqrt(x)
+    g = 1 << -(-x.bit_length() // b)
+    while True:
+        nxt = ((b - 1) * g + x // g ** (b - 1)) // b
+        if nxt >= g:
+            break
+        g = nxt
+    while g ** b > x:
+        g -= 1
+    while (g + 1) ** b <= x:
+        g += 1
+    return g
+
+
+@st.composite
+def radicands(draw):
+    """Up to 20,000 bits, or within 1 of an exact b-th power."""
+    b = draw(st.integers(3, 12))
+    if draw(st.booleans()):
+        return draw(st.integers(0, (1 << draw(st.integers(1, 20000))) - 1)), b
+    root = draw(st.integers(1, (1 << draw(st.integers(1, 20000 // b))) - 1))
+    return max(0, root ** b + draw(st.integers(-1, 1))), b
+
+
+@settings(max_examples=300, deadline=None)
+@given(radicands())
+def test_iroot_matches_reference(case):
+    x, b = case
+    r = _iroot(x, b)
+    assert r == reference_iroot(x, b)
+    assert r ** b <= x < (r + 1) ** b
+
+
 def reference_pow_bracket(p_int: int, shift: int, sign: int, b: int, prec: int) -> Enclosure:
     odd, k = _split_pow2(p_int)
     total_shift = k + shift
-    root = _iroot(odd, b)
+    root = reference_iroot(odd, b)
     if root ** b == odd and total_shift % b == 0:
         e = total_shift // b
         if sign > 0:
@@ -46,9 +89,9 @@ def reference_pow_bracket(p_int: int, shift: int, sign: int, b: int, prec: int) 
         if sign > 0:
             d = s * b + shift
             if d >= 0:
-                n = _iroot(p_int << d, b)
+                n = reference_iroot(p_int << d, b)
             else:
-                n = _iroot(p_int >> -d, b)
+                n = reference_iroot(p_int >> -d, b)
                 while (n + 1) ** b * (1 << -d) <= p_int:
                     n += 1
         else:
@@ -56,7 +99,7 @@ def reference_pow_bracket(p_int: int, shift: int, sign: int, b: int, prec: int) 
             if d < 0:
                 n = 0
             else:
-                n = _iroot((1 << d) // p_int, b)
+                n = reference_iroot((1 << d) // p_int, b)
                 while (n + 1) ** b * p_int <= (1 << d):
                     n += 1
         if n.bit_length() >= prec + 2:

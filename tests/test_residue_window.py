@@ -7,9 +7,9 @@ and the tree walks its child ranges and ball windows through the kernel on
 one integer grid.  These tests check the kernel against brute force, the
 intersection against point membership, the fused build against build then
 intersect and against the per-arc builder it replaced, the tree against
-the ``Fraction`` formulas it replaced, and the tree's ball walk on residue
-ranges against the candidate lists it replaced; the replaced code is kept
-here as the reference.
+the ``Fraction`` formulas it replaced, and the tree's ball walk on
+tree-index ranges against the walks it replaced, on residue ranges and on
+candidate lists; the replaced code is kept here as the reference.
 """
 
 import random
@@ -417,6 +417,50 @@ def candidate_window_counts(tree, coord, center, rad_hi, rad_lo):
     return counts
 
 
+def residue_range_window_counts(tree, coord, level_limit, center, rad_hi, rad_lo):
+    """``_window_counts`` with its candidates held as the child residue
+    ranges they come from: one ``residue_span`` per window and level, its
+    copies one circle to either side that span shifted by -q and +q, and one
+    ``child_range_1d`` call per meeting node."""
+    theta = tree.params.theta[coord]
+    bits = max(tree._scale, rad_hi.denominator.bit_length(), rad_lo.denominator.bit_length())
+    den = center.denominator << bits
+    c = center.numerator << bits
+    ball_hi = rad_hi.numerator * (den // rad_hi.denominator)
+    ball_lo = rad_lo.numerator * (den // rad_lo.denominator)
+    grid = den >> tree._scale
+
+    def overlaps(ranges, span, q):
+        first, last = span
+        return [(lo, hi) for r0, r1 in ranges for s in (-q, 0, q)
+                if (lo := max(r0, first + s)) <= (hi := min(r1, last + s))]
+
+    counts, candidates = [], [(0, tree.qs.terms[0] - 1)]
+    for k in range(level_limit):
+        q = tree.qs.terms[k]
+        r_hi = tree._r_hi[k] * grid
+        if k:
+            b = tree.branching_1d[k]
+            candidates = [(start, start + b - 1) for start, _ in
+                          (tree.child_range_1d(coord, k, m)
+                           for lo, hi in meet for m in range(lo, hi + 1))]
+        if 2 * (ball_hi + r_hi) >= den:
+            meet = candidates
+        else:
+            meet = overlaps(candidates, residue_span(
+                c - ball_hi - r_hi, c + ball_hi + r_hi, den, q, theta), q)
+        inside = overlaps(candidates, residue_span(
+            c - ball_lo + r_hi, c + ball_lo - r_hi, den, q, theta), q)
+        n_meet = sum(hi - lo + 1 for lo, hi in meet)
+        counts.append((n_meet, sum(hi - lo + 1 for lo, hi in inside)))
+        if n_meet > 1 << 14:
+            break
+        if not n_meet:
+            counts.extend([(0, 0)] * (level_limit - k - 1))
+            break
+    return counts
+
+
 @st.composite
 def walk_trees(draw):
     """The power tree (4, 256, 2**32, 2**128), whose level 3 has 2**22 nodes
@@ -446,10 +490,13 @@ POWER_D2 = build_tree(QSequence((4, 256, 1 << 32, 1 << 128)),
 
 
 def assert_walk_matches(tree, center, radius):
+    """The walk on tree-index ranges gives the per-level counts of both walks
+    it replaced, and the measure of the candidate lists."""
     rad_lo, rad_hi = radius.lo.as_fraction(), radius.hi.as_fraction()
     for i, c in enumerate(center):
-        assert tree._window_counts(i, tree.depth, c, rad_hi, rad_lo) == \
-            candidate_window_counts(tree, i, c, rad_hi, rad_lo)
+        counts = tree._window_counts(i, tree.depth, c, rad_hi, rad_lo)
+        assert counts == residue_range_window_counts(tree, i, tree.depth, c, rad_hi, rad_lo)
+        assert counts == candidate_window_counts(tree, i, c, rad_hi, rad_lo)
     ball = Ball(center, radius)
     mu = tree.ball_measure(ball)
     ref = fraction_ball_measure(tree, ball, candidate_window_counts)
@@ -479,3 +526,92 @@ def test_walk_matches_candidate_lists(tree, data):
             center = tuple(data.draw(st.fractions(0, 1, max_denominator=10 ** 6)
                                      .filter(lambda x: x < 1)) for _ in range(tree.params.d))
         assert_walk_matches(tree, center, data.draw(walk_radii(tree)))
+
+
+# -- edge cases of the index-range walk ------------------------------------------------
+
+TINY_D2 = build_tree(QSequence((10, 803, 5804000, 235804915299936)),
+                     LevelParams(theta=(F(5, 8), F(1, 3)), tau=F(1), d=2), prec=128)
+
+
+def grid_radius(tree, level):
+    return F(tree._r_hi[level - 1], 1 << tree._scale)
+
+
+@pytest.mark.parametrize("tree, radius, center", [
+    (POWER_D2, F(1, 2) - F(1, 32), (F(21, 32), F(7, 12))),
+    (TINY_D2, F(1, 2) - F(1, 128), (F(9, 16), F(8, 15))),
+], ids=["power", "tiny"])
+def test_walk_long_then_short(tree, radius, center):
+    # the level-1 window is at least the circle, so every level-1 node meets
+    # it and level 2 searches all of them; the level-2 window is shorter, and
+    # the node opposite the centre on the circle is outside it
+    assert 2 * (radius + grid_radius(tree, 1)) >= 1 > 2 * (radius + grid_radius(tree, 2))
+    for i, c in enumerate(center):
+        counts = tree._window_counts(i, tree.depth, c, radius, radius)
+        assert counts[0][0] == tree.level_count_1d(1)
+        assert 0 < counts[1][0] < tree.level_count_1d(2)
+    assert_walk_matches(tree, center, Enclosure.from_fraction(radius))
+
+
+def leaf_hits(tree, coord, center, radius, shift):
+    """Leaves of one coordinate whose outer arc meets the window moved by
+    ``shift`` circles, by enumeration."""
+    q = tree.qs.terms[-1]
+    reach = radius + grid_radius(tree, tree.depth)
+    theta = tree.params.theta[coord]
+    return sum(abs((m + theta) / q - center - shift) <= reach
+               for m in tree.nodes_1d(coord, tree.depth))
+
+
+@pytest.mark.parametrize("center, shift", [(F(1, 16), 1), (F(15, 16), -1)],
+                         ids=["near-0", "near-1"])
+def test_walk_window_across_zero(center, shift):
+    # the window holds leaves of both ends of the circle, so its copy one
+    # circle up (centre near 0) or down (near 1) carries leaves too
+    radius = F(1, 8)
+    here = leaf_hits(TINY_D2, 0, center, radius, 0)
+    there = leaf_hits(TINY_D2, 0, center, radius, shift)
+    assert here > 0 and there > 0
+    counts = TINY_D2._window_counts(0, TINY_D2.depth, center, radius, radius)
+    assert len(counts) == TINY_D2.depth and counts[-1][0] == here + there
+    assert_walk_matches(TINY_D2, (center, center), Enclosure.from_fraction(radius))
+
+
+def test_walk_zero_fill():
+    # a small ball in the upper end of a level-1 arc, where no child is kept:
+    # level 2 meets nothing and the deeper levels are filled with zeros
+    center = (F(3) + F(5, 8)) / 10 + F(9, 1000)
+    radius = F(1, 10 ** 6)
+    assert TINY_D2._window_counts(0, TINY_D2.depth, center, radius, radius) == \
+        [(1, 0), (0, 0), (0, 0), (0, 0)]
+    assert_walk_matches(TINY_D2, (center, F(1, 3)), Enclosure.from_fraction(radius))
+    assert TINY_D2.ball_measure(Ball((center, F(1, 3)), Enclosure.from_fraction(radius))) \
+        .hi.as_fraction() == 0
+
+
+def test_walk_window_of_one_circle():
+    # the level-1 meeting window is exactly one circle long, so the node
+    # opposite the centre sits on both of its ends: it meets once
+    radius = F(1, 2) - grid_radius(TINY_D2, 1)
+    center = (F(5, 8) / 10 + F(1, 2), F(1, 3) / 10 + F(1, 2))
+    for i, c in enumerate(center):
+        counts = TINY_D2._window_counts(i, TINY_D2.depth, c, radius, radius)
+        assert counts[0][0] == TINY_D2.level_count_1d(1)
+    assert_walk_matches(TINY_D2, center, Enclosure.from_fraction(radius))
+
+
+def test_walk_continues_at_exactly_the_cap():
+    # 2**14 level-3 nodes of one parent meet the window: the walk stops only
+    # after a level where more than 2**14 meet, so level 4 is walked
+    n = 1 << 14
+    reach = F(n - 1, 2) / POWER_D2.qs.terms[2]
+    radius = reach - grid_radius(POWER_D2, 3)
+    center = []
+    for i, theta in enumerate(POWER_D2.params.theta):
+        # the first child of the first child of level-1 node 1
+        m = POWER_D2.child_range_1d(i, 2, POWER_D2.child_range_1d(i, 1, 1)[0])[0]
+        center.append((m + theta) / POWER_D2.qs.terms[2] + reach)
+        counts = POWER_D2._window_counts(i, POWER_D2.depth, center[-1], radius, radius)
+        assert len(counts) == 4 and counts[2][0] == n
+    assert_walk_matches(POWER_D2, tuple(center), Enclosure.from_fraction(radius))
