@@ -6,12 +6,13 @@ time, each to a copy of the repository under a temporary directory, and runs
     python -m pytest -x tests/test_cantor.py tests/test_residue_window.py
 
 there in one subprocess per mutant.  A mutant is killed when the tests fail
-and survives when they pass; a surviving mutant is a gap in the tests.  An
+and survives when they pass; a surviving mutant is a gap in the tests.  A
+test run that takes longer than ``TIMEOUT`` seconds counts as killed.  An
 edit whose target the source does not have is reported as "n/a".
 
 Usage, from the root of a checkout (about five minutes):
 
-    python3 tools/mutants.py [--only NAME ...] [--timeout SECONDS]
+    python3 tools/mutants.py
 
 The exit status is 0 when every applicable mutant was killed, 1 when one
 survived, and 2 when the tests fail without a mutant.  It is a report, not
@@ -20,7 +21,6 @@ a gate: no CI step runs it.
 
 from __future__ import annotations
 
-import argparse
 import ast
 import os
 import shutil
@@ -34,6 +34,7 @@ from typing import Callable, Optional
 ROOT = Path(__file__).resolve().parent.parent
 TARGET = Path("src/liminfdim/cantor.py")
 TESTS = ["tests/test_cantor.py", "tests/test_residue_window.py"]
+TIMEOUT = 600  # seconds per test run, against a mutant that hangs
 
 Edit = Callable[[ast.Module], bool]
 
@@ -186,7 +187,7 @@ MUTANTS: dict[str, Edit] = {
 }
 
 
-def run_tests(workdir: Path, timeout: float) -> tuple[bool, float]:
+def run_tests(workdir: Path) -> tuple[bool, float]:
     env = dict(os.environ, PYTHONPATH=str(workdir / "src"), PYTHONDONTWRITEBYTECODE="1")
     t0 = time.monotonic()
     try:
@@ -194,22 +195,15 @@ def run_tests(workdir: Path, timeout: float) -> tuple[bool, float]:
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
              "--hypothesis-seed=0", *TESTS],
             cwd=workdir, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-            timeout=timeout)
+            timeout=TIMEOUT)
         passed = proc.returncode == 0
     except subprocess.TimeoutExpired:
         passed = False
     return passed, time.monotonic() - t0
 
 
-def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--only", nargs="*", choices=sorted(MUTANTS), metavar="NAME",
-                        help="run only these mutants")
-    parser.add_argument("--timeout", type=float, default=600.0,
-                        help="seconds per test run; a run that times out counts as killed")
-    args = parser.parse_args(argv)
+def main() -> int:
     source = (ROOT / TARGET).read_text()
-    names = args.only or list(MUTANTS)
     survived = 0
     with tempfile.TemporaryDirectory(prefix="liminfdim-mutants-") as tmp:
         work = Path(tmp)
@@ -219,18 +213,18 @@ def main(argv: Optional[list[str]] = None) -> int:
         target = work / TARGET
         # the unmutated source, through the same parse and unparse as a mutant
         target.write_text(ast.unparse(ast.parse(source)))
-        ok, secs = run_tests(work, args.timeout)
+        ok, secs = run_tests(work)
         print(f"{'unmutated':28} {'passes' if ok else 'FAILS'}  ({secs:.0f} s)", flush=True)
         if not ok:
             print("the tests fail without a mutant; nothing to measure", file=sys.stderr)
             return 2
-        for name in names:
+        for name, edit in MUTANTS.items():
             tree = ast.parse(source)
-            if not MUTANTS[name](tree):
+            if not edit(tree):
                 print(f"{name:28} n/a", flush=True)
                 continue
             target.write_text(ast.unparse(ast.fix_missing_locations(tree)))
-            passed, secs = run_tests(work, args.timeout)
+            passed, secs = run_tests(work)
             survived += passed
             print(f"{name:28} {'SURVIVED' if passed else 'killed'}  ({secs:.0f} s)", flush=True)
     return 1 if survived else 0
