@@ -62,8 +62,12 @@ class HolderCertificate:
     max_ratio: Fraction        # upper bound of the worst certified ratio
     worst_ball: Ball
 
-    def max_ratio_float(self) -> float:
-        return float(self.max_ratio)
+    def max_ratio_float(self) -> Optional[float]:
+        """max_ratio as a double, or None past the double range."""
+        try:
+            return float(self.max_ratio)
+        except OverflowError:
+            return None
 
 
 def check_holder(s: Fraction, samples: int, d: int) -> None:

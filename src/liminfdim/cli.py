@@ -180,7 +180,8 @@ def plot(report: dict, kind: str, path: str) -> None:
             raise MissingSeriesError(kind, "enumerate")
         p = Plot("components against box size", "max component length", "components",
                  xlog=True, ylog=True)
-        pts = [(st["max_len_float"], max(1, st["count"]["max"]))
+        # a count past int_json's decimal range is a '0x...' string
+        pts = [(st["max_len_float"], max(1, rep._parse_int(str(st["count"]["max"]))))
                for st in enum["levels"]]
         p.add_series("outer count", pts, color="steelblue")
         Path(path).write_text(p.render(), encoding="ascii")

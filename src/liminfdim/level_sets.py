@@ -20,7 +20,7 @@ from itertools import repeat
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
-from .numerics import Enclosure, _resolve_prec, dir_pow
+from .numerics import Enclosure, _resolve_prec, _shift_ceil, _shift_floor, dir_pow
 from .sequences import QSequence
 
 
@@ -212,20 +212,28 @@ class ArcList:
             return b
         if b.full:
             return a
-        # b unrolled once around the circle: every arc of a, taken as a
-        # window, finds the arcs of b that meet it by bisection and cuts them
-        # to itself; parts past 0 go to the front
+        # every arc of the shorter list, taken as a window, finds by bisection
+        # the arcs of the other that meet it, shifted back one circle, as they
+        # are, and on one circle (in that order, so the pieces stay sorted),
+        # and cuts them to itself; parts past 0 go to the front
+        if len(a.arcs) > len(b.arcs):
+            a, b = b, a
         size = 1 << scale
-        unrolled = [(lo - size, hi - size) for lo, hi in b.arcs[-1:] if hi > size]
-        unrolled += b.arcs
-        unrolled += [(lo + size, hi + size) for lo, hi in b.arcs]
-        his = [hi for _, hi in unrolled]
+        arcs = b.arcs
+        if not arcs:
+            return b
+        first, last = arcs[0][0], arcs[-1][1]
+        by_lo, by_hi = itemgetter(0), itemgetter(1)
         out: list[tuple[int, int]] = []
         for wlo, whi in a.arcs:
-            i = j = bisect_right(his, wlo)
-            while j < len(unrolled) and unrolled[j][0] < whi:
-                j += 1
-            out += _clip(unrolled[i:j], wlo, whi)
+            for shift in (-size, 0, size):
+                if first + shift >= whi or last + shift <= wlo:
+                    continue  # the shifted copy misses the window
+                i = bisect_right(arcs, wlo - shift, key=by_hi)
+                j = bisect_left(arcs, whi - shift, i, key=by_lo)
+                if i < j:
+                    out += _clip(arcs[i:j] if not shift else
+                                 [(lo + shift, hi + shift) for lo, hi in arcs[i:j]], wlo, whi)
         return _circle_order(scale, out)
 
 
@@ -292,11 +300,8 @@ def _scale_for(radii: Sequence[Enclosure], prec: int) -> int:
 def _radius_grid(enc: Enclosure, scale: int) -> tuple[int, int]:
     """Radius endpoints as grid integers, rounded inward/outward as needed."""
     lo, hi = enc.lo, enc.hi
-    r_lo = (lo.mantissa << (lo.exponent + scale)) if lo.exponent + scale >= 0 \
-        else (lo.mantissa >> -(lo.exponent + scale))
-    k = hi.exponent + scale
-    r_hi = (hi.mantissa << k) if k >= 0 else -((-hi.mantissa) >> -k)
-    return r_lo, r_hi
+    return (_shift_floor(lo.mantissa, lo.exponent + scale),
+            _shift_ceil(hi.mantissa, hi.exponent + scale))
 
 
 def residue_span(lo: int, hi: int, den: int, q: int, theta: Fraction) -> tuple[int, int]:

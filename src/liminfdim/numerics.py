@@ -9,6 +9,8 @@ Building blocks:
 * ``dir_pow`` / ``log2_int`` / ``log_ratio``: enclosure-producing kernels for
   integer powers with rational exponents and base-2 logarithms.  These cover
   every irrational quantity the rest of the library needs.
+* ``LogTable``: log ratios at one precision over a cache of log2 values, the
+  one home of ``log_ratio``'s rule.
 
 All certified paths run on exact integer arithmetic.  Floats appear only to
 pick working scales (never to decide a bound), so a bad float estimate can
@@ -25,7 +27,7 @@ from typing import Optional, Union
 
 DEFAULT_PRECISION = 128
 MIN_PRECISION = 8
-# extra bits on each log2 whose quotient log_ratio rounds to the working precision
+# extra bits on each log2 whose quotient LogTable.ratio rounds to the working precision
 LOG_GUARD_BITS = 8
 
 
@@ -281,8 +283,8 @@ class Enclosure:
     @staticmethod
     def from_endpoints(lo: Fraction, hi: Fraction, prec: Optional[int] = None) -> "Enclosure":
         return Enclosure(
-            DirectedReal.from_fraction(Fraction(lo), prec, DOWN).retag(DOWN),
-            DirectedReal.from_fraction(Fraction(hi), prec, UP).retag(UP),
+            DirectedReal.from_fraction(Fraction(lo), prec, DOWN),
+            DirectedReal.from_fraction(Fraction(hi), prec, UP),
         )
 
     # -- queries -----------------------------------------------------------
@@ -394,17 +396,27 @@ class Enclosure:
         if self.lo.mantissa <= 0:
             raise ValueError("pow_frac requires a certainly positive base")
         p = _resolve_prec(prec)
-        lo_b, hi_b = (self.lo, self.hi) if s > 0 else (self.hi, self.lo)
-        lo = _dyadic_pow(lo_b, s, p).lo
-        hi = _dyadic_pow(hi_b, s, p).hi
-        return Enclosure(lo, hi)
+        a, b = abs(s.numerator), s.denominator
+        sign = 1 if s > 0 else -1
+
+        def bracket(x: DirectedReal) -> "Enclosure":
+            return _pow_bracket(x.mantissa ** a, x.exponent * a, sign, b, p)
+
+        # an exact base has one bracket, and it holds both ends
+        if self.is_exact:
+            return bracket(self.lo)
+        lo_b, hi_b = (self.lo, self.hi) if sign > 0 else (self.hi, self.lo)
+        return Enclosure(bracket(lo_b).lo, bracket(hi_b).hi)
 
     def log2(self, prec: Optional[int] = None) -> "Enclosure":
         """Enclosure of log2(value) for a certainly-positive enclosure."""
         p = _resolve_prec(prec)
         if self.lo.mantissa <= 0:
             raise ValueError("log2 requires a certainly positive enclosure")
-        return Enclosure(_log2_dyadic(self.lo, p).lo, _log2_dyadic(self.hi, p).hi)
+        # log2(m * 2**e) = log2(m) + e for each end
+        lo = _log2_bracket(self.lo.mantissa, p).lo + DirectedReal.from_int(self.lo.exponent)
+        hi = _log2_bracket(self.hi.mantissa, p).hi + DirectedReal.from_int(self.hi.exponent)
+        return Enclosure(lo, hi)
 
     def min_with(self, other: "Enclosure") -> "Enclosure":
         """Enclosure of min(x, y) given enclosures of x and y."""
@@ -477,14 +489,6 @@ def dir_pow(q: int, e: Union[Fraction, int], prec: Optional[int] = None) -> Encl
     return _pow_bracket(q ** abs(a), 0, 1 if a > 0 else -1, b, p)
 
 
-def _dyadic_pow(x: DirectedReal, s: Fraction, prec: int) -> Enclosure:
-    """Enclosure of x**s for a positive dyadic x and rational s."""
-    if x.mantissa <= 0:
-        raise ValueError("power of a nonpositive dyadic")
-    a, b = s.numerator, s.denominator
-    return _pow_bracket(x.mantissa ** abs(a), x.exponent * abs(a), 1 if a > 0 else -1, b, prec)
-
-
 # ---------------------------------------------------------------------------
 # Logarithm kernel
 # ---------------------------------------------------------------------------
@@ -528,14 +532,6 @@ def log2_int(n: int, prec: Optional[int] = None) -> Enclosure:
     return _log2_bracket(n, _resolve_prec(prec))
 
 
-def _log2_dyadic(x: DirectedReal, prec: int) -> Enclosure:
-    """Enclosure of log2 of a positive dyadic value."""
-    if x.mantissa <= 0:
-        raise ValueError("log2 of a nonpositive dyadic")
-    inner = _log2_bracket(x.mantissa, prec)
-    return inner.add_int(x.exponent)
-
-
 def _power_exponent_of(a: int, b: int) -> Optional[int]:
     """k >= 1 with b**k == a, if one exists."""
     if a == b:
@@ -549,34 +545,39 @@ def _power_exponent_of(a: int, b: int) -> Optional[int]:
     return None
 
 
-def power_log_ratio(a: int, b: int, prec: Optional[int] = None) -> Optional[Enclosure]:
-    """log(a)/log(b) when a is an integer power of b or b one of a, else None.
+class LogTable:
+    """Certified log ratios at one precision, over a cache of log2 values.
 
-    Exact in the first case; in the second, 1/k is exact when dyadic and
-    rounded outward at `prec` bits otherwise.  Decided on integers alone.
+    ``ratio(a, b)`` encloses log(a)/log(b) for integers a, b >= 2.  It is
+    exact when a is an integer power of b; when b is a power a**k, 1/k is
+    exact if dyadic and rounded outward at ``prec`` bits otherwise.  Both
+    cases are decided on integers alone.  Any other ratio divides, at
+    ``prec``, the log2 values of a and b taken at ``prec + LOG_GUARD_BITS``
+    bits, and each integer's log2 is taken at most once per table.
     """
-    k = _power_exponent_of(a, b)
-    if k is not None:
-        return Enclosure.exact_int(k)
-    k = _power_exponent_of(b, a)
-    if k is not None:
-        return Enclosure.from_fraction(Fraction(1, k), _resolve_prec(prec))
-    return None
+
+    def __init__(self, prec: Optional[int] = None):
+        self.prec = _resolve_prec(prec)
+        self._logs: dict[int, Enclosure] = {}
+
+    def log2(self, n: int) -> Enclosure:
+        enc = self._logs.get(n)
+        if enc is None:
+            enc = self._logs[n] = log2_int(n, self.prec + LOG_GUARD_BITS)
+        return enc
+
+    def ratio(self, a: int, b: int) -> Enclosure:
+        k = _power_exponent_of(a, b)
+        if k is not None:
+            return Enclosure.exact_int(k)
+        k = _power_exponent_of(b, a)
+        if k is not None:
+            return Enclosure.from_fraction(Fraction(1, k), self.prec)
+        return self.log2(a).div(self.log2(b), self.prec)
 
 
 def log_ratio(a: int, b: int, prec: Optional[int] = None) -> Enclosure:
-    """Enclosure of log(a)/log(b) for integers a, b >= 2.
-
-    Exact when a is an integer power of b; also exact when b is a power of a
-    and the resulting reciprocal is dyadic.  Otherwise both logs are taken
-    at ``prec + LOG_GUARD_BITS`` bits and divided at ``prec``.
-    """
-    p = _resolve_prec(prec)
+    """Enclosure of log(a)/log(b) for integers a, b >= 2, by ``LogTable.ratio``."""
     if a < 2 or b < 2:
         raise ValueError("log_ratio requires both arguments >= 2")
-    exact = power_log_ratio(a, b, p)
-    if exact is not None:
-        return exact
-    la = _log2_bracket(a, p + LOG_GUARD_BITS)
-    lb = _log2_bracket(b, p + LOG_GUARD_BITS)
-    return la.div(lb, p)
+    return LogTable(prec).ratio(a, b)

@@ -17,14 +17,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-from .numerics import (
-    LOG_GUARD_BITS,
-    Enclosure,
-    _iroot,
-    _resolve_prec,
-    log2_int,
-    power_log_ratio,
-)
+from .numerics import Enclosure, LogTable, _iroot
 
 
 class GenerationError(ValueError):
@@ -205,50 +198,21 @@ class ExponentStats:
     alpha_last: Optional[Enclosure]
 
 
-class _TermLogs:
-    """log2 of each term at log_ratio's working precision, each computed at
-    most once.  Built inside one call and dropped with it, so ratios taken
-    from it are bit for bit the ones ``log_ratio`` returns."""
-
-    def __init__(self, qs: QSequence, prec: Optional[int]):
-        self.terms = qs.terms
-        self.prec = _resolve_prec(prec)
-        self._logs: dict[int, Enclosure] = {}
-
-    def log(self, j: int) -> Enclosure:
-        """Enclosure of log2 q_{j+1} (0-based j)."""
-        if j not in self._logs:
-            self._logs[j] = log2_int(self.terms[j], self.prec + LOG_GUARD_BITS)
-        return self._logs[j]
-
-    def step(self, j: int) -> Enclosure:
-        """h_{j+1} = log q_{j+2} / log q_{j+1} (0-based j)."""
-        exact = power_log_ratio(self.terms[j + 1], self.terms[j], self.prec)
-        return exact if exact is not None else self.log(j + 1).div(self.log(j), self.prec)
-
-    def cumulative(self, prefix_product: int, j: int) -> Enclosure:
-        """log(q_1 ... q_j) / log q_{j+1} (0-based j >= 1) for the given product."""
-        exact = power_log_ratio(prefix_product, self.terms[j], self.prec)
-        if exact is not None:
-            return exact
-        # a one-term prefix is a table entry; longer prefixes get their own
-        # log, since a sum of table entries would be wider
-        num = self.log(0) if j == 1 else log2_int(prefix_product, self.prec + LOG_GUARD_BITS)
-        return num.div(self.log(j), self.prec)
-
-
 def exponent_stats(qs: QSequence, prec: Optional[int] = None) -> ExponentStats:
-    # Power relations between integers are detected first, so ratios like
-    # log 1000 / log 10 come out exact; the cumulative entries go through the
-    # prefix product q_1 * ... * q_{j-1} to get the same benefit.
-    logs = _TermLogs(qs, prec)
-    h_list = [logs.step(j) for j in range(len(qs) - 1)]
+    # Every ratio comes from one LogTable, so each term's log2 is taken at
+    # most once per call.  The table detects power relations between integers
+    # first, so ratios like log 1000 / log 10 come out exact; the cumulative
+    # entries go through the prefix product q_1 * ... * q_{j-1} to get the
+    # same benefit, and take that product's own log2 otherwise.
+    table = LogTable(prec)
+    terms = qs.terms
+    h_list = [table.ratio(b, a) for a, b in zip(terms, terms[1:])]
     alpha_list = []
     running = None
-    prefix_product = qs.terms[0]
-    for j in range(1, len(qs)):
-        alpha_list.append(logs.cumulative(prefix_product, j))
-        prefix_product *= qs.terms[j]
+    prefix_product = terms[0]
+    for j in range(1, len(terms)):
+        alpha_list.append(table.ratio(prefix_product, terms[j]))
+        prefix_product *= terms[j]
     for h in h_list:
         running = h if running is None else running.min_with(h)
     return ExponentStats(
@@ -295,8 +259,8 @@ def validate_regime(qs: QSequence, tau: Fraction, prec: Optional[int] = None) ->
     can retry at higher precision instead of trusting a coin flip.  Only the
     steps up to the first one that does not pass are computed.
     """
-    logs = _TermLogs(qs, prec)
-    return regime_from_steps((logs.step(j) for j in range(len(qs) - 1)), tau)
+    table = LogTable(prec)
+    return regime_from_steps((table.ratio(b, a) for a, b in zip(qs.terms, qs.terms[1:])), tau)
 
 
 def reindex_even(qs: QSequence, tau: Fraction) -> tuple[QSequence, Fraction]:

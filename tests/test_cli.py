@@ -258,6 +258,19 @@ class TestHugeIntegers:
         assert dyadic_str(DirectedReal(-big, 7)).startswith("-0x")
         assert parse_rational("12/007") == F(12, 7)   # decimal parts parse as before
 
+    def test_certificate_ratio_past_the_double_range(self, tmp_path):
+        # the worst ball's ratio here is about 2**1200: its float is null and
+        # the exact string keeps the value
+        cfg_path = tmp_path / "cert.cfg"
+        cfg_path.write_text("sequence = power\nq1 = 16\ngrowth = 4\ntau = 1\ndepth = 5\n"
+                            "tasks = analyze,cantor\nholder_s = 19/10\nholder_samples = 50\n"
+                            "seed = 1\n")
+        out_dir = tmp_path / "out"
+        assert main(["run", str(cfg_path), "--out", str(out_dir)]) == 0
+        cert = json.loads((out_dir / "report.json").read_text())["results"]["cantor"]["certificate"]
+        assert cert["max_ratio_float"] is None
+        assert parse_rational(cert["max_ratio"]) > sys.float_info.max
+
     def test_high_precision_report(self, tmp_path):
         # 15000-bit enclosures have mantissas past the 4300-digit limit
         cfg_path = tmp_path / "hp.cfg"
@@ -360,6 +373,17 @@ class TestPlot:
         report, _ = run(parse_config(ENUM_CFG))
         out = tmp_path / "count.svg"
         plot(report, "count_vs_scale", str(out))
+        assert out.read_text().startswith("<svg ")
+
+    def test_count_plot_reads_hex_counts(self, tmp_path):
+        # a count past DECIMAL_MAX_BITS is written as a '0x...' string
+        count = int_json(1 << 20000)
+        level = {"level": 1, "q": 256, "count": {"min": count, "max": count},
+                 "max_len_float": 2.0 ** -15}
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({"results": {"enumerate": {"levels": [level]}}}))
+        out = tmp_path / "count.svg"
+        assert main(["plot", str(path), "--kind", "count_vs_scale", "--out", str(out)]) == 0
         assert out.read_text().startswith("<svg ")
 
     def test_cover_overlay_square_count(self, tmp_path):

@@ -11,6 +11,7 @@ from liminfdim.level_sets import (
     build_level,
     constant_radius,
     count_shifted_rationals,
+    TorusIntervalSet,
     prefix_intersection,
 )
 from liminfdim.sequences import QSequence
@@ -175,14 +176,17 @@ class TestBuildLevel:
         assert exc.value.level == 2
         assert [st.level for st in exc.value.partial.levels] == [1]
 
-    def test_sandwich_membership(self):
-        # rational probes: inner members are true members, true members are in outer
-        params = LevelParams(theta=(F(1, 7),), tau=F(3, 2))
-        q = 11
-        s = build_level(q, params, prec=64)
+    @staticmethod
+    def _check_sandwich(s, q):
+        # rational probes: inner members are true members, true members are
+        # in outer; random points, and each arc end with points just beside it
         rng = random.Random(99)
-        for _ in range(400):
-            x = F(rng.randint(0, 10 ** 6), 10 ** 6)
+        probes = [F(rng.randint(0, 10 ** 6), 10 ** 6) for _ in range(400)]
+        for arcs in (s.inner, s.outer):
+            nudge = F(1, 1 << (arcs.scale + 8))
+            probes += [F(end, arcs.size) + k * nudge
+                       for arc in arcs.arcs for end in arc for k in (-1, 0, 1)]
+        for x in probes:
             # true membership: ||q x - theta|| < q^(-3/2), exact cross-multiplied
             t = (q * x - F(1, 7)) % 1
             dist = min(t, 1 - t)
@@ -191,6 +195,19 @@ class TestBuildLevel:
                 assert in_true
             if in_true:
                 assert s.outer.contains(x)
+
+    def test_sandwich_membership(self):
+        params = LevelParams(theta=(F(1, 7),), tau=F(3, 2))
+        self._check_sandwich(build_level(11, params, prec=64), 11)
+
+    def test_sandwich_on_a_coarse_grid(self):
+        # on the 2**-10 grid of `within` the radius 11**-5/2 (2.6 grid steps)
+        # has no exact place: inner arcs round it down, outer arcs up
+        params = LevelParams(theta=(F(1, 7),), tau=F(3, 2))
+        full = ArcList.full_circle(10)
+        s = build_level(11, params, prec=64, within=TorusIntervalSet(full, full))
+        assert s.inner.scale == 10 and s.inner.count == 11
+        self._check_sandwich(s, 11)
 
     def test_wrapped_component_at_zero(self):
         params = LevelParams(theta=(F(0),), tau=F(1))

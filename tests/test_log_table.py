@@ -7,6 +7,11 @@ shares log2 q_J between the two estimates of a depth.  These tests pin the
 kernel call counts (log2 and ``dir_pow``) and check bit for bit that the
 table gives what ``log_ratio`` gives on its own, and that the series gives
 what the per-depth loops gave before it.
+
+``LogTable`` in ``numerics`` is now the one implementation of the log ratio
+rule, behind ``log_ratio``, ``exponent_stats`` and ``validate_regime``
+alike, so ``reference_log_ratio`` keeps the rule as ``log_ratio`` wrote it
+before, and all three must match it bit for bit, direction tags included.
 """
 
 import math
@@ -35,6 +40,7 @@ from liminfdim.sequences import (
     GenerationError,
     PowerSpec,
     QSequence,
+    RegimeResult,
     RegimeStatus,
     exponent_stats,
     generate,
@@ -237,17 +243,74 @@ def _bits_of(enc):
     return tuple((d.mantissa, d.exponent, d.direction) for d in (enc.lo, enc.hi))
 
 
+def _reference_power_exponent_of(a, b):
+    """k >= 1 with b**k == a, if one exists."""
+    if a == b:
+        return 1
+    if a < b:
+        return None
+    k = round(math.log2(a) / math.log2(b))
+    for cand in (k - 1, k, k + 1):
+        if cand >= 1 and b ** cand == a:
+            return cand
+    return None
+
+
+def reference_log_ratio(a, b, prec):
+    """log(a)/log(b) as ``log_ratio`` computed it before ``LogTable`` held
+    the rule: exact for a power relation either way, else two log2 kernels
+    at prec + 8 bits divided at prec."""
+    k = _reference_power_exponent_of(a, b)
+    if k is not None:
+        return Enclosure.exact_int(k)
+    k = _reference_power_exponent_of(b, a)
+    if k is not None:
+        return Enclosure.from_fraction(F(1, k), prec)
+    la = numerics._log2_bracket(a, prec + 8)
+    lb = numerics._log2_bracket(b, prec + 8)
+    return la.div(lb, prec)
+
+
 @settings(max_examples=60, deadline=None)
 @given(terms=SEQS, prec=PRECS)
 def test_stats_match_log_ratio_bit_for_bit(terms, prec):
     qs = QSequence(terms)
     stats = exponent_stats(qs, prec)
     for j, h in enumerate(stats.h_list):
-        assert _bits_of(h) == _bits_of(log_ratio(terms[j + 1], terms[j], prec))
+        ref = _bits_of(reference_log_ratio(terms[j + 1], terms[j], prec))
+        assert _bits_of(h) == _bits_of(log_ratio(terms[j + 1], terms[j], prec)) == ref
     prefix = terms[0]
     for j, alpha in enumerate(stats.alpha_list, start=1):
-        assert _bits_of(alpha) == _bits_of(log_ratio(prefix, terms[j], prec))
+        ref = _bits_of(reference_log_ratio(prefix, terms[j], prec))
+        assert _bits_of(alpha) == _bits_of(log_ratio(prefix, terms[j], prec)) == ref
         prefix *= terms[j]
+
+
+@settings(max_examples=60, deadline=None)
+@given(terms=SEQS, prec=PRECS, tau=TAUS)
+def test_regime_matches_reference_ratios(terms, prec, tau):
+    # the first step whose reference ratio is not certainly above tau + 1
+    # decides the verdict: FAIL when it is certainly at or below, else
+    # INDETERMINATE
+    expected = RegimeResult(RegimeStatus.PASS)
+    for j in range(1, len(terms)):
+        h = reference_log_ratio(terms[j], terms[j - 1], prec)
+        if h.lo.as_fraction() <= 1 + tau:
+            status = RegimeStatus.FAIL if h.hi.as_fraction() <= 1 + tau \
+                else RegimeStatus.INDETERMINATE
+            expected = RegimeResult(status, j)
+            break
+    assert validate_regime(QSequence(terms), tau, prec) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.integers(2, 2 ** 300), b=st.integers(2, 2 ** 300), prec=PRECS,
+       power=st.sampled_from([None, 1, 2, 3, 5]))
+def test_log_ratio_matches_reference(a, b, prec, power):
+    if power is not None:
+        a = b ** power        # exact ratios, and their reciprocals below
+    for x, y in ((a, b), (b, a)):
+        assert _bits_of(log_ratio(x, y, prec)) == _bits_of(reference_log_ratio(x, y, prec))
 
 
 @settings(max_examples=60, deadline=None)

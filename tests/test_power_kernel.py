@@ -11,6 +11,9 @@ direction tags included.
 ``reference_iroot`` is ``numerics._iroot`` as it was before its Newton
 iteration lost the two fix-up loops that followed it; the reference bracket
 takes its roots.
+
+``reference_pow_frac`` brackets each end of the base on its own, as
+``Enclosure.pow_frac`` did before an exact base took a single bracket.
 """
 
 import math
@@ -19,6 +22,7 @@ from fractions import Fraction as F
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liminfdim import numerics
 from liminfdim.numerics import (
     DOWN,
     EXACT,
@@ -161,6 +165,29 @@ def test_pow_frac_matches_reference(x, y, s, prec):
     enc = Enclosure(DirectedReal(lo.mantissa, lo.exponent, EXACT if lo == hi else DOWN),
                     DirectedReal(hi.mantissa, hi.exponent, EXACT if lo == hi else UP))
     assert bits(enc.pow_frac(s, prec)) == bits(reference_pow_frac(enc, s, prec))
+
+
+@settings(max_examples=200, deadline=None)
+@given(dyadics(), st.sampled_from([(EXACT, EXACT), (DOWN, UP), (DOWN, EXACT)]), EXPONENTS, PRECS)
+def test_exact_base_takes_one_bracket(x, tags, s, prec):
+    # an exact base has one bracket, whatever its ends' direction tags; it
+    # holds the two ends the per-end brackets gave
+    calls = []
+    inner = numerics._pow_bracket
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    enc = Enclosure(DirectedReal(x.mantissa, x.exponent, tags[0]),
+                    DirectedReal(x.mantissa, x.exponent, tags[1]))
+    try:
+        numerics._pow_bracket = counted
+        got = enc.pow_frac(s, prec)
+    finally:
+        numerics._pow_bracket = inner
+    assert len(calls) == 1
+    assert bits(got) == bits(reference_pow_frac(enc, s, prec))
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,16 +1,17 @@
-"""Mutation runner for the Cantor tree's ball walk.
+"""Mutation runner for the Cantor tree's ball walk and the numeric kernels.
 
-Applies a fixed table of small edits to ``src/liminfdim/cantor.py``, one at a
-time, each to a copy of the repository under a temporary directory, and runs
+Applies a fixed table of small edits, one at a time, to a copy of the
+repository under a temporary directory.  Each entry of ``MUTANTS`` names the
+source file it edits and the test files that must catch it, and runs
 
-    python -m pytest -x tests/test_cantor.py tests/test_residue_window.py
+    python -m pytest -x <its test files>
 
 there in one subprocess per mutant.  A mutant is killed when the tests fail
 and survives when they pass; a surviving mutant is a gap in the tests.  A
 test run that takes longer than ``TIMEOUT`` seconds counts as killed.  An
 edit whose target the source does not have is reported as "n/a".
 
-Usage, from the root of a checkout (about five minutes):
+Usage, from the root of a checkout (about ten minutes):
 
     python3 tools/mutants.py
 
@@ -29,11 +30,9 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 ROOT = Path(__file__).resolve().parent.parent
-TARGET = Path("src/liminfdim/cantor.py")
-TESTS = ["tests/test_cantor.py", "tests/test_residue_window.py"]
 TIMEOUT = 600  # seconds per test run, against a mutant that hangs
 
 Edit = Callable[[ast.Module], bool]
@@ -162,38 +161,150 @@ def offset_parent_search(which: int, delta: int) -> Edit:
     return edit
 
 
-MUTANTS: dict[str, Edit] = {
-    "meet span first +1": shift_span("meet", 0, 1),
-    "meet span first -1": shift_span("meet", 0, -1),
-    "meet span last +1": shift_span("meet", 1, 1),
-    "meet span last -1": shift_span("meet", 1, -1),
-    "inside span first +1": shift_span("inside", 0, 1),
-    "inside span first -1": shift_span("inside", 0, -1),
-    "inside span last +1": shift_span("inside", 1, 1),
-    "inside span last -1": shift_span("inside", 1, -1),
-    "drop the -q copy": drop_copy(-1),
-    "drop the +q copy": drop_copy(1),
-    "long-window rule >= -> >": swap_compare(_long_rule, ast.Gt),
-    "fan-out cap > -> >=": swap_compare(_cap, ast.GtE),
-    "no zero-fill": drop_zero_fill,
-    "first child +1": offset_end("lo", 1),
-    "first child -1": offset_end("lo", -1),
-    "last child +1": offset_end("hi", 1),
-    "last child -1": offset_end("hi", -1),
-    "first-child parent +1": offset_parent_search(0, 1),
-    "first-child parent -1": offset_parent_search(0, -1),
-    "last-child parent +1": offset_parent_search(1, 1),
-    "last-child parent -1": offset_parent_search(1, -1),
+Scope = Callable[[ast.Module], Optional[ast.AST]]
+
+
+def _in_function(name: str) -> Scope:
+    return lambda tree: _function(tree, name)
+
+
+def _in_class(cls: str, method: Optional[str] = None) -> Scope:
+    """The class ``cls``, or its method ``method`` when given."""
+    def find(tree: ast.Module) -> Optional[ast.AST]:
+        owner = next((node for node in tree.body
+                      if isinstance(node, ast.ClassDef) and node.name == cls), None)
+        if owner is None or method is None:
+            return owner
+        return next((node for node in owner.body
+                     if isinstance(node, ast.FunctionDef) and node.name == method), None)
+    return find
+
+
+def replace(scope: Scope, match: Callable[[ast.AST], bool],
+            make: Callable[[ast.AST], ast.AST]) -> Edit:
+    """Replace every node inside the scope that ``match`` accepts by ``make(node)``."""
+    def edit(tree: ast.Module) -> bool:
+        root = scope(tree)
+        hits = 0
+
+        class Swap(ast.NodeTransformer):
+            def visit(self, node: ast.AST) -> ast.AST:
+                nonlocal hits
+                if match(node):
+                    hits += 1
+                    return make(node)
+                return self.generic_visit(node)
+
+        if root is not None:
+            Swap().visit(root)
+        return hits > 0
+    return edit
+
+
+def _is_name(*ids: str) -> Callable[[ast.AST], bool]:
+    return lambda node: isinstance(node, ast.Name) and node.id in ids
+
+
+def _swap_names(a: str, b: str) -> Callable[[ast.AST], ast.AST]:
+    return lambda node: ast.Name(b if node.id == a else a, ast.Load())
+
+
+def _calls(func: str, *arg_ids: str) -> Callable[[ast.AST], bool]:
+    """A call of ``func`` whose arguments are the names ``arg_ids``."""
+    return lambda node: (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                         and node.func.id == func
+                         and [getattr(arg, "id", None) for arg in node.args] == list(arg_ids))
+
+
+def _bound(direction: str) -> Callable[[ast.AST], bool]:
+    """A ``DirectedReal(..., DOWN)`` (or UP) call: one end of a bracket."""
+    return lambda node: (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                         and node.func.id == "DirectedReal" and len(node.args) == 3
+                         and _is_name(direction)(node.args[2]))
+
+
+def _moved(delta: int) -> Callable[[ast.AST], ast.AST]:
+    """The same call with its mantissa moved by delta."""
+    def make(node: ast.Call) -> ast.AST:
+        node.args[0] = ast.BinOp(node.args[0], ast.Add(), ast.Constant(delta))
+        return node
+    return make
+
+
+class Mutant(NamedTuple):
+    target: str                # source file, relative to the checkout
+    tests: tuple[str, ...]     # test files that must catch the edit
+    edit: Edit
+
+
+def _group(target: str, *tests: str) -> Callable[[Edit], Mutant]:
+    return lambda edit: Mutant(target, tests, edit)
+
+
+cantor = _group("src/liminfdim/cantor.py", "tests/test_cantor.py", "tests/test_residue_window.py")
+numerics = _group("src/liminfdim/numerics.py", "tests/test_numerics.py",
+                  "tests/test_enclosure_properties.py", "tests/test_power_kernel.py",
+                  "tests/test_log_table.py", "tests/test_sequences.py", "tests/test_golden.py")
+level_sets = _group("src/liminfdim/level_sets.py", "tests/test_level_sets.py",
+                    "tests/test_golden.py")
+
+MUTANTS: dict[str, Mutant] = {
+    "meet span first +1": cantor(shift_span("meet", 0, 1)),
+    "meet span first -1": cantor(shift_span("meet", 0, -1)),
+    "meet span last +1": cantor(shift_span("meet", 1, 1)),
+    "meet span last -1": cantor(shift_span("meet", 1, -1)),
+    "inside span first +1": cantor(shift_span("inside", 0, 1)),
+    "inside span first -1": cantor(shift_span("inside", 0, -1)),
+    "inside span last +1": cantor(shift_span("inside", 1, 1)),
+    "inside span last -1": cantor(shift_span("inside", 1, -1)),
+    "drop the -q copy": cantor(drop_copy(-1)),
+    "drop the +q copy": cantor(drop_copy(1)),
+    "long-window rule >= -> >": cantor(swap_compare(_long_rule, ast.Gt)),
+    "fan-out cap > -> >=": cantor(swap_compare(_cap, ast.GtE)),
+    "no zero-fill": cantor(drop_zero_fill),
+    "first child +1": cantor(offset_end("lo", 1)),
+    "first child -1": cantor(offset_end("lo", -1)),
+    "last child +1": cantor(offset_end("hi", 1)),
+    "last child -1": cantor(offset_end("hi", -1)),
+    "first-child parent +1": cantor(offset_parent_search(0, 1)),
+    "first-child parent -1": cantor(offset_parent_search(0, -1)),
+    "last-child parent +1": cantor(offset_parent_search(1, 1)),
+    "last-child parent -1": cantor(offset_parent_search(1, -1)),
+    "LogTable: no guard bits": numerics(replace(
+        _in_class("LogTable"), _is_name("LOG_GUARD_BITS"), lambda node: ast.Constant(0))),
+    "LogTable: no a = b**k check": numerics(replace(
+        _in_class("LogTable", "ratio"), _calls("_power_exponent_of", "a", "b"),
+        lambda node: ast.Constant(None))),
+    "LogTable: no b = a**k check": numerics(replace(
+        _in_class("LogTable", "ratio"), _calls("_power_exponent_of", "b", "a"),
+        lambda node: ast.Constant(None))),
+    "_radius_grid: floor <-> ceil": level_sets(replace(
+        _in_function("_radius_grid"), _is_name("_shift_floor", "_shift_ceil"),
+        _swap_names("_shift_floor", "_shift_ceil"))),
+    "pow_frac: every base exact": numerics(replace(
+        _in_class("Enclosure", "pow_frac"),
+        lambda node: isinstance(node, ast.Attribute) and node.attr == "is_exact",
+        lambda node: ast.Constant(True))),
+    "_log2_bracket: lower end +1": numerics(replace(
+        _in_function("_log2_bracket"), _bound("DOWN"), _moved(1))),
+    "_log2_bracket: lower end -1": numerics(replace(
+        _in_function("_log2_bracket"), _bound("DOWN"), _moved(-1))),
+    "_log2_bracket: upper end +1": numerics(replace(
+        _in_function("_log2_bracket"), _bound("UP"), _moved(1))),
+    "_log2_bracket: upper end -1": numerics(replace(
+        _in_function("_log2_bracket"), _bound("UP"), _moved(-1))),
+    "_div_directed: DOWN <-> UP": numerics(replace(
+        _in_function("_div_directed"), _is_name("DOWN", "UP"), _swap_names("DOWN", "UP"))),
 }
 
 
-def run_tests(workdir: Path) -> tuple[bool, float]:
+def run_tests(workdir: Path, tests: tuple[str, ...]) -> tuple[bool, float]:
     env = dict(os.environ, PYTHONPATH=str(workdir / "src"), PYTHONDONTWRITEBYTECODE="1")
     t0 = time.monotonic()
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-             "--hypothesis-seed=0", *TESTS],
+             "--hypothesis-seed=0", *tests],
             cwd=workdir, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
             timeout=TIMEOUT)
         passed = proc.returncode == 0
@@ -203,30 +314,36 @@ def run_tests(workdir: Path) -> tuple[bool, float]:
 
 
 def main() -> int:
-    source = (ROOT / TARGET).read_text()
+    sources = {m.target: (ROOT / m.target).read_text() for m in MUTANTS.values()}
+    # every target through the same parse and unparse as a mutant
+    baseline = {target: ast.unparse(ast.parse(text)) for target, text in sources.items()}
+    all_tests = tuple(dict.fromkeys(t for m in MUTANTS.values() for t in m.tests))
     survived = 0
     with tempfile.TemporaryDirectory(prefix="liminfdim-mutants-") as tmp:
         work = Path(tmp)
         shutil.copytree(ROOT / "src", work / "src")
         shutil.copytree(ROOT / "tests", work / "tests",
                         ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
-        target = work / TARGET
-        # the unmutated source, through the same parse and unparse as a mutant
-        target.write_text(ast.unparse(ast.parse(source)))
-        ok, secs = run_tests(work)
-        print(f"{'unmutated':28} {'passes' if ok else 'FAILS'}  ({secs:.0f} s)", flush=True)
+        shutil.copytree(ROOT / "demos", work / "demos",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        for target, text in baseline.items():
+            (work / target).write_text(text)
+        ok, secs = run_tests(work, all_tests)
+        print(f"{'unmutated':32} {'passes' if ok else 'FAILS'}  ({secs:.0f} s)", flush=True)
         if not ok:
             print("the tests fail without a mutant; nothing to measure", file=sys.stderr)
             return 2
-        for name, edit in MUTANTS.items():
-            tree = ast.parse(source)
-            if not edit(tree):
-                print(f"{name:28} n/a", flush=True)
+        for name, mutant in MUTANTS.items():
+            tree = ast.parse(sources[mutant.target])
+            if not mutant.edit(tree):
+                print(f"{name:32} n/a", flush=True)
                 continue
+            target = work / mutant.target
             target.write_text(ast.unparse(ast.fix_missing_locations(tree)))
-            passed, secs = run_tests(work)
+            passed, secs = run_tests(work, mutant.tests)
+            target.write_text(baseline[mutant.target])
             survived += passed
-            print(f"{name:28} {'SURVIVED' if passed else 'killed'}  ({secs:.0f} s)", flush=True)
+            print(f"{name:32} {'SURVIVED' if passed else 'killed'}  ({secs:.0f} s)", flush=True)
     return 1 if survived else 0
 
 
