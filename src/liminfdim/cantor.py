@@ -31,7 +31,7 @@ from typing import Optional
 from .dimension import RegimeViolationError, branching_factors
 from .level_sets import (BudgetExceededError, LevelParams, _radius_grid, _scale_for,
                          residue_span)
-from .numerics import Enclosure, _resolve_prec
+from .numerics import ONE, DirectedReal, Enclosure, _resolve_prec, pow_exponent_below
 from .sequences import QSequence
 
 DEFAULT_NODE_BUDGET = 10 ** 6
@@ -113,13 +113,14 @@ class CantorTree:
                     k + 1, f"level radius too large for the 1/(2 q) separation at q={q}")
             self._sep_lo.append(sep)
 
-        # cumulative 1-d node counts and uniform per-level measures
+        # cumulative node counts, per coordinate and of the product; every
+        # level-k node carries measure 1 / self._counts[k - 1]
         self._count_1d = []
         total = 1
         for b in self.branching_1d:
             total *= b
             self._count_1d.append(total)
-        self._measures = [Fraction(1, c ** params.d) for c in self._count_1d]
+        self._counts = [c ** params.d for c in self._count_1d]
 
         # nesting sanity on the leftmost path of each coordinate
         for i in range(params.d):
@@ -138,7 +139,7 @@ class CantorTree:
         return self._count_1d[level - 1]
 
     def level_count(self, level: int) -> int:
-        return self._count_1d[level - 1] ** self.params.d
+        return self._counts[level - 1]
 
     def node_measure(self, level: int) -> Fraction:
         """Measure of any level-k node; the measure is uniform per level.
@@ -148,7 +149,7 @@ class CantorTree:
         """
         if level == 0:
             return Fraction(1)
-        return self._measures[level - 1]
+        return Fraction(1, self._counts[level - 1])
 
     def center_1d(self, coord: int, level: int, m: int) -> Fraction:
         return (m + self.params.theta[coord]) / self.qs.terms[level - 1]
@@ -215,15 +216,20 @@ class CantorTree:
 
     def sample_point(self, rng: random.Random, perturb: bool = True) -> tuple[Fraction, ...]:
         """A leaf centre, optionally perturbed but kept inside the leaf."""
+        q = self.qs.terms[self.depth - 1]
+        shift = 24 + self._scale
         point = []
-        for i in range(self.params.d):
-            path = self.sample_leaf_path(i, rng)
-            c = self.center_1d(i, self.depth, path[-1])
+        for i, theta in enumerate(self.params.theta):
+            m = self.sample_leaf_path(i, rng)[-1]
+            # the centre (m + theta) / q over q * theta.denominator * 2**(24 + scale)
+            qd = q * theta.denominator
+            num = (m * theta.denominator + theta.numerator) << shift
             if perturb:
-                # dyadic offset within half the certified leaf radius
-                t = Fraction(rng.getrandbits(24) - (1 << 23), 1 << 24)
-                c = c + t * Fraction(self._r_lo[self.depth - 1], 1 << self._scale)
-            point.append(c % 1)
+                # a dyadic offset t * r_lo with |t| <= 1/2 (t on a 2**-24 grid),
+                # inside the certified leaf radius r_lo = _r_lo / 2**scale
+                num += (rng.getrandbits(24) - (1 << 23)) * self._r_lo[self.depth - 1] * qd
+            den = qd << shift
+            point.append(Fraction(num % den, den))
         return tuple(point)
 
     # -- measure queries ----------------------------------------------------
@@ -335,7 +341,11 @@ class CantorTree:
 
         Per level, the mass inside the ball is at most (boxes meeting the
         ball) * level measure and at least (boxes inside the ball) * level
-        measure; the final answer intersects the bounds across levels.
+        measure; the final answer intersects the bounds across levels.  The
+        bounds are held as integer pairs (boxes, level node count) and
+        compared by cross-multiplying.  The upper end is at most the total
+        mass 1: it starts there, and rounding a smaller value up at ``prec``
+        bits cannot pass 1.
         """
         if len(ball.center) != self.params.d:
             raise ValueError("ball dimension mismatch")
@@ -346,20 +356,24 @@ class CantorTree:
 
         per_coord = [self._window_counts(i, self.depth, ball.center[i], rad_hi, rad_lo)
                      for i in range(self.params.d)]
-        best_hi = Fraction(1)
-        best_lo = Fraction(0)
+        hi_num, hi_den = 1, 1
+        lo_num, lo_den = 0, 1
         levels = min(len(c) for c in per_coord)
         for k in range(levels):
             meet = 1
             inside = 1
-            for i in range(self.params.d):
-                meet *= per_coord[i][k][0]
-                inside *= per_coord[i][k][1]
-            mu = self.node_measure(k + 1)
-            best_hi = min(best_hi, meet * mu)
-            best_lo = max(best_lo, inside * mu)
-        best_lo = min(best_lo, best_hi)
-        return Enclosure.from_endpoints(best_lo, best_hi, self.prec)
+            for counts in per_coord:
+                meet *= counts[k][0]
+                inside *= counts[k][1]
+            n = self._counts[k]
+            if meet * hi_den < hi_num * n:
+                hi_num, hi_den = meet, n
+            if inside * lo_den > lo_num * n:
+                lo_num, lo_den = inside, n
+        if lo_num * hi_den > hi_num * lo_den:
+            lo_num, lo_den = hi_num, hi_den
+        return Enclosure.from_endpoints(Fraction(lo_num, lo_den), Fraction(hi_num, hi_den),
+                                        self.prec)
 
     # -- certificates --------------------------------------------------------
 
@@ -369,32 +383,63 @@ class CantorTree:
 
         Evidence, not proof: the principle quantifies over all balls, and
         the analytic lower bound lives in the dimension module.
+
+        The ratio of a ball is mu.hi / (radius**s).lo, and ``worst_ball`` is
+        the first ball with the largest.  A ball that cannot beat the best
+        so far is skipped unmeasured, or measured without its power: with
+        2**k below (radius**s).lo (``pow_exponent_below``) and mu.hi <= 1
+        (``ball_measure``), its ratio is below mu.hi / 2**k <= 2**-k, so when
+        either bound is at most the best, the ratio is strictly below it and
+        the result is the same.  Every sample still draws its point and radius, so the random
+        stream does not depend on the skips.  Ratios are compared as shifted
+        integers; ``max_ratio`` is one ``Fraction``, built at the end.
         """
         s = Fraction(s)
         check_holder(s, samples, self.params.d)
         rng = random.Random(seed)
         r_min = self.min_separation(self.depth) / 4
-        # bit lengths stand in for log2(r_min); exact dyadic radii, no floats
+        # a radius clamped to r_min, which is not dyadic in general, is its
+        # enclosure at the default precision; every other radius is dyadic
+        r_min_enc = Enclosure.from_fraction(r_min)
+        # bit lengths stand in for log2(r_min)
         log_lo = r_min.numerator.bit_length() - r_min.denominator.bit_length() - 1
-        best: Optional[Fraction] = None
-        worst: Optional[Ball] = None
+        best_mu = best_pow = worst = None
         for _ in range(samples):
             point = self.sample_point(rng, perturb=rng.random() < 0.5)
-            u = rng.uniform(log_lo, 0.0)
-            e = math.floor(u)
+            e = math.floor(rng.uniform(log_lo, 0.0))
             mantissa = (1 << 30) + rng.getrandbits(30)
-            r = Fraction(mantissa, 1 << 31) * Fraction(2) ** (e + 1)
-            r = max(r_min, min(Fraction(1), r))
-            ball = Ball(point, Enclosure.from_fraction(r))
-            mu = self.ball_measure(ball)
-            denom = ball.radius.pow_frac(s, self.prec)
-            ratio = mu.hi.as_fraction() / denom.lo.as_fraction()
-            if best is None or ratio > best:
-                best = ratio
-                worst = ball
-        assert best is not None and worst is not None
+            # the radius mantissa * 2**(e - 30), in [2**e, 2**(e + 1)), clamped
+            # to [r_min, 1]; r_min < 1
+            if e >= 0:
+                radius = ONE
+            elif mantissa * r_min.denominator <= r_min.numerator << (30 - e):
+                radius = r_min_enc
+            else:
+                radius = Enclosure.exact_dyadic(mantissa, e - 30)
+            if worst is not None:
+                # the ratio is below mu.hi / below <= 1 / below
+                below = DirectedReal(1, pow_exponent_below(radius.lo, s))
+                if not _exceeds(ONE.hi, below, best_mu, best_pow):
+                    continue
+            ball = Ball(point, radius)
+            mu = self.ball_measure(ball).hi
+            if worst is not None and not _exceeds(mu, below, best_mu, best_pow):
+                continue
+            pow_lo = radius.pow_frac(s, self.prec).lo
+            if worst is None or _exceeds(mu, pow_lo, best_mu, best_pow):
+                best_mu, best_pow, worst = mu, pow_lo, ball
+        assert worst is not None
         return HolderCertificate(s=s, samples=samples, seed=seed,
-                                 max_ratio=best, worst_ball=worst)
+                                 max_ratio=best_mu.as_fraction() / best_pow.as_fraction(),
+                                 worst_ball=worst)
+
+
+def _exceeds(a: DirectedReal, b: DirectedReal, c: DirectedReal, d: DirectedReal) -> bool:
+    """a / b > c / d for dyadics a, c >= 0 and b, d > 0, on shifted integers."""
+    x, ex = a.mantissa * d.mantissa, a.exponent + d.exponent
+    y, ey = c.mantissa * b.mantissa, c.exponent + b.exponent
+    e = min(ex, ey)
+    return x << (ex - e) > y << (ey - e)
 
 
 def build_tree(

@@ -14,6 +14,7 @@ report written.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from fractions import Fraction
@@ -178,11 +179,18 @@ def plot(report: dict, kind: str, path: str) -> None:
         enum = results.get("enumerate")
         if not enum or not enum.get("levels"):
             raise MissingSeriesError(kind, "enumerate")
-        p = Plot("components against box size", "max component length", "components",
-                 xlog=True, ylog=True)
-        # a count past int_json's decimal range is a '0x...' string
-        pts = [(st["max_len_float"], max(1, rep._parse_int(str(st["count"]["max"]))))
-               for st in enum["levels"]]
+        # lengths can lie below the double range (max_len_float 0.0), so x is
+        # log2 of the exact max_len, taken from its numerator and denominator;
+        # a level with no component has no length to place
+        p = Plot("components against box size", "max component length (log2)", "components",
+                 ylog=True)
+        pts = []
+        for st in enum["levels"]:
+            length = rep.parse_rational(st["max_len"])
+            if length > 0:
+                # a count past int_json's decimal range is a '0x...' string
+                pts.append((math.log2(length.numerator) - math.log2(length.denominator),
+                            max(1, rep._parse_int(str(st["count"]["max"])))))
         p.add_series("outer count", pts, color="steelblue")
         Path(path).write_text(p.render(), encoding="ascii")
     elif kind == "cover_overlay":

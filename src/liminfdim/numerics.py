@@ -473,6 +473,20 @@ def _pow_bracket(p_int: int, shift: int, sign: int, b: int, prec: int) -> Enclos
     return Enclosure(lo, hi)
 
 
+def pow_exponent_below(x: DirectedReal, s: Fraction) -> int:
+    """An integer k with 2**k < lo for the lower end lo of
+    ``pow_frac(s, prec)`` of any enclosure whose lower end is x > 0, at
+    any precision, for s > 0.
+
+    With x = m * 2**e and n = m.bit_length(), x >= 2**(e + n - 1), so
+    x**s >= 2**floor((e + n - 1) * s) = 2**(k + 1).  ``_pow_bracket``'s
+    lower end is x**s itself or n' / 2**t with n' = floor(2**t * x**s)
+    of at least prec + 2 bits, which exceeds x**s - 2**-t >=
+    x**s * (1 - 2**-(prec + 1)) > x**s / 2 >= 2**k.
+    """
+    return (x.exponent + x.mantissa.bit_length() - 1) * s.numerator // s.denominator - 1
+
+
 def dir_pow(q: int, e: Union[Fraction, int], prec: Optional[int] = None) -> Enclosure:
     """Enclosure of q**e for an integer q >= 1 and rational exponent e.
 

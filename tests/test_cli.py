@@ -379,12 +379,31 @@ class TestPlot:
         # a count past DECIMAL_MAX_BITS is written as a '0x...' string
         count = int_json(1 << 20000)
         level = {"level": 1, "q": 256, "count": {"min": count, "max": count},
-                 "max_len_float": 2.0 ** -15}
+                 "max_len": "1/32768", "max_len_float": 2.0 ** -15}
         path = tmp_path / "report.json"
         path.write_text(json.dumps({"results": {"enumerate": {"levels": [level]}}}))
         out = tmp_path / "count.svg"
         assert main(["plot", str(path), "--kind", "count_vs_scale", "--out", str(out)]) == 0
         assert out.read_text().startswith("<svg ")
+
+    @pytest.mark.parametrize("cfg, points", [
+        # the longest component of level 1 is about 1000**-201: max_len_float 0.0
+        ("sequence = explicit\nterms = 1000\ntau = 200\ndepth = 1\n", 1),
+        # level 3 is empty, so it has no length to place
+        ("sequence = explicit\nterms = 2, 3, 5\ntau = 3\ntheta = 1/4\ndepth = 3\n", 2),
+    ], ids=["below-the-double-range", "empty-level"])
+    def test_count_plot_reads_exact_lengths(self, tmp_path, capsys, cfg, points):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(cfg + "tasks = enumerate\n")
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        levels = report["results"]["enumerate"]["levels"]
+        assert any(level["max_len_float"] == 0.0 for level in levels)
+        out = tmp_path / "count.svg"
+        assert main(["plot", str(tmp_path / "out" / "report.json"), "--kind", "count_vs_scale",
+                     "--out", str(out)]) == 0
+        assert "plot error" not in capsys.readouterr().err
+        assert out.read_text().count("<circle ") == points
 
     def test_cover_overlay_square_count(self, tmp_path):
         cfg = parse_config("sequence = power\ntasks = multiplicative\ngamma = 1/64\n")

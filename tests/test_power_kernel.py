@@ -14,6 +14,9 @@ takes its roots.
 
 ``reference_pow_frac`` brackets each end of the base on its own, as
 ``Enclosure.pow_frac`` did before an exact base took a single bracket.
+
+``pow_exponent_below`` must stay strictly under the lower end of every
+``pow_frac`` it bounds, exact results and 8-bit precision included.
 """
 
 import math
@@ -32,6 +35,7 @@ from liminfdim.numerics import (
     _iroot,
     _split_pow2,
     dir_pow,
+    pow_exponent_below,
 )
 
 
@@ -225,3 +229,48 @@ def test_exact_powers_with_shifts():
 def test_zero_is_exact_dyadic(direction, prec):
     z = DirectedReal.from_fraction(F(0), prec, direction)
     assert (z.mantissa, z.exponent, z.direction) == (0, 0, direction)
+
+
+@st.composite
+def bound_cases(draw):
+    """A positive radius enclosure: a 31-bit or 130- to 300-bit mantissa, one
+    just above a power of two, or an exact power whose s-th power is dyadic;
+    or a non-dyadic rational rounded outward."""
+    kind = draw(st.sampled_from(["31-bit", "long", "above-2^j", "exact", "rational"]))
+    e = draw(st.integers(-200, 8))
+    s = draw(st.builds(F, st.integers(1, 40), st.integers(1, 12)))
+    if kind == "31-bit":
+        enc = Enclosure.exact_dyadic(draw(st.integers(1 << 30, (1 << 31) - 1)), e)
+    elif kind == "long":
+        enc = Enclosure.exact_dyadic(draw(st.integers(1 << 129, (1 << 300) - 1)), e)
+    elif kind == "above-2^j":
+        j = draw(st.integers(0, 140))
+        enc = Enclosure.exact_dyadic((1 << j) + draw(st.integers(0, 3)), e)
+    elif kind == "exact":
+        # (root**b * 2**(b * u))**(a / b) = root**a * 2**(a * u)
+        b = s.denominator
+        root = draw(st.integers(1, 1 << 12))
+        enc = Enclosure.exact_dyadic(root ** b, b * draw(st.integers(-60, 4)))
+    else:
+        enc = Enclosure.from_fraction(F(draw(st.integers(1, 1 << 40)),
+                                        draw(st.integers(2, 1 << 60))), draw(PRECS))
+    return enc, s
+
+
+@settings(max_examples=600, deadline=None)
+@given(bound_cases(), st.integers(8, 256))
+def test_pow_exponent_below_is_strict(case, prec):
+    enc, s = case
+    k = pow_exponent_below(enc.lo, s)
+    lo = enc.pow_frac(s, prec).lo
+    assert DirectedReal(1, k) < lo
+
+
+def test_pow_exponent_below_at_exact_powers():
+    # where r**s is exactly 2**(k + 1), the bound is one power of two below it
+    for e, s in [(-10, F(1)), (0, F(3)), (-40, F(1, 2)), (7, F(5, 7)), (-6, F(2, 3)),
+                 (-33, F(11, 3))]:
+        for prec in (8, 9, 128, 256):
+            lo = Enclosure.exact_dyadic(1, e).pow_frac(s, prec).lo
+            k = pow_exponent_below(DirectedReal(1, e), s)
+            assert lo == DirectedReal(1, k + 1)

@@ -7,11 +7,14 @@ and the tree walks its child ranges and ball windows through the kernel on
 one integer grid.  These tests check the kernel against brute force, the
 intersection against point membership, the fused build against build then
 intersect and against the per-arc builder it replaced, the tree against
-the ``Fraction`` formulas it replaced, and the tree's ball walk on
+the ``Fraction`` formulas it replaced, the tree's ball walk on
 tree-index ranges against the walks it replaced, on residue ranges and on
-candidate lists; the replaced code is kept here as the reference.
+candidate lists, and the Holder certificate, which skips balls that cannot
+raise its worst ratio, against the ``Fraction`` loop that measured every
+ball; the replaced code is kept here as the reference.
 """
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -300,6 +303,48 @@ def fraction_ball_measure(tree, ball, window_counts=fraction_window_counts):
         best_hi = min(best_hi, meet * tree.node_measure(k + 1))
         best_lo = max(best_lo, inside * tree.node_measure(k + 1))
     return Enclosure.from_endpoints(min(best_lo, best_hi), best_hi, tree.prec)
+
+
+def reference_sample_point(tree, rng, perturb=True):
+    point = []
+    for i in range(tree.params.d):
+        path = tree.sample_leaf_path(i, rng)
+        c = tree.center_1d(i, tree.depth, path[-1])
+        if perturb:
+            t = F(rng.getrandbits(24) - (1 << 23), 1 << 24)
+            c = c + t * F(tree._r_lo[tree.depth - 1], 1 << tree._scale)
+        point.append(c % 1)
+    return tuple(point)
+
+
+def reference_holder_balls(tree, s, samples, seed):
+    """Every sampled ball with its certified ratio, in sampling order: the
+    certificate's loop before it skipped balls, on ``Fraction`` values."""
+    rng = random.Random(seed)
+    r_min = tree.min_separation(tree.depth) / 4
+    log_lo = r_min.numerator.bit_length() - r_min.denominator.bit_length() - 1
+    out = []
+    for _ in range(samples):
+        point = reference_sample_point(tree, rng, perturb=rng.random() < 0.5)
+        u = rng.uniform(log_lo, 0.0)
+        e = math.floor(u)
+        mantissa = (1 << 30) + rng.getrandbits(30)
+        r = F(mantissa, 1 << 31) * F(2) ** (e + 1)
+        r = max(r_min, min(F(1), r))
+        ball = Ball(point, Enclosure.from_fraction(r))
+        mu = tree.ball_measure(ball)
+        denom = ball.radius.pow_frac(s, tree.prec)
+        out.append((mu.hi.as_fraction() / denom.lo.as_fraction(), ball))
+    return out
+
+
+def reference_holder_certificate(tree, s, samples, seed):
+    """(max_ratio, worst_ball): the first ball of the largest ratio."""
+    best = worst = None
+    for ratio, ball in reference_holder_balls(tree, F(s), samples, seed):
+        if best is None or ratio > best:
+            best, worst = ratio, ball
+    return best, worst
 
 
 @st.composite
@@ -615,3 +660,59 @@ def test_walk_continues_at_exactly_the_cap():
         counts = POWER_D2._window_counts(i, POWER_D2.depth, center[-1], radius, radius)
         assert len(counts) == 4 and counts[2][0] == n
     assert_walk_matches(POWER_D2, tuple(center), Enclosure.from_fraction(radius))
+
+
+# -- Holder certificates, against the loop that measured every ball ----------------------
+
+def certificate_bits(max_ratio, ball):
+    """The ratio, the centre and the radius enclosure with its direction tags."""
+    radius = tuple((d.mantissa, d.exponent, d.direction) for d in (ball.radius.lo, ball.radius.hi))
+    return max_ratio, ball.center, radius
+
+
+def holder_exponents(d):
+    """Across (0, d + 1), s >= 1 included, and the benchmark's 3d/10."""
+    return st.one_of(st.just(F(3, 10) * d),
+                     st.fractions(0, d + 1, max_denominator=60).filter(lambda x: 0 < x < d + 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tree=walk_trees(), data=st.data())
+def test_certificate_matches_reference(tree, data):
+    s = data.draw(holder_exponents(tree.params.d))
+    samples = data.draw(st.integers(1, 40))
+    seed = data.draw(st.integers(0, (1 << 32) - 1))
+    cert = tree.holder_certificate(s, samples, seed)
+    ref = reference_holder_certificate(tree, s, samples, seed)
+    assert certificate_bits(cert.max_ratio, cert.worst_ball) == certificate_bits(*ref)
+
+
+def test_certificate_keeps_the_first_of_tied_balls():
+    # samples 13 and 18 reach the largest ratio with different centres
+    tree = build_tree(QSequence((9, 657, 4316500)), LevelParams(theta=(F(5, 8),), tau=F(1)))
+    s, samples, seed = F(19, 10), 40, 0
+    balls = reference_holder_balls(tree, s, samples, seed)
+    best = max(ratio for ratio, _ in balls)
+    tied = [ball for ratio, ball in balls if ratio == best]
+    assert len(tied) == 2 and tied[0].center != tied[1].center
+    cert = tree.holder_certificate(s, samples, seed)
+    assert certificate_bits(cert.max_ratio, cert.worst_ball) == certificate_bits(best, tied[0])
+
+
+def test_certificate_skips_most_powers(monkeypatch):
+    # on the benchmark's s = 3d/10, most balls cannot raise the worst ratio
+    # and take no power: 11 of these 60 take one.  The certificate is still
+    # the reference's
+    calls = []
+    inner = Enclosure.pow_frac
+
+    def counted(self, s, prec=None):
+        calls.append(s)
+        return inner(self, s, prec)
+
+    monkeypatch.setattr(Enclosure, "pow_frac", counted)
+    cert = TINY_D2.holder_certificate(F(3, 5), 60, 2)
+    assert 0 < len(calls) <= 11
+    monkeypatch.undo()
+    ref = reference_holder_certificate(TINY_D2, F(3, 5), 60, 2)
+    assert certificate_bits(cert.max_ratio, cert.worst_ball) == certificate_bits(*ref)

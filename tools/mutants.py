@@ -1,4 +1,4 @@
-"""Mutation runner for the Cantor tree's ball walk and the numeric kernels.
+"""Mutation runner for the Cantor tree, the level builder and the numeric kernels.
 
 Applies a fixed table of small edits, one at a time, to a copy of the
 repository under a temporary directory.  Each entry of ``MUTANTS`` names the
@@ -7,22 +7,25 @@ source file it edits and the test files that must catch it, and runs
     python -m pytest -x <its test files>
 
 there in one subprocess per mutant.  A mutant is killed when the tests fail
-and survives when they pass; a surviving mutant is a gap in the tests.  A
-test run that takes longer than ``TIMEOUT`` seconds counts as killed.  An
-edit whose target the source does not have is reported as "n/a".
+and survives when they pass; a surviving mutant is a gap in the tests,
+unless the table marks it equivalent, with the reason: no input can tell
+it from the source, so it always survives.  A test run that takes longer
+than ``TIMEOUT`` seconds counts as killed.  An edit whose target the source
+does not have is reported as "n/a".
 
 Usage, from the root of a checkout (about ten minutes):
 
     python3 tools/mutants.py
 
-The exit status is 0 when every applicable mutant was killed, 1 when one
-survived, and 2 when the tests fail without a mutant.  It is a report, not
-a gate: no CI step runs it.
+The exit status is 0 when every applicable mutant not marked equivalent
+was killed, 1 when one survived, and 2 when the tests fail without a
+mutant.  It is a report, not a gate: no CI step runs it.
 """
 
 from __future__ import annotations
 
 import ast
+import copy
 import os
 import shutil
 import subprocess
@@ -51,20 +54,30 @@ def _walk(tree: ast.Module) -> list[ast.AST]:
     return [] if fn is None else list(ast.walk(fn))
 
 
-def _span_calls(tree: ast.Module, window: str) -> list[ast.Call]:
-    """The walk's ``residue_span`` calls for the meeting window (its lower
-    end reads ``ball_hi``) or the inside window (``ball_lo``)."""
-    ball = "ball_hi" if window == "meet" else "ball_lo"
-    return [node for node in _walk(tree)
+def _span_calls(nodes: list[ast.AST], name: str) -> list[ast.Call]:
+    """The ``residue_span`` calls among nodes whose lower end reads ``name``."""
+    return [node for node in nodes
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
             and node.func.id == "residue_span" and node.args
-            and ball in {n.id for n in ast.walk(node.args[0]) if isinstance(n, ast.Name)}]
+            and name in {n.id for n in ast.walk(node.args[0]) if isinstance(n, ast.Name)}]
 
 
-def shift_span(window: str, end: int, delta: int) -> Edit:
-    """Move the first (end 0) or last (end 1) residue of a window's span."""
+def walk_span(window: str) -> Callable[[ast.Module], list[ast.Call]]:
+    """The walk's span for the meeting window (its lower end reads
+    ``ball_hi``) or the inside window (``ball_lo``)."""
+    return lambda tree: _span_calls(_walk(tree), "ball_hi" if window == "meet" else "ball_lo")
+
+
+def build_span(tree: ast.Module) -> list[ast.Call]:
+    """``build_level``'s span for each window of the set it refines."""
+    fn = _function(tree, "build_level")
+    return [] if fn is None else _span_calls(list(ast.walk(fn)), "wlo")
+
+
+def shift_span(spans: Callable[[ast.Module], list[ast.Call]], end: int, delta: int) -> Edit:
+    """Move the first (end 0) or last (end 1) residue of the chosen spans."""
     def edit(tree: ast.Module) -> bool:
-        calls = _span_calls(tree, window)
+        calls = spans(tree)
         for call in calls:
             # residue_span(lo, hi, ...) -> (lambda s: (s[0] + delta, s[1]))(residue_span(...))
             orig = ast.Call(func=call.func, args=call.args, keywords=call.keywords)
@@ -223,6 +236,54 @@ def _bound(direction: str) -> Callable[[ast.AST], bool]:
                          and _is_name(direction)(node.args[2]))
 
 
+def _is_op(op: type) -> Callable[[ast.AST], bool]:
+    """A single comparison with the operator ``op``."""
+    return lambda node: (isinstance(node, ast.Compare) and len(node.ops) == 1
+                         and isinstance(node.ops[0], op))
+
+
+def _with_op(op: type) -> Callable[[ast.AST], ast.AST]:
+    def make(node: ast.Compare) -> ast.AST:
+        node.ops = [op()]
+        return node
+    return make
+
+
+def _minus_one(node: ast.AST) -> bool:
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+            and isinstance(node.right, ast.Constant) and node.right.value == 1)
+
+
+def drop_not(which: int) -> Edit:
+    """Drop the ``not`` of the skip number ``which`` in ``holder_certificate``."""
+    def edit(tree: ast.Module) -> bool:
+        fn = _function(tree, "holder_certificate")
+        nots = [] if fn is None else [node for node in ast.walk(fn) if isinstance(node, ast.UnaryOp)
+                                      and isinstance(node.op, ast.Not)]
+        if len(nots) <= which:
+            return False
+        hit = nots[which]
+
+        class Drop(ast.NodeTransformer):
+            def visit_UnaryOp(self, node: ast.UnaryOp) -> ast.AST:
+                return node.operand if node is hit else self.generic_visit(node)
+
+        Drop().visit(fn)
+        return True
+    return edit
+
+
+def body_of(source: str, target: str) -> Edit:
+    """Give the function ``target`` the body of the function ``source``."""
+    def edit(tree: ast.Module) -> bool:
+        src, dst = _function(tree, source), _function(tree, target)
+        if src is None or dst is None:
+            return False
+        dst.body = copy.deepcopy(src.body)
+        return True
+    return edit
+
+
 def _moved(delta: int) -> Callable[[ast.AST], ast.AST]:
     """The same call with its mantissa moved by delta."""
     def make(node: ast.Call) -> ast.AST:
@@ -235,10 +296,11 @@ class Mutant(NamedTuple):
     target: str                # source file, relative to the checkout
     tests: tuple[str, ...]     # test files that must catch the edit
     edit: Edit
+    equivalent: bool = False   # no input tells it from the source: it survives
 
 
-def _group(target: str, *tests: str) -> Callable[[Edit], Mutant]:
-    return lambda edit: Mutant(target, tests, edit)
+def _group(target: str, *tests: str) -> Callable[..., Mutant]:
+    return lambda edit, equivalent=False: Mutant(target, tests, edit, equivalent)
 
 
 cantor = _group("src/liminfdim/cantor.py", "tests/test_cantor.py", "tests/test_residue_window.py")
@@ -246,17 +308,17 @@ numerics = _group("src/liminfdim/numerics.py", "tests/test_numerics.py",
                   "tests/test_enclosure_properties.py", "tests/test_power_kernel.py",
                   "tests/test_log_table.py", "tests/test_sequences.py", "tests/test_golden.py")
 level_sets = _group("src/liminfdim/level_sets.py", "tests/test_level_sets.py",
-                    "tests/test_golden.py")
+                    "tests/test_residue_window.py", "tests/test_golden.py")
 
 MUTANTS: dict[str, Mutant] = {
-    "meet span first +1": cantor(shift_span("meet", 0, 1)),
-    "meet span first -1": cantor(shift_span("meet", 0, -1)),
-    "meet span last +1": cantor(shift_span("meet", 1, 1)),
-    "meet span last -1": cantor(shift_span("meet", 1, -1)),
-    "inside span first +1": cantor(shift_span("inside", 0, 1)),
-    "inside span first -1": cantor(shift_span("inside", 0, -1)),
-    "inside span last +1": cantor(shift_span("inside", 1, 1)),
-    "inside span last -1": cantor(shift_span("inside", 1, -1)),
+    "meet span first +1": cantor(shift_span(walk_span("meet"), 0, 1)),
+    "meet span first -1": cantor(shift_span(walk_span("meet"), 0, -1)),
+    "meet span last +1": cantor(shift_span(walk_span("meet"), 1, 1)),
+    "meet span last -1": cantor(shift_span(walk_span("meet"), 1, -1)),
+    "inside span first +1": cantor(shift_span(walk_span("inside"), 0, 1)),
+    "inside span first -1": cantor(shift_span(walk_span("inside"), 0, -1)),
+    "inside span last +1": cantor(shift_span(walk_span("inside"), 1, 1)),
+    "inside span last -1": cantor(shift_span(walk_span("inside"), 1, -1)),
     "drop the -q copy": cantor(drop_copy(-1)),
     "drop the +q copy": cantor(drop_copy(1)),
     "long-window rule >= -> >": cantor(swap_compare(_long_rule, ast.Gt)),
@@ -295,6 +357,36 @@ MUTANTS: dict[str, Mutant] = {
         _in_function("_log2_bracket"), _bound("UP"), _moved(-1))),
     "_div_directed: DOWN <-> UP": numerics(replace(
         _in_function("_div_directed"), _is_name("DOWN", "UP"), _swap_names("DOWN", "UP"))),
+    "_shift_floor rounds up": numerics(body_of("_shift_ceil", "_shift_floor")),
+    "_shift_ceil rounds down": numerics(body_of("_shift_floor", "_shift_ceil")),
+    "pow_exponent_below: no -1": numerics(replace(
+        _in_function("pow_exponent_below"), _minus_one, lambda node: node.left)),
+    "holder: no walk skip": cantor(drop_not(0)),
+    "holder: no power skip": cantor(drop_not(1)),
+    "holder: ratio > -> >=": cantor(replace(
+        _in_function("_exceeds"), _is_op(ast.Gt), _with_op(ast.GtE))),
+    # equivalent: a tie swaps in an equal pair, and each end's Fraction is
+    # the same number
+    "ball_measure: min < -> <=": cantor(replace(
+        _in_class("CantorTree", "ball_measure"), _is_op(ast.Lt), _with_op(ast.LtE)),
+        equivalent=True),
+    "build_level span first +1": level_sets(shift_span(build_span, 0, 1)),
+    # equivalent, both: the extra residue's centre lies more than the radius
+    # outside the window, so its arc ends at or before the window's lower end
+    # (or starts at or after its upper end) and the clip drops it
+    "build_level span first -1": level_sets(shift_span(build_span, 0, -1), equivalent=True),
+    "build_level span last +1": level_sets(shift_span(build_span, 1, 1), equivalent=True),
+    "build_level span last -1": level_sets(shift_span(build_span, 1, -1)),
+    "build_level overlap scan < -> <=": level_sets(replace(
+        _in_function("build_level"),
+        lambda node: _is_op(ast.Lt)(node) and isinstance(node.left, ast.Subscript)
+        and getattr(node.left.value, "id", None) == "nxt", _with_op(ast.LtE))),
+    "build_level wrap overlap > -> >=": level_sets(replace(
+        _in_function("build_level"),
+        lambda node: _is_op(ast.Gt)(node) and isinstance(node.left, ast.BinOp)
+        and isinstance(node.left.op, ast.Sub), _with_op(ast.GtE))),
+    "_clip: lo < hi -> <=": level_sets(replace(
+        _in_function("_clip"), _is_op(ast.Lt), _with_op(ast.LtE))),
 }
 
 
@@ -342,8 +434,12 @@ def main() -> int:
             target.write_text(ast.unparse(ast.fix_missing_locations(tree)))
             passed, secs = run_tests(work, mutant.tests)
             target.write_text(baseline[mutant.target])
-            survived += passed
-            print(f"{name:32} {'SURVIVED' if passed else 'killed'}  ({secs:.0f} s)", flush=True)
+            if passed and mutant.equivalent:
+                outcome = "survived (equivalent)"
+            else:
+                survived += passed
+                outcome = "SURVIVED" if passed else "killed"
+            print(f"{name:32} {outcome}  ({secs:.0f} s)", flush=True)
     return 1 if survived else 0
 
 
