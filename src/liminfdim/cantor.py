@@ -36,6 +36,7 @@ from .sequences import QSequence
 
 DEFAULT_NODE_BUDGET = 10 ** 6
 _QUERY_FANOUT_CAP = 1 << 14
+_HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,8 @@ class Ball:
     radius: Enclosure
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "center", tuple(Fraction(c) % 1 for c in self.center))
+        object.__setattr__(self, "center", tuple(
+            c if type(c) is Fraction and 0 <= c < 1 else Fraction(c) % 1 for c in self.center))
         if self.radius.lo.mantissa <= 0:
             raise ValueError("ball radius must be certainly positive")
 
@@ -351,7 +353,7 @@ class CantorTree:
             raise ValueError("ball dimension mismatch")
         rad_lo = ball.radius.lo.as_fraction()
         rad_hi = ball.radius.hi.as_fraction()
-        if rad_lo >= Fraction(1, 2):
+        if rad_lo >= _HALF:
             return Enclosure.exact_int(1)
 
         per_coord = [self._window_counts(i, self.depth, ball.center[i], rad_hi, rad_lo)

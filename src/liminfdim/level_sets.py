@@ -14,9 +14,10 @@ never materialised; see ``prefix_intersection``.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
+from math import gcd
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -124,11 +125,20 @@ class ArcList:
     hi may exceed 2**scale for at most the last arc (wrap across 0).
     Touching arcs stay separate: their shared endpoint belongs to neither,
     which preserves exact component counts.
+
+    ``total_length``, ``max_length`` and ``min_gap`` walk the arcs, except
+    on the outer lists ``build_level`` returns: their builder computes the
+    three, in grid units, while it makes the runs and keeps them in
+    ``_stats``.
     """
 
     scale: int
     arcs: tuple[tuple[int, int], ...]
     full: bool = False
+    # (total length, largest arc, smallest gap) in grid units; not an
+    # argument, so a list made by ``dataclasses.replace`` walks its own arcs
+    _stats: Optional[tuple[int, int, int]] = field(
+        default=None, init=False, compare=False, repr=False)
 
     @property
     def size(self) -> int:
@@ -174,11 +184,15 @@ class ArcList:
     def total_length(self) -> Fraction:
         if self.full:
             return Fraction(1)
+        if self._stats is not None:
+            return Fraction(self._stats[0], self.size)
         return Fraction(sum(hi - lo for lo, hi in self.arcs), self.size)
 
     def max_length(self) -> Fraction:
         if self.full:
             return Fraction(1)
+        if self._stats is not None:
+            return Fraction(self._stats[1], self.size)
         if not self.arcs:
             return Fraction(0)
         return Fraction(max(hi - lo for lo, hi in self.arcs), self.size)
@@ -187,6 +201,8 @@ class ArcList:
         """Smallest gap between consecutive arcs around the circle."""
         if self.full or not self.arcs:
             return None
+        if self._stats is not None:
+            return Fraction(self._stats[2], self.size)
         gaps = [self.arcs[i + 1][0] - self.arcs[i][1] for i in range(len(self.arcs) - 1)]
         gaps.append(self.arcs[0][0] + self.size - self.arcs[-1][1])
         return Fraction(min(gaps), self.size)
@@ -242,15 +258,20 @@ def _clip(arcs: Iterable[tuple[int, int]], wlo: int, whi: int) -> list[tuple[int
     return [(lo, hi) for lo, hi in ((max(a, wlo), min(b, whi)) for a, b in arcs) if lo < hi]
 
 
-def _circle_order(scale: int, out: list[tuple[int, int]]) -> ArcList:
+def _circle_order(scale: int, out: list[tuple[int, int]],
+                  stats: Optional[tuple[int, int, int]] = None) -> ArcList:
     """Arcs sorted by lower end in the unrolled frame, as an ArcList: those
     that start at or past 2**scale move, shifted back by it, to the front.
-    ``out`` is the caller's scratch list and is cut short."""
+    The move keeps every length and, around the circle, every gap, so
+    ``stats`` taken on ``out`` hold for the result.  ``out`` is the caller's
+    scratch list and is cut short."""
     size = 1 << scale
     k = bisect_left(out, size, key=itemgetter(0))
     front = [(lo - size, hi - size) for lo, hi in out[k:]]
     del out[k:]
-    return ArcList(scale, tuple(front + out))
+    arcs = ArcList(scale, tuple(front + out))
+    object.__setattr__(arcs, "_stats", stats)
+    return arcs
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +336,39 @@ def residue_span(lo: int, hi: int, den: int, q: int, theta: Fraction) -> tuple[i
     return -((tn * den - lo * q * td) // step), (hi * q * td - tn * den) // step
 
 
+def _progression_stats(n: int, rem: int, r: int, den: int,
+                       step: int) -> tuple[int, int, Optional[int]]:
+    """Total length, largest arc and smallest gap (None when n = 1), in grid
+    units, of n >= 1 consecutive outer arcs of one run, none of them cut.
+
+    Centre k lies at (rem + k * step) / den on the grid, 0 <= rem < den.
+    Its arc is (c - r, c + 1 + r) for c the centre rounded down, or
+    (c - r, c + r) when the centre lies on the grid.  With (a, b) =
+    divmod(step, den) and rem_k = (rem + k * b) mod den, centre k is on
+    the grid when rem_k = 0, and the gap after arc k is a - 2r - 1 when
+    0 < rem_k < den - b, else a - 2r.
+    """
+    a, b = divmod(step, den)
+    g = gcd(b, den)
+    on_grid = 0
+    if rem % g == 0:
+        period = den // g
+        first = -(rem // g) * pow(b // g, -1, period) % period
+        if first < n:
+            on_grid = (n - 1 - first) // period + 1
+    total, widest = n * (2 * r + 1) - on_grid, 2 * r + (on_grid < n)
+    if n == 1:
+        return total, widest, None
+    # rem_k falls by den - b per arc while it is at least den - b and climbs
+    # from 0 to b, so two divisions find the first k with 0 < rem_k < den - b
+    fall = den - b
+    k, x = divmod(rem, fall)
+    if not x:
+        m, x = divmod(b, fall)
+        k += 1 + m
+    return total, widest, a - 2 * r - (0 < x and k < n - 1)
+
+
 def build_level(
     q: int,
     params: LevelParams,
@@ -331,8 +385,12 @@ def build_level(
     residues first..last become one run of arcs built from the arithmetic
     progression of their centres.  Both ends of an arc rise with m, so only
     the run's first and last few arcs can cross the window; only those are
-    cut.  The grid is ``within``'s, else the radius's own.  A
-    radius certainly above 1/(2q) covers the torus.  A radius enclosure
+    cut.  The outer list's total length, largest arc and smallest gap come
+    from each run as it is built: ``_progression_stats`` gives those of its
+    uncut arcs in closed form, and the cut arcs, the joins between runs and
+    the gap around the circle are read off the arcs.  The grid is
+    ``within``'s, else the radius's own.  A radius certainly above 1/(2q)
+    covers the torus.  A radius enclosure
     straddling 1/(2q) raises ``IndeterminateRadiusError``, and so do outer
     arcs that overlap: the radius is then within a grid step of 1/(2q),
     where the true arcs may touch.
@@ -371,6 +429,8 @@ def build_level(
             spans = [(wlo, whi, *residue_span(wlo - r, whi + r, size, q, theta))
                      for wlo, whi in windows.arcs]
         out: list[tuple[int, int]] = []
+        total = widest = 0
+        gaps: list[int] = []
         for wlo, whi, first, last in spans:
             if first > last:
                 continue
@@ -390,15 +450,34 @@ def build_level(
             while j > i and run[j - 1][1] > whi:
                 j -= 1
             run[j:] = _clip(run[j:], wlo, whi)
-            run[:i] = _clip(run[:i], wlo, whi)
+            head = _clip(run[:i], wlo, whi)
+            run[:i] = head
+            if not inner and run:
+                # the n uncut arcs h..h+n-1 in closed form; the cut arcs and
+                # every gap that touches them from the arcs themselves, the
+                # uncut ones standing in as one piece
+                h, n = len(head), j - i
+                pieces = run
+                if n:
+                    t, w, g = _progression_stats(n, (n0 + i * step) % den, r_hi, den, step)
+                    total, widest = total + t, max(widest, w)
+                    if g is not None:
+                        gaps.append(g)
+                    pieces = run[:h] + [(run[h][0], run[h + n - 1][1])] + run[h + n:]
+                for lo, hi in run[:h] + run[h + n:]:
+                    total, widest = total + hi - lo, max(widest, hi - lo)
+                if out:
+                    gaps.append(run[0][0] - out[-1][1])  # the join to the run before
+                gaps += [nxt[0] - cur[1] for cur, nxt in zip(pieces, pieces[1:])]
             out += run
-        return _circle_order(scale, out)
+        if inner or not out:
+            return _circle_order(scale, out)
+        gaps.append(out[0][0] + size - out[-1][1])  # around the circle
+        return _circle_order(scale, out, (total, widest, min(gaps)))
 
     inner, outer = cut(inner_w, True), cut(outer_w, False)
-    a = outer.arcs
-    # neighbouring outer arcs are more than size/q - 2*r_hi - 2 apart
-    if (2 * r_hi + 2) * q > size and a and (
-            a[-1][1] - size > a[0][0] or any(nxt[0] < cur[1] for cur, nxt in zip(a, a[1:]))):
+    gap = outer.min_gap()
+    if gap is not None and gap < 0:
         raise IndeterminateRadiusError(
             f"outer arcs for q={q} overlap: the radius is within a grid step of 1/(2q), "
             "where the true arcs may touch")
@@ -411,7 +490,11 @@ def build_level(
 
 @dataclass(frozen=True)
 class LevelStats:
-    """Per-level summary of the running intersection (d-dimensional counts)."""
+    """Per-level summary of the running intersection (d-dimensional counts).
+
+    The lengths and the gap are those ``build_level`` computed for each
+    coordinate's outer list while building it; no arc is walked again.
+    """
 
     level: int
     q: int

@@ -254,6 +254,44 @@ def _minus_one(node: ast.AST) -> bool:
             and isinstance(node.right, ast.Constant) and node.right.value == 1)
 
 
+def _two_r_plus_one(node: ast.AST) -> bool:
+    # 2 * r + 1
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+            and isinstance(node.right, ast.Constant) and node.right.value == 1
+            and isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.Mult)
+            and isinstance(node.left.left, ast.Constant) and node.left.left.value == 2)
+
+
+def _compares(left: Callable[[ast.AST], bool], op: type) -> Callable[[ast.AST], bool]:
+    """A single comparison with the operator ``op`` whose left side ``left`` accepts."""
+    return lambda node: _is_op(op)(node) and left(node.left)
+
+
+def _assigns(name: str) -> Callable[[ast.AST], bool]:
+    """An assignment of a computed value (not a constant) to ``name``."""
+    return lambda node: (isinstance(node, ast.Assign) and len(node.targets) == 1
+                         and _is_name(name)(node.targets[0])
+                         and not isinstance(node.value, ast.Constant))
+
+
+def _value_plus(delta: int) -> Callable[[ast.AST], ast.AST]:
+    def make(node: ast.Assign) -> ast.AST:
+        node.value = ast.BinOp(node.value, ast.Add(), ast.Constant(delta))
+        return node
+    return make
+
+
+def _appends_gap(*ids: str) -> Callable[[ast.AST], bool]:
+    """A ``gaps.append(...)`` statement whose argument reads every name in ``ids``."""
+    def match(node: ast.AST) -> bool:
+        if not (isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
+                and isinstance(node.value.func, ast.Attribute)
+                and node.value.func.attr == "append" and _is_name("gaps")(node.value.func.value)):
+            return False
+        return set(ids) <= {n.id for n in ast.walk(node.value) if isinstance(n, ast.Name)}
+    return match
+
+
 def drop_not(which: int) -> Edit:
     """Drop the ``not`` of the skip number ``which`` in ``holder_certificate``."""
     def edit(tree: ast.Module) -> bool:
@@ -308,7 +346,8 @@ numerics = _group("src/liminfdim/numerics.py", "tests/test_numerics.py",
                   "tests/test_enclosure_properties.py", "tests/test_power_kernel.py",
                   "tests/test_log_table.py", "tests/test_sequences.py", "tests/test_golden.py")
 level_sets = _group("src/liminfdim/level_sets.py", "tests/test_level_sets.py",
-                    "tests/test_residue_window.py", "tests/test_golden.py")
+                    "tests/test_level_stats.py", "tests/test_residue_window.py",
+                    "tests/test_golden.py")
 
 MUTANTS: dict[str, Mutant] = {
     "meet span first +1": cantor(shift_span(walk_span("meet"), 0, 1)),
@@ -377,14 +416,24 @@ MUTANTS: dict[str, Mutant] = {
     "build_level span first -1": level_sets(shift_span(build_span, 0, -1), equivalent=True),
     "build_level span last +1": level_sets(shift_span(build_span, 1, 1), equivalent=True),
     "build_level span last -1": level_sets(shift_span(build_span, 1, -1)),
-    "build_level overlap scan < -> <=": level_sets(replace(
-        _in_function("build_level"),
-        lambda node: _is_op(ast.Lt)(node) and isinstance(node.left, ast.Subscript)
-        and getattr(node.left.value, "id", None) == "nxt", _with_op(ast.LtE))),
-    "build_level wrap overlap > -> >=": level_sets(replace(
-        _in_function("build_level"),
-        lambda node: _is_op(ast.Gt)(node) and isinstance(node.left, ast.BinOp)
-        and isinstance(node.left.op, ast.Sub), _with_op(ast.GtE))),
+    "overlap test gap < 0 -> <= 0": level_sets(replace(
+        _in_function("build_level"), _compares(_is_name("gap"), ast.Lt), _with_op(ast.LtE))),
+    "build_level: no join gap": level_sets(replace(
+        _in_function("build_level"), _appends_gap("run", "out"), lambda node: ast.Pass())),
+    "build_level: no wrap gap": level_sets(replace(
+        _in_function("build_level"), _appends_gap("out", "size"), lambda node: ast.Pass())),
+    "on-grid centres +1": level_sets(replace(
+        _in_function("_progression_stats"), _assigns("on_grid"), _value_plus(1))),
+    "on-grid centres -1": level_sets(replace(
+        _in_function("_progression_stats"), _assigns("on_grid"), _value_plus(-1))),
+    "arc width 2r + 1 -> 2r": level_sets(replace(
+        _in_function("_progression_stats"), _two_r_plus_one, lambda node: node.left)),
+    "short gap 0 < rem -> <=": level_sets(replace(
+        _in_function("_progression_stats"),
+        _compares(lambda left: isinstance(left, ast.Constant), ast.Lt), _with_op(ast.LtE))),
+    "short gap k < n - 1 -> <=": level_sets(replace(
+        _in_function("_progression_stats"), _compares(_is_name("k"), ast.Lt),
+        _with_op(ast.LtE))),
     "_clip: lo < hi -> <=": level_sets(replace(
         _in_function("_clip"), _is_op(ast.Lt), _with_op(ast.LtE))),
 }
