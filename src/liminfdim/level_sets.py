@@ -14,12 +14,13 @@ never materialised; see ``prefix_intersection``.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from math import gcd
 from operator import itemgetter
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .numerics import Enclosure, _resolve_prec, _shift_ceil, _shift_floor, dir_pow
 from .sequences import QSequence

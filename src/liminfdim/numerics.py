@@ -61,10 +61,20 @@ def _iroot(x: int, b: int) -> int:
     # Newton iteration with floor division stops at r = floor(x**(1/b)):
     # nxt = floor(((b-1) g + x / g**(b-1)) / b), as nested floors of an
     # integer sum agree, and that is >= floor(x**(1/b)) = r by AM-GM; while
-    # g > r, g**b > x, so x / g**(b-1) < g and nxt < g.  The start
-    # 2**ceil(bits / b) exceeds x**(1/b), so the iterates fall strictly
-    # while g > r, never below r, and the first g with nxt >= g is r.
-    g = 1 << -(-x.bit_length() // b)
+    # g > r, g**b > x, so x / g**(b-1) < g and nxt < g.  Any start above
+    # x**(1/b) makes the iterates fall strictly while g > r, never below r,
+    # and the first g with nxt >= g is r.
+    n = x.bit_length()
+    if n // b < 64:
+        # a root below 2**64: 2**ceil(n / b) is above it
+        g = 1 << -(-n // b)
+    else:
+        # precision doubling: the root y of the top bits, taken to half the
+        # root's length, gives (y + 1)**b >= (x >> b*k) + 1 > x / 2**(b*k),
+        # so g = (y + 1) << k is above x**(1/b) by a relative 2**-(k - 1) or
+        # less, and Newton's quadratic phase needs one or two steps from it
+        k = n // b // 2
+        g = (_iroot(x >> b * k, b) + 1) << k
     while True:
         nxt = ((b - 1) * g + x // g ** (b - 1)) // b
         if nxt >= g:
@@ -283,8 +293,8 @@ class Enclosure:
     @staticmethod
     def from_endpoints(lo: Fraction, hi: Fraction, prec: Optional[int] = None) -> "Enclosure":
         return Enclosure(
-            DirectedReal.from_fraction(Fraction(lo), prec, DOWN),
-            DirectedReal.from_fraction(Fraction(hi), prec, UP),
+            DirectedReal.from_fraction(lo, prec, DOWN),
+            DirectedReal.from_fraction(hi, prec, UP),
         )
 
     # -- queries -----------------------------------------------------------

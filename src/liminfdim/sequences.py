@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from .numerics import Enclosure, LogTable, _iroot
 
@@ -109,7 +109,7 @@ class AlternatingSpec:
             raise ValueError("eta must exceed 1 + tau")
 
 
-SequenceSpec = Union[ExplicitSpec, PowerSpec, ContractiveSpec, AlternatingSpec]
+SequenceSpec = ExplicitSpec | PowerSpec | ContractiveSpec | AlternatingSpec
 
 # the family of each sequence kind; a spec's fields name its parameters
 SPECS = {"explicit": ExplicitSpec, "power": PowerSpec,

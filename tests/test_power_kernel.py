@@ -9,8 +9,9 @@ n**b <= floor(X), so those steps can never run, and ``dir_pow`` and
 direction tags included.
 
 ``reference_iroot`` is ``numerics._iroot`` as it was before its Newton
-iteration lost the two fix-up loops that followed it; the reference bracket
-takes its roots.
+iteration lost the two fix-up loops that followed it and before it started
+from the root of the radicand's top bits; the reference bracket takes its
+roots.
 
 ``reference_pow_frac`` brackets each end of the base on its own, as
 ``Enclosure.pow_frac`` did before an exact base took a single bracket.
@@ -20,6 +21,7 @@ takes its roots.
 """
 
 import math
+import random
 from fractions import Fraction as F
 
 from hypothesis import given, settings
@@ -37,6 +39,7 @@ from liminfdim.numerics import (
     dir_pow,
     pow_exponent_below,
 )
+from liminfdim.sequences import PowerSpec, generate
 
 
 def reference_iroot(x: int, b: int) -> int:
@@ -61,21 +64,77 @@ def reference_iroot(x: int, b: int) -> int:
 
 @st.composite
 def radicands(draw):
-    """Up to 20,000 bits, or within 1 of an exact b-th power."""
+    """Up to 60,000 bits, or within 1 of an exact b-th power."""
     b = draw(st.integers(3, 12))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
     if draw(st.booleans()):
-        return draw(st.integers(0, (1 << draw(st.integers(1, 20000))) - 1)), b
-    root = draw(st.integers(1, (1 << draw(st.integers(1, 20000 // b))) - 1))
+        return rng.getrandbits(draw(st.integers(1, 60000))), b
+    root = rng.getrandbits(draw(st.integers(1, 60000 // b))) | 1
     return max(0, root ** b + draw(st.integers(-1, 1))), b
+
+
+def assert_floor_root(x: int, b: int) -> None:
+    r = _iroot(x, b)
+    assert r == reference_iroot(x, b), (x, b)
+    assert r ** b <= x < (r + 1) ** b
 
 
 @settings(max_examples=300, deadline=None)
 @given(radicands())
 def test_iroot_matches_reference(case):
-    x, b = case
-    r = _iroot(x, b)
-    assert r == reference_iroot(x, b)
-    assert r ** b <= x < (r + 1) ** b
+    assert_floor_root(*case)
+
+
+def edge_radicands():
+    """Radicands of n bits with n // b of 63, 64 or 65 (the recursion's
+    edge), and exact powers and their neighbours whose top bits, the part
+    the recursion takes the root of, are themselves an exact power or one
+    less."""
+    rng = random.Random(15)
+    for b in (3, 4, 5, 7, 12):
+        for m in (63, 64, 65):
+            for n in range(b * m, b * (m + 1)):
+                yield (1 << (n - 1)) | rng.getrandbits(n - 1), b
+                yield 1 << (n - 1), b
+                yield (1 << n) - 1, b
+            # roots of m bits, s << k with s of m - k bits
+            for k in (0, 1, m // 2 - 1, m // 2, m // 2 + 1, m - 2, m - 1):
+                top = 1 << (m - k - 1)
+                for s in (top, top | 1, 2 * top - 1, top | rng.getrandbits(m - k - 1)):
+                    root = s << k
+                    for delta in (-1, 0, 1):
+                        yield root ** b + delta, b
+                    yield (root + 1) ** b - 1, b
+
+
+def test_iroot_at_the_recursion_edge():
+    for x, b in edge_radicands():
+        assert_floor_root(x, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([100, 1000]), st.integers(128, 10000), st.integers(0, 2 ** 32))
+def test_iroot_of_high_degree(b, n, seed):
+    # a degree past the root's bit length gives a root of a few bits; the
+    # recursion must not loop when n // b is small
+    assert_floor_root(random.Random(seed).getrandbits(n) | 1 << (n - 1), b)
+
+
+def reference_power_terms(q1: int, growth: F, depth: int) -> tuple[int, ...]:
+    """q_{j+1} = ceil(q_j**growth), rooted with ``reference_iroot``."""
+    terms = [q1]
+    while len(terms) < depth:
+        p = terms[-1] ** growth.numerator
+        r = reference_iroot(p, growth.denominator)
+        terms.append(r if r ** growth.denominator >= p else r + 1)
+    return tuple(terms)
+
+
+def test_power_terms_match_reference():
+    # the benchmark's deep power families: radicands up to about 57,000 bits
+    for q1 in range(10, 21):
+        for growth in (F(13, 6), F(9, 4), F(7, 3), F(12, 5), F(5, 2)):
+            assert generate(PowerSpec(q1, growth), 10).terms == reference_power_terms(q1, growth, 10)
 
 
 def reference_pow_bracket(p_int: int, shift: int, sign: int, b: int, prec: int) -> Enclosure:

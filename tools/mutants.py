@@ -262,6 +262,15 @@ def _two_r_plus_one(node: ast.AST) -> bool:
             and isinstance(node.left.left, ast.Constant) and node.left.left.value == 2)
 
 
+def _plus_one(node: ast.AST) -> bool:
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+            and isinstance(node.right, ast.Constant) and node.right.value == 1)
+
+
+def _constant(value: int) -> Callable[[ast.AST], bool]:
+    return lambda node: isinstance(node, ast.Constant) and node.value == value
+
+
 def _compares(left: Callable[[ast.AST], bool], op: type) -> Callable[[ast.AST], bool]:
     """A single comparison with the operator ``op`` whose left side ``left`` accepts."""
     return lambda node: _is_op(op)(node) and left(node.left)
@@ -398,6 +407,10 @@ MUTANTS: dict[str, Mutant] = {
         _in_function("_div_directed"), _is_name("DOWN", "UP"), _swap_names("DOWN", "UP"))),
     "_shift_floor rounds up": numerics(body_of("_shift_ceil", "_shift_floor")),
     "_shift_ceil rounds down": numerics(body_of("_shift_floor", "_shift_ceil")),
+    "_iroot: start from y << k": numerics(replace(
+        _in_function("_iroot"), _plus_one, lambda node: node.left)),
+    "_iroot: base case < 64 -> < 1": numerics(replace(
+        _in_function("_iroot"), _constant(64), lambda node: ast.Constant(1))),
     "pow_exponent_below: no -1": numerics(replace(
         _in_function("pow_exponent_below"), _minus_one, lambda node: node.left)),
     "holder: no walk skip": cantor(drop_not(0)),
