@@ -29,31 +29,28 @@ def _text(x: float, y: float, s: str, size: int = 12, anchor: str = "middle") ->
 
 
 class Plot:
-    """Line plot on a fixed canvas; axes may be log2-scaled."""
+    """Line plot on a fixed canvas; the y axis may be log2-scaled."""
 
-    def __init__(self, title: str, xlabel: str, ylabel: str,
-                 xlog: bool = False, ylog: bool = False):
+    def __init__(self, title: str, xlabel: str, ylabel: str, ylog: bool = False):
         self.title = title
         self.xlabel = xlabel
         self.ylabel = ylabel
-        self.xlog = xlog
         self.ylog = ylog
         self.series: list[tuple[str, str, list[tuple[float, float]]]] = []
-        self.hlines: list[tuple[float, str, str]] = []
+        self.hlines: list[tuple[float, str]] = []
 
     def add_series(self, label: str, points: Sequence[tuple[float, float]],
                    color: str = "black") -> None:
-        pts = [(math.log2(x) if self.xlog else x, math.log2(y) if self.ylog else y)
-               for x, y in points]
+        pts = [(x, math.log2(y) if self.ylog else y) for x, y in points]
         self.series.append((label, color, pts))
 
-    def add_hline(self, y: float, label: str, color: str = "gray") -> None:
-        self.hlines.append((math.log2(y) if self.ylog else y, label, color))
+    def add_hline(self, y: float, label: str) -> None:
+        self.hlines.append((math.log2(y) if self.ylog else y, label))
 
     def render(self) -> str:
         xs = [p[0] for _, _, pts in self.series for p in pts]
         ys = [p[1] for _, _, pts in self.series for p in pts]
-        ys += [y for y, _, _ in self.hlines]
+        ys += [y for y, _ in self.hlines]
         if not xs:
             raise ValueError("nothing to plot")
         x0, x1 = min(xs), max(xs)
@@ -88,15 +85,14 @@ class Plot:
             fy = y0 + (y1 - y0) * t / 4
             parts.append(_text(sx(fx), _HEIGHT - _MARGIN + 16, _fmt(fx), size=10))
             parts.append(_text(_MARGIN - 8, sy(fy) + 4, _fmt(fy), size=10, anchor="end"))
-        xtag = " (log2)" if self.xlog else ""
         ytag = " (log2)" if self.ylog else ""
-        parts.append(_text(_WIDTH / 2, _HEIGHT - 12, self.xlabel + xtag))
+        parts.append(_text(_WIDTH / 2, _HEIGHT - 12, self.xlabel))
         parts.append(_text(16, _HEIGHT / 2, self.ylabel + ytag, anchor="middle"))
         parts.append(_text(_WIDTH / 2, 24, self.title, size=14))
-        for y, label, color in self.hlines:
+        for y, label in self.hlines:
             parts.append(_el("line", x1=_fmt(_MARGIN), y1=_fmt(sy(y)),
                              x2=_fmt(_WIDTH - _MARGIN), y2=_fmt(sy(y)),
-                             stroke=color, stroke_dasharray="6,3"))
+                             stroke="gray", stroke_dasharray="6,3"))
             parts.append(_text(_WIDTH - _MARGIN + 4, sy(y) + 4, label, size=10,
                                anchor="start"))
         for idx, (label, color, pts) in enumerate(self.series):

@@ -39,6 +39,24 @@ class TestStructure:
                 _, _, lo, hi = tree.arc_1d(0, 2, child)
                 assert a <= lo and hi <= b, (m, child)
 
+    @pytest.mark.parametrize("qs, theta", [((5, 200), F(0)), ((7, 300), F(2, 7))],
+                             ids=["q-5-200", "q-7-300-shifted"])
+    def test_admitted_children_inside_inner_arc_wide_radius(self, qs, theta):
+        # a radius enclosure [1/(2 q**2), 1/q**2] puts the inner and outer
+        # radii many grid units apart, so an admissibility test that read the
+        # parent's outer arc would admit children poking out of its inner arc
+        def wide(q, prec):
+            return Enclosure.from_endpoints(F(1, 2 * q * q), F(1, q * q), prec)
+
+        tree = build_tree(QSequence(qs), LevelParams(theta=(theta,), tau=F(1), radius=wide))
+        for m in tree.nodes_1d(0, 1):
+            a, b, _, _ = tree.arc_1d(0, 1, m)
+            start, avail = tree.child_range_1d(0, 1, m)
+            assert avail >= tree.branching_1d[1]
+            for child in range(start, start + avail):
+                _, _, lo, hi = tree.arc_1d(0, 2, child)
+                assert a <= lo and hi <= b, (m, child)
+
     def test_separation_exhaustive_small(self):
         tree = build_tree(QSequence((4, 256)), params_1d())
         for level in (1, 2):

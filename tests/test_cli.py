@@ -415,6 +415,23 @@ class TestPlot:
         n_squares = report["results"]["multiplicative"]["cover"]["squares"]
         assert text.count("<rect ") == n_squares + 2
 
+    @pytest.mark.parametrize("report, kind", [
+        ([], "bracket_vs_J"),
+        ({"results": {"dimension": {"series": [{"depth": 1, "upper": None, "lower": None}]}}},
+         "bracket_vs_J"),
+        ({"results": []}, "cover_overlay"),
+        ({"results": {"multiplicative": {"cover": {"gamma": "1/0", "rects": []}}}},
+         "cover_overlay"),
+    ], ids=["not-an-object", "null-upper-estimate", "results-not-an-object", "zero-denominator"])
+    def test_report_of_the_wrong_shape(self, report, kind, tmp_path, capsys):
+        # exit 2 with one line, not a traceback with the "stopped early" code 1
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(report))
+        assert main(["plot", str(path), "--kind", kind, "--out", str(tmp_path / "p.svg")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("plot error: ") and len(err.splitlines()) == 1
+        assert not (tmp_path / "p.svg").exists()
+
     def test_missing_series(self):
         report, _ = run(parse_config(ENUM_CFG))
         with pytest.raises(MissingSeriesError) as exc:
