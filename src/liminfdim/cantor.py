@@ -31,7 +31,7 @@ from typing import Optional
 from .dimension import RegimeViolationError, branching_factors
 from .level_sets import (BudgetExceededError, LevelParams, _radius_grid, _scale_for,
                          residue_span)
-from .numerics import ONE, DirectedReal, Enclosure, _resolve_prec, pow_exponent_below
+from .numerics import ONE, UP, DirectedReal, Enclosure, _resolve_prec, pow_exponent_below
 from .sequences import QSequence
 
 DEFAULT_NODE_BUDGET = 10 ** 6
@@ -377,6 +377,55 @@ class CantorTree:
         return Enclosure.from_endpoints(Fraction(lo_num, lo_den), Fraction(hi_num, hi_den),
                                         self.prec)
 
+    def _measure_bound(self, radius_hi: DirectedReal) -> DirectedReal:
+        """An upper bound on ``ball_measure(ball).hi`` for every ball whose
+        radius enclosure has upper end ``radius_hi``, whatever its centre,
+        in O(depth) integer operations: the counting step of the mass
+        distribution principle (Falconer, *Fractal Geometry*, 4.2).
+
+        With r = radius_hi and r_k the level-k grid radius, the walk counts
+        the level-k nodes of a coordinate whose centre lies in the closed
+        window of half-width r + r_k.  Those centres (m + theta) / q_k are
+        distinct mod 1 (the arcs of one level are disjoint), and a window
+        shorter than the circle holds at most c_k = floor(2 (r + r_k) q_k) + 1
+        residues m: its ``residue_span`` is no longer, and its copies one
+        circle away share no residue.  Only children of meeting nodes count,
+        so the count is also at most M_{k-1} * b_k with M_0 = 1; a window of
+        at least one circle counts exactly that.  So every coordinate
+        counts at most M_k = min(c_k, M_{k-1} * b_k) at level k, and the
+        walk's upper end at a level it reaches is at most M_k**d / N_k.  A
+        walk stops after the first level where more than
+        ``_QUERY_FANOUT_CAP`` nodes meet, so it surely reaches every level
+        up to the first with M_k past the cap: the minimum runs over those.
+        Level 1 gives M_1**d <= N_1, so the bound is at most 1, and it is 1
+        when r >= 1/2, where ``ball_measure`` returns exactly 1.
+
+        ``ball_measure`` rounds its upper end B' <= B up at ``prec`` bits,
+        to a multiple of 2**-t' with t' = max(prec + 2 - D', 1), where D' is
+        the bit length of its numerator less that of its denominator.  As
+        2**(D' - 1) < B' <= B < 2**(D + 1), for D the same difference of
+        the bound B, t' >= t = max(prec + 1 - D, 1).  B rounded up to a
+        multiple of 2**-t is then a multiple of 2**-t' at least B', so at
+        least the rounded B' (or B' itself, when that is dyadic).
+        """
+        m, e = radius_hi.mantissa, radius_hi.exponent
+        shift = max(self._scale, -e)
+        r = m << (e + shift)
+        meet = 1
+        num, den = 1, 1
+        for k, b in enumerate(self.branching_1d):
+            meet *= b
+            w = 2 * (r + (self._r_hi[k] << (shift - self._scale)))
+            if w < 1 << shift:
+                meet = min(meet, (w * self.qs.terms[k] >> shift) + 1)
+            mass = meet ** self.params.d
+            if mass * den < num * self._counts[k]:
+                num, den = mass, self._counts[k]
+            if meet > _QUERY_FANOUT_CAP:
+                break
+        t = max(self.prec + 1 - (num.bit_length() - den.bit_length()), 1)
+        return DirectedReal(-((-num << t) // den), -t, UP)
+
     # -- certificates --------------------------------------------------------
 
     def holder_certificate(self, s: Fraction, samples: int, seed: int) -> HolderCertificate:
@@ -389,11 +438,12 @@ class CantorTree:
         The ratio of a ball is mu.hi / (radius**s).lo, and ``worst_ball`` is
         the first ball with the largest.  A ball that cannot beat the best
         so far is skipped unmeasured, or measured without its power: with
-        2**k below (radius**s).lo (``pow_exponent_below``) and mu.hi <= 1
-        (``ball_measure``), its ratio is below mu.hi / 2**k <= 2**-k, so when
-        either bound is at most the best, the ratio is strictly below it and
-        the result is the same.  Every sample still draws its point and radius, so the random
-        stream does not depend on the skips.  Ratios are compared as shifted
+        2**k below (radius**s).lo (``pow_exponent_below``) and mu.hi at most
+        the bound B from the radius alone (``_measure_bound``), its ratio is
+        below mu.hi / 2**k <= B / 2**k, so when either of these is at most
+        the best, the ratio is strictly below it and the result is the same.
+        Every sample still draws its point and radius, so the random stream
+        does not depend on the skips.  Ratios are compared as shifted
         integers; ``max_ratio`` is one ``Fraction``, built at the end.
         """
         s = Fraction(s)
@@ -419,9 +469,9 @@ class CantorTree:
             else:
                 radius = Enclosure.exact_dyadic(mantissa, e - 30)
             if worst is not None:
-                # the ratio is below mu.hi / below <= 1 / below
+                # the ratio is below mu.hi / below <= bound / below
                 below = DirectedReal(1, pow_exponent_below(radius.lo, s))
-                if not _exceeds(ONE.hi, below, best_mu, best_pow):
+                if not _exceeds(self._measure_bound(radius.hi), below, best_mu, best_pow):
                     continue
             ball = Ball(point, radius)
             mu = self.ball_measure(ball).hi

@@ -296,7 +296,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             report = rep.parse_json(Path(args.report).read_text(encoding="ascii"))
             plot(report, args.kind, args.out)
         except (MissingSeriesError, ValueError, OSError, KeyError, TypeError,
-                AttributeError, ZeroDivisionError) as exc:  # a report of the wrong shape
+                AttributeError) as exc:  # a report of the wrong shape
             print(f"plot error: {exc}", file=sys.stderr)
             return 2
         return 0

@@ -142,7 +142,7 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"unknown key '{key}'", line=lineno, key=key)
         try:
             setattr(cfg, key, _read(_FIELD_TYPES[key], value))
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise ConfigError(str(exc), line=lineno, key=key) from exc
     cfg.validate()
     return cfg

@@ -61,8 +61,10 @@ def parse_rational(text: str) -> Fraction:
         m_str, e_str = text.split("*2^", 1)
         return Fraction(_parse_int(m_str)) * Fraction(2) ** int(e_str)
     if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(_parse_int(num), _parse_int(den))
+        num, den = map(_parse_int, text.split("/", 1))
+        if den == 0:
+            raise ValueError(f"zero denominator in '{text}'")
+        return Fraction(num, den)
     return Fraction(_parse_int(text))
 
 

@@ -53,6 +53,8 @@ class Plot:
         ys += [y for y, _ in self.hlines]
         if not xs:
             raise ValueError("nothing to plot")
+        if not all(map(math.isfinite, xs + ys)):
+            raise ValueError("cannot plot a value that is not a finite double")
         x0, x1 = min(xs), max(xs)
         y0, y1 = min(ys), max(ys)
         if x1 == x0:
@@ -61,6 +63,10 @@ class Plot:
             y1 = y0 + 1
         pad_y = 0.05 * (y1 - y0)
         y0, y1 = y0 - pad_y, y1 + pad_y
+        # a span past the double range would scale every point to nan, and
+        # one lost to rounding (x0 + 1 == x0 for a huge x0) would divide by 0
+        if not (0 < x1 - x0 < math.inf and 0 < y1 - y0 < math.inf):
+            raise ValueError("plot range out of the double range")
         inner_w = _WIDTH - 2 * _MARGIN
         inner_h = _HEIGHT - 2 * _MARGIN
 

@@ -79,6 +79,19 @@ class TestParsing:
         with pytest.raises(ValueError):
             parse_rational("0.5")
 
+    @pytest.mark.parametrize("text", ["1/0", "0x1/0x0", "-3/-0"])
+    def test_zero_denominator_rejected(self, text):
+        # a ValueError like every other malformed input, not a ZeroDivisionError
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_rational(text)
+
+    def test_zero_denominator_config_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text("sequence = power\ntau = 1/0\n")
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "tau" in err
+
     def test_config_roundtrip(self):
         cfg = parse_config(POWER_CFG)
         assert cfg.sequence == "power" and cfg.depth == 6
@@ -431,6 +444,21 @@ class TestPlot:
         err = capsys.readouterr().err
         assert err.startswith("plot error: ") and len(err.splitlines()) == 1
         assert not (tmp_path / "p.svg").exists()
+
+    @pytest.mark.parametrize("depths", [("1e400", "2"), ("1e300", "1e300"),
+                                        ("-1.7e308", "1.7e308")],
+                             ids=["infinite", "span-lost-to-rounding", "span-past-the-range"])
+    def test_depth_out_of_the_double_range(self, depths, tmp_path, capsys):
+        # no nan coordinates in an SVG: exit 2 with one line, and no file
+        rows = ", ".join(f'{{"depth": {d}, "upper": {{"hi_float": 0.5}}, "lower": null}}'
+                         for d in depths)
+        path = tmp_path / "report.json"
+        path.write_text(f'{{"results": {{"dimension": {{"series": [{rows}]}}}}}}')
+        out = tmp_path / "p.svg"
+        assert main(["plot", str(path), "--kind", "bracket_vs_J", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("plot error: ") and len(err.splitlines()) == 1
+        assert not out.exists()
 
     def test_missing_series(self):
         report, _ = run(parse_config(ENUM_CFG))

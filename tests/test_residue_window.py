@@ -9,9 +9,10 @@ intersection against point membership, the fused build against build then
 intersect and against the per-arc builder it replaced, the tree against
 the ``Fraction`` formulas it replaced, the tree's ball walk on
 tree-index ranges against the walks it replaced, on residue ranges and on
-candidate lists, and the Holder certificate, which skips balls that cannot
-raise its worst ratio, against the ``Fraction`` loop that measured every
-ball; the replaced code is kept here as the reference.
+candidate lists, the pre-walk measure bound against the walk, and the Holder
+certificate, which skips balls that cannot raise its worst ratio, against
+the ``Fraction`` loop that measured every ball; the replaced code is kept
+here as the reference.
 """
 
 import math
@@ -22,7 +23,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from liminfdim.cantor import Ball, build_tree
+from liminfdim.cantor import Ball, CantorTree, build_tree
 from liminfdim.dimension import RegimeViolationError
 from liminfdim.level_sets import (
     ArcList,
@@ -35,7 +36,7 @@ from liminfdim.level_sets import (
     constant_radius,
     residue_span,
 )
-from liminfdim.numerics import Enclosure, _resolve_prec
+from liminfdim.numerics import ONE, Enclosure, _resolve_prec
 from liminfdim.sequences import QSequence
 
 THETAS = st.sampled_from([F(0), F(1, 2), F(1, 3), F(5, 8), F(96, 97), F(45, 97), F(68, 97),
@@ -536,7 +537,8 @@ POWER_D2 = build_tree(QSequence((4, 256, 1 << 32, 1 << 128)),
 
 def assert_walk_matches(tree, center, radius):
     """The walk on tree-index ranges gives the per-level counts of both walks
-    it replaced, and the measure of the candidate lists."""
+    it replaced and the measure of the candidate lists, which the pre-walk
+    bound covers."""
     rad_lo, rad_hi = radius.lo.as_fraction(), radius.hi.as_fraction()
     for i, c in enumerate(center):
         counts = tree._window_counts(i, tree.depth, c, rad_hi, rad_lo)
@@ -546,6 +548,8 @@ def assert_walk_matches(tree, center, radius):
     mu = tree.ball_measure(ball)
     ref = fraction_ball_measure(tree, ball, candidate_window_counts)
     assert (mu.lo, mu.hi) == (ref.lo, ref.hi)
+    # the bound from the radius alone holds at every centre
+    assert mu.hi <= tree._measure_bound(radius.hi) <= ONE.hi
 
 
 @pytest.mark.parametrize("radius", [
@@ -662,6 +666,25 @@ def test_walk_continues_at_exactly_the_cap():
     assert_walk_matches(POWER_D2, tuple(center), Enclosure.from_fraction(radius))
 
 
+# -- the pre-walk measure bound -------------------------------------------------------
+
+def test_measure_bound_is_often_the_walks_own():
+    # the lattice count is exact for a window that holds its largest number
+    # of centres, so at leaf centres the bound often equals the walk's upper
+    # end, a rounded value here since the node counts are not powers of two;
+    # a radius of 1 gives exactly 1, the measure of every such ball
+    rng = random.Random(3)
+    hits = 0
+    for _ in range(12):
+        radius = Enclosure.from_fraction(F(1, 3 << rng.randint(4, 60)), 128)
+        mu = TINY_D2.ball_measure(Ball(TINY_D2.sample_point(rng), radius))
+        bound = TINY_D2._measure_bound(radius.hi)
+        assert mu.hi <= bound
+        hits += mu.hi == bound
+    assert hits >= 3
+    assert TINY_D2._measure_bound(ONE.hi) == ONE.hi
+
+
 # -- Holder certificates, against the loop that measured every ball ----------------------
 
 def certificate_bits(max_ratio, ball):
@@ -700,19 +723,25 @@ def test_certificate_keeps_the_first_of_tied_balls():
 
 
 def test_certificate_skips_most_powers(monkeypatch):
-    # on the benchmark's s = 3d/10, most balls cannot raise the worst ratio
-    # and take no power: 11 of these 60 take one.  The certificate is still
-    # the reference's
-    calls = []
-    inner = Enclosure.pow_frac
+    # on the benchmark's s = 3d/10, most balls cannot raise the worst ratio:
+    # the pre-walk bound skips the walk of all but 13 of these 60 (44 under
+    # mu <= 1 alone), and 11 or fewer take a power.  The certificate is
+    # still the reference's
+    powers, walks = [], []
+    pow_frac, ball_measure = Enclosure.pow_frac, CantorTree.ball_measure
 
-    def counted(self, s, prec=None):
-        calls.append(s)
-        return inner(self, s, prec)
+    def counted_power(self, s, prec=None):
+        powers.append(s)
+        return pow_frac(self, s, prec)
 
-    monkeypatch.setattr(Enclosure, "pow_frac", counted)
+    def counted_walk(self, ball):
+        walks.append(ball)
+        return ball_measure(self, ball)
+
+    monkeypatch.setattr(Enclosure, "pow_frac", counted_power)
+    monkeypatch.setattr(CantorTree, "ball_measure", counted_walk)
     cert = TINY_D2.holder_certificate(F(3, 5), 60, 2)
-    assert 0 < len(calls) <= 11
+    assert 0 < len(powers) <= 11 and len(walks) == 13
     monkeypatch.undo()
     ref = reference_holder_certificate(TINY_D2, F(3, 5), 60, 2)
     assert certificate_bits(cert.max_ratio, cert.worst_ball) == certificate_bits(*ref)

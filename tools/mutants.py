@@ -17,7 +17,7 @@ once in the file, any run of whitespace in it matching any run of
 whitespace; an entry whose ``old`` matches no place or several is
 reported as "n/a".
 
-Usage, from the root of a checkout (about eleven minutes):
+Usage, from the root of a checkout (about twelve minutes):
 
     python3 tools/mutants.py
 
@@ -133,7 +133,23 @@ MUTANTS: dict[str, Mutant] = {
                                           "g = _iroot(x >> b * k, b) << k"),
     "_iroot: base case < 64 -> < 1": numerics("if n // b < 64:", "if n // b < 1:"),
     "pow_exponent_below: no -1": numerics("// s.denominator - 1", "// s.denominator"),
-    "holder: no walk skip": cantor("if not _exceeds(ONE.hi,", "if _exceeds(ONE.hi,"),
+    "holder: no walk skip": cantor("if not _exceeds(self._measure_bound(radius.hi),",
+                                   "if _exceeds(self._measure_bound(radius.hi),"),
+    "measure bound: no +1": cantor("(w * self.qs.terms[k] >> shift) + 1",
+                                   "(w * self.qs.terms[k] >> shift)"),
+    # equivalent: past a level where more than 2**14 nodes meet, the window
+    # spans more than 2**13 spacings of that level, while the admissible
+    # children of a node fill at most half of the next level's lattice
+    # between its neighbours (separation >= 1/(2 q) and nesting), so the
+    # next lattice count exceeds M_k * b_{k+1}: every later level repeats
+    # M_k**d / N_k and none lowers the minimum
+    "measure bound: no fan-out cap": cantor("if meet > _QUERY_FANOUT_CAP: break", "pass",
+                                            equivalent=True),
+    # 1,000 more bits stand in for the exact bound
+    "measure bound: compared before rounding": cantor(
+        "t = max(self.prec + 1 -", "t = max(self.prec + 1000 -"),
+    "measure bound: rounded down": cantor(
+        "DirectedReal(-((-num << t) // den), -t, UP)", "DirectedReal((num << t) // den, -t, UP)"),
     "holder: no power skip": cantor("and not _exceeds(mu, below,", "and _exceeds(mu, below,"),
     "holder: ratio > -> >=": cantor("x << (ex - e) > y", "x << (ex - e) >= y"),
     # equivalent: a tie swaps in an equal pair, and each end's Fraction is
