@@ -18,7 +18,6 @@ import math
 import sys
 import time
 from fractions import Fraction
-from itertools import chain
 from pathlib import Path
 from typing import Optional
 
@@ -126,15 +125,12 @@ def run(cfg: ExperimentConfig, canonical: bool = False) -> tuple[dict, int]:
                 exit_code = 1
             else:
                 cover, cost = hyperbolic_cover(cfg.gamma, cfg.mult_s, prec)
-                # one string per distinct grid value, shared by every square that has it
-                grid = {n: rep.grid_str(n, cover.big_k)
-                        for n in set(chain.from_iterable(cover.squares))}
                 cover_json = {
                     "gamma": rep.fraction_str(cfg.gamma),
                     "s": rep.fraction_str(cfg.mult_s),
                     "squares": cover.total_squares(),
                     "s_cost": rep.enclosure_json(cost),
-                    "rects": [[grid[x], grid[y], grid[side]] for x, y, side in cover.squares],
+                    "rects": rep.cover_rects(cover),
                 }
             results["multiplicative"] = {
                 "lower": rep.value_json(lower),
@@ -296,7 +292,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             report = rep.parse_json(Path(args.report).read_text(encoding="ascii"))
             plot(report, args.kind, args.out)
         except (MissingSeriesError, ValueError, OSError, KeyError, TypeError,
-                AttributeError) as exc:  # a report of the wrong shape
+                AttributeError, OverflowError) as exc:  # a report of the wrong shape
             print(f"plot error: {exc}", file=sys.stderr)
             return 2
         return 0

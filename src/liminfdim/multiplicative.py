@@ -60,14 +60,29 @@ def mult_cost_exponent(d: int, tau: Fraction, s: Fraction) -> Fraction:
 
 @dataclass(frozen=True)
 class SquareCover:
-    """Dyadic squares covering {x in [0,1]^2 : x1*x2 <= 2**-big_k}.
+    """Dyadic squares covering {x in [0,1]^2 : x1*x2 <= 2**-big_k}, held by column.
 
-    Each square is an integer triple (x, y, side) on the grid 2**-big_k: the
-    closed square [x, x+side] x [y, y+side] scaled by 2**big_k.
+    Scaled by 2**big_k, every square is an integer triple (x, y, side): the
+    closed square [x, x+side] x [y, y+side].  Column k = 0..ceil(K/2)-1 is
+    the descriptor (k, side, count, x0): the squares (x, 0, side) for
+    x = x0, x0 + side, ..., x0 + (count-1)*side, each followed by its
+    transpose (0, x, side).  The corner square (0, 0, corner) comes last.
     """
 
     big_k: int
-    squares: tuple[tuple[int, int, int], ...]
+    columns: tuple[tuple[int, int, int, int], ...]
+    corner: int
+
+    @property
+    def squares(self) -> tuple[tuple[int, int, int], ...]:
+        """Every square as a triple, column by column, then the corner."""
+        out: list[tuple[int, int, int]] = []
+        for _, side, count, x0 in self.columns:
+            for x in range(x0, x0 + count * side, side):
+                out.append((x, 0, side))
+                out.append((0, x, side))
+        out.append((0, 0, self.corner))
+        return tuple(out)
 
     def covers(self, px: Fraction, py: Fraction) -> bool:
         # integer corners: x <= p <= x + side iff x <= floor(p) and ceil(p) <= x + side
@@ -77,7 +92,7 @@ class SquareCover:
                    for x, y, side in self.squares)
 
     def total_squares(self) -> int:
-        return len(self.squares)
+        return 1 + 2 * sum(count for _, _, count, _ in self.columns)
 
 
 def check_cover(gamma: Fraction, s: Fraction) -> int:
@@ -123,17 +138,14 @@ def hyperbolic_cover(
     big_k = check_cover(gamma, s)
     one = 1 << big_k
 
-    squares: list[tuple[int, int, int]] = []
+    columns: list[tuple[int, int, int, int]] = []
     cost = Enclosure.exact_int(0)
     counts = _column_counts(big_k)
     half_cols = len(counts)  # ceil(K/2)
     for k, count in enumerate(counts):
         side = 1 << (k + 1)  # 2**(k+1-K) on the grid 2**-K
         x0 = min(one >> (k + 1), one - side)  # keep the lone wide square inside the unit box
-        for x in range(x0, x0 + count * side, side):
-            squares.append((x, 0, side))
-            squares.append((0, x, side))
+        columns.append((k, side, count, x0))
         cost = cost + dir_pow(2, -s * (big_k - k - 1), p).scale_int(2 * count)
-    squares.append((0, 0, one >> half_cols))
     cost = cost + dir_pow(2, -s * half_cols, p)
-    return SquareCover(big_k, tuple(squares)), cost
+    return SquareCover(big_k, tuple(columns), one >> half_cols), cost

@@ -11,6 +11,8 @@ sorts keys, making reports byte-identical across runs of the same
 configuration.  ``render_json`` writes the bytes ``json.dumps(report,
 indent=2, sort_keys=canonical)`` would write, with its own renderer: a
 cover's ``rects`` table is one join, not one encoder step per string.
+``cover_rects`` writes those rows from the cover's columns, each column's
+strings in closed form, and ``cover_csv`` joins them into ``cover.csv``.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from typing import Union
 
 from .cantor import HolderCertificate
 from .level_sets import CertifiedCount, LevelStats
+from .multiplicative import SquareCover
 from .numerics import DirectedReal, Enclosure
 from .sequences import ExponentStats, RegimeResult
 
@@ -83,6 +86,42 @@ def grid_str(n: int, big_k: int) -> str:
     shift = min(big_k, (n & -n).bit_length() - 1) if n else big_k
     num = int_json(n >> shift)
     return f"{num}" if shift == big_k else f"{num}/{int_json(1 << (big_k - shift))}"
+
+
+def _grid_run(j0: int, j1: int, e: int) -> list[str]:
+    """j / 2**e for j = j0..j1-1 (0 <= j0 <= j1), written as grid_str writes
+    them in decimal: odd j as 'j/2**e', even j as the run of j/2 over 2**(e-1).
+    Each string is placed once, into the slice of its parity."""
+    if e == 0 or j0 == j1:
+        return list(map(str, range(j0, j1)))
+    out = [""] * (j1 - j0)
+    odd = j0 | 1
+    out[odd - j0::2] = map(f"{{}}/{1 << e}".format, range(odd, j1, 2))
+    a = j0 + (j0 & 1)
+    out[a - j0::2] = _grid_run(a >> 1, (j1 + 1) >> 1, e - 1)
+    return out
+
+
+def cover_rects(cover: SquareCover) -> list[list[str]]:
+    """[grid_str(v, K) for v in square] for each of the cover's squares, in
+    order.  A column's x values are written in closed form: x0 and x are
+    multiples of side = 2**(k+1), so x / 2**K = j / 2**(K-k-1) with
+    j = x / side.  The strings "0" and a column's side are shared by its rows.
+    Past DECIMAL_MAX_BITS, and for a lone square off its side's grid, each x
+    goes through grid_str."""
+    big_k = cover.big_k
+    rects: list[list[str]] = []
+    for k, side, count, x0 in cover.columns:
+        s = grid_str(side, big_k)
+        if big_k > DECIMAL_MAX_BITS or x0 % side:
+            xs = [grid_str(x, big_k) for x in range(x0, x0 + count * side, side)]
+        else:
+            xs = _grid_run(x0 // side, x0 // side + count, big_k - k - 1)
+        for x in xs:
+            rects.append([x, "0", s])
+            rects.append(["0", x, s])
+    rects.append(["0", "0", grid_str(cover.corner, big_k)])
+    return rects
 
 
 def enclosure_json(enc: Enclosure) -> dict:
@@ -238,11 +277,9 @@ def levels_csv(levels: list[dict]) -> str:
 
 
 def cover_csv(rects: list[list[str]]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["x", "y", "side"])
-    w.writerows(rects)
-    return buf.getvalue()
+    """The rows of a cover's rects under an 'x,y,side' header; no grid string
+    holds a character that needs quoting."""
+    return "\n".join(chain(("x,y,side",), map(",".join, rects), ("",)))
 
 
 def dimension_csv(series: list[dict]) -> str:

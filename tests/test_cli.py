@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import re
 import subprocess
@@ -15,10 +17,12 @@ from liminfdim import report as report_module
 from liminfdim.cli import MissingSeriesError, main, plot, run
 from liminfdim.config import (ConfigError, ExperimentConfig, config_json, parse_config,
                               parse_rational)
-from liminfdim.multiplicative import hyperbolic_cover
+from liminfdim.multiplicative import SquareCover, hyperbolic_cover
 from liminfdim.numerics import DOWN, UP, DirectedReal
 from liminfdim.report import (
     DECIMAL_MAX_BITS,
+    cover_csv,
+    cover_rects,
     dyadic_str,
     fraction_str,
     grid_str,
@@ -325,8 +329,9 @@ class TestCoverReport:
             assert [[parse_rational(v) for v in r] for r in rects] == \
                 [[F(v, 1 << K) for v in sq] for sq in squares]
 
-    def test_one_grid_str_call_per_distinct_value(self, monkeypatch):
-        # gamma = 2^-16: 43,691 squares, 131,073 grid values, 21,853 of them distinct
+    def test_grid_str_calls_per_column(self, monkeypatch):
+        # gamma = 2^-16: 43,691 squares in 8 columns and the corner; the
+        # columns' strings are written in closed form, not value by value
         calls = []
 
         def counted(n, big_k):
@@ -336,7 +341,34 @@ class TestCoverReport:
         monkeypatch.setattr(report_module, "grid_str", counted)
         report, _ = run(parse_config(MULT_CFG + "gamma = 1*2^-16\n"))
         rects = report["results"]["multiplicative"]["cover"]["rects"]
-        assert len(rects) == 43691 and len(set(calls)) == len(calls) == 21853
+        assert len(rects) == 43691 and len(calls) <= 8 + 1
+
+    @pytest.mark.parametrize("K", range(19))
+    def test_cover_rects_are_grid_strs(self, K):
+        cover = hyperbolic_cover(F(1, 1 << K), F(8, 5))[0]
+        assert cover_rects(cover) == [[grid_str(v, K) for v in sq] for sq in cover.squares]
+
+    @pytest.mark.parametrize("K", range(19))
+    def test_cover_csv_is_csv_writer(self, K):
+        # the csv module's rendering, which cover_csv wrote before it joined rows itself
+        rects = cover_rects(hyperbolic_cover(F(1, 1 << K), F(8, 5))[0])
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["x", "y", "side"])
+        writer.writerows(rects)
+        assert cover_csv(rects) == buf.getvalue()
+
+    @pytest.mark.parametrize("big_k", [DECIMAL_MAX_BITS, DECIMAL_MAX_BITS + 1,
+                                       DECIMAL_MAX_BITS + 40])
+    def test_cover_rects_past_the_decimal_range(self, big_k):
+        # a hand-built cover, far too large to build by hyperbolic_cover: past
+        # DECIMAL_MAX_BITS its values are hex, as grid_str writes them
+        one = 1 << big_k
+        cover = SquareCover(big_k, ((0, 2, 5, 6), (1, 4, 1, 2), (3, 16, 2, 80),
+                                    (big_k - 2, one >> 1, 1, one >> 1)), one >> 7)
+        rects = cover_rects(cover)
+        assert rects == [[grid_str(v, big_k) for v in sq] for sq in cover.squares]
+        assert any("0x" in v for row in rects for v in row) == (big_k > DECIMAL_MAX_BITS)
 
     @settings(max_examples=200, deadline=None)
     @given(n=st.one_of(st.integers(0, 1 << 70), st.integers(0, 3).map(lambda e: e << 14300)),
@@ -435,7 +467,13 @@ class TestPlot:
         ({"results": []}, "cover_overlay"),
         ({"results": {"multiplicative": {"cover": {"gamma": "1/0", "rects": []}}}},
          "cover_overlay"),
-    ], ids=["not-an-object", "null-upper-estimate", "results-not-an-object", "zero-denominator"])
+        ({"results": {"multiplicative": {"cover": {"gamma": "1/64",
+                                                   "rects": [["1*2^2000", "0", "1"]]}}}},
+         "cover_overlay"),
+        ({"results": {"multiplicative": {"cover": {"gamma": "1*2^2000", "rects": []}}}},
+         "cover_overlay"),
+    ], ids=["not-an-object", "null-upper-estimate", "results-not-an-object", "zero-denominator",
+            "rect-past-the-double-range", "gamma-past-the-double-range"])
     def test_report_of_the_wrong_shape(self, report, kind, tmp_path, capsys):
         # exit 2 with one line, not a traceback with the "stopped early" code 1
         path = tmp_path / "report.json"

@@ -1,5 +1,6 @@
-"""The report writer: ``render_json`` against ``json.dumps``, and canonical
-reports read back through ``parse_json`` and ``parse_rational``."""
+"""The report writer: ``render_json`` against ``json.dumps``, canonical
+reports read back through ``parse_json`` and ``parse_rational``, and the
+cover's closed-form grid strings against ``grid_str``."""
 
 import json
 import re
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 from liminfdim.cli import run
 from liminfdim.config import load_config, parse_rational
 from liminfdim.numerics import EXACT, DirectedReal
-from liminfdim.report import dyadic_str, fraction_str, parse_json, render_json
+from liminfdim.report import (_grid_run, dyadic_str, fraction_str, grid_str, parse_json,
+                              render_json)
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = (sorted((ROOT / "demos" / "configs").glob("*.cfg"))
@@ -90,3 +92,11 @@ def test_canonical_report_round_trips(config):
     mult = report["results"].get("multiplicative")
     if mult and mult["cover"]:
         assert all(RATIONAL.fullmatch(v) for row in mult["cover"]["rects"] for v in row)
+
+
+@pytest.mark.parametrize("e", range(8))
+def test_grid_run_is_grid_str(e):
+    # every run j0..j1-1, with odd and even ends, including the empty run
+    for j0 in range(34):
+        for j1 in range(j0, 34):
+            assert _grid_run(j0, j1, e) == [grid_str(j, e) for j in range(j0, j1)], (j0, j1)

@@ -1,5 +1,5 @@
-"""Mutation runner for the Cantor tree, the level builder, the numeric kernels
-and the multiplicative cover.
+"""Mutation runner for the Cantor tree, the level builder, the numeric kernels,
+the multiplicative cover and its report strings.
 
 Applies a fixed table of small code changes, one at a time, to a copy of
 the repository under a temporary directory.  Each entry of ``MUTANTS``
@@ -74,6 +74,8 @@ level_sets = _group("src/liminfdim/level_sets.py", "tests/test_level_sets.py",
                     "tests/test_golden.py")
 multiplicative = _group("src/liminfdim/multiplicative.py", "tests/test_multiplicative.py",
                         "tests/test_cli.py")
+report = _group("src/liminfdim/report.py", "tests/test_report.py", "tests/test_cli.py",
+                "tests/test_golden.py")
 
 # Code that several mutants change.  A span mutant moves the (first, last)
 # result of one residue_span call by wrapping the call in a lambda: the
@@ -185,6 +187,10 @@ MUTANTS: dict[str, Mutant] = {
     "covers: floor <-> ceil": multiplicative(
         "fx, cx, fy, cy = floor(px), ceil(px), floor(py), ceil(py)",
         "fx, cx, fy, cy = ceil(px), floor(px), ceil(py), floor(py)"),
+    "cover: corner side halved": multiplicative("tuple(columns), one >> half_cols)",
+                                                "tuple(columns), one >> half_cols + 1)"),
+    "_grid_run: even run from j0": report("a = j0 + (j0 & 1)", "a = j0"),
+    "_grid_run: even run end j1 >> 1": report("(j1 + 1) >> 1", "j1 >> 1"),
 }
 
 
