@@ -14,6 +14,7 @@ report written.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -236,7 +237,10 @@ def _write_outputs(report: dict, out: Path, fmt: str, canonical: bool) -> None:
                 rep.cover_csv(res["multiplicative"]["cover"]["rects"]), encoding="ascii")
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: parsing leaves it
+    as it was, and building it costs several times a parse."""
     parser = argparse.ArgumentParser(
         prog="liminfdim",
         description="certified level-set intersections and dimension estimates")
@@ -259,8 +263,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_plot.add_argument("--kind", required=True,
                         choices=("count_vs_scale", "bracket_vs_J", "cover_overlay"))
     p_plot.add_argument("--out", required=True, help="output SVG path")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: Optional[list[str]] = None) -> int:
+    args = _parser().parse_args(argv)
 
     if args.command == "run":
         try:

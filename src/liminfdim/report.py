@@ -9,10 +9,12 @@ int-to-decimal conversion; ``parse_rational`` reads every form back, in
 reports and config files alike.  Canonical mode drops the timing block and
 sorts keys, making reports byte-identical across runs of the same
 configuration.  ``render_json`` writes the bytes ``json.dumps(report,
-indent=2, sort_keys=canonical)`` would write, with its own renderer: a
-cover's ``rects`` table is one join, not one encoder step per string.
-``cover_rects`` writes those rows from the cover's columns, each column's
-strings in closed form, and ``cover_csv`` joins them into ``cover.csv``.
+indent=2, sort_keys=canonical)`` would write, with its own renderer: a table
+of strings none of which needs escaping, as a cover's ``rects``, is written
+one join per row, its quotes held in the separators, with no encoder step
+per string.  ``cover_rects`` writes those rows from the cover's columns,
+each column's strings in closed form, and ``cover_csv`` joins them into
+``cover.csv``.
 """
 
 from __future__ import annotations
@@ -106,21 +108,24 @@ def cover_rects(cover: SquareCover) -> list[list[str]]:
     """[grid_str(v, K) for v in square] for each of the cover's squares, in
     order.  A column's x values are written in closed form: x0 and x are
     multiples of side = 2**(k+1), so x / 2**K = j / 2**(K-k-1) with
-    j = x / side.  The strings "0" and a column's side are shared by its rows.
-    Past DECIMAL_MAX_BITS, and for a lone square off its side's grid, each x
-    goes through grid_str."""
+    j = x / side.  The strings "0" and a column's side are shared by its rows;
+    its rows [x, "0", side] and ["0", x, side] are two list comprehensions,
+    placed into alternate slots.  Past DECIMAL_MAX_BITS, and for a lone square
+    off its side's grid, each x goes through grid_str."""
     big_k = cover.big_k
-    rects: list[list[str]] = []
+    rects: list = [None] * cover.total_squares()
+    i = 0
     for k, side, count, x0 in cover.columns:
         s = grid_str(side, big_k)
         if big_k > DECIMAL_MAX_BITS or x0 % side:
             xs = [grid_str(x, big_k) for x in range(x0, x0 + count * side, side)]
         else:
             xs = _grid_run(x0 // side, x0 // side + count, big_k - k - 1)
-        for x in xs:
-            rects.append([x, "0", s])
-            rects.append(["0", x, s])
-    rects.append(["0", "0", grid_str(cover.corner, big_k)])
+        end = i + 2 * count
+        rects[i:end:2] = [[x, "0", s] for x in xs]
+        rects[i + 1:end:2] = [["0", x, s] for x in xs]
+        i = end
+    rects[i] = ["0", "0", grid_str(cover.corner, big_k)]
     return rects
 
 
@@ -200,11 +205,34 @@ def certificate_json(cert: HolderCertificate) -> dict:
     }
 
 
+# rows per step of _plain_table, which copies one step's cells, never the whole table's
+_TABLE_BATCH = 4096
+
+
+def _plain_table(node) -> bool:
+    """True when every item of the list node is a non-empty list of str cells
+    none of which needs escaping, so json.dumps writes each cell as itself
+    in quotes.  Checked in C, a batch of rows at a time."""
+    for i in range(0, len(node), _TABLE_BATCH):
+        rows = node[i:i + _TABLE_BATCH]
+        if set(map(type, rows)) != {list} or not all(rows):
+            return False
+        try:
+            text = "".join(chain.from_iterable(rows))
+        except TypeError:  # a cell that is not a str
+            return False
+        if len(_json_str(text)) != len(text) + 2:  # an escaped character writes 2+ chars
+            return False
+    return True
+
+
 def _chunks(node, pad: str, sort_keys: bool, out: list[str]) -> None:
     """Append node to out as ``json.dumps(node, indent=2, sort_keys=sort_keys)``
     writes it when nested where a newline and indent read ``pad``.  Keys must
     be strings.  Chunks, not one string per container, so that a large table
-    is copied once, by the caller's final join."""
+    is copied once, by the caller's final join.  A table ``_plain_table``
+    accepts, as a cover's rects, is written one join per row (rows may differ
+    in length), the quotes held in the separators."""
     if isinstance(node, str):
         out.append(_json_str(node))
         return
@@ -223,16 +251,12 @@ def _chunks(node, pad: str, sort_keys: bool, out: list[str]) -> None:
             sep = "," + inner
         out.append(pad + "}")
         return
-    widths = set(map(len, node)) if set(map(type, node)) == {list} else set()
-    if len(widths) == 1 and set(map(type, chain.from_iterable(node))) == {str}:
-        # a table of strings, as a cover's rects: every cell goes through one
-        # encoder map and every row through one join, with no Python call per row
+    if _plain_table(node):
         cell = inner + "  "
-        cells = map(_json_str, chain.from_iterable(node))
-        rows = map(("," + cell).join, zip(*[cells] * widths.pop()))
-        out.append("[" + inner + "[" + cell)
-        out.append((inner + "]," + inner + "[" + cell).join(rows))
-        out.append(inner + "]" + pad + "]")
+        out.append("[" + inner + "[" + cell + '"')
+        out.append(('"' + inner + "]," + inner + "[" + cell + '"').join(
+            map(('",' + cell + '"').join, node)))
+        out.append('"' + inner + "]" + pad + "]")
         return
     sep = "[" + inner
     for item in node:

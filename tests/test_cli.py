@@ -630,3 +630,31 @@ class TestEndToEnd:
         lines = (out_dir / "levels.csv").read_text().splitlines()
         assert lines[0].startswith("level,count_min,count_max")
         assert len(lines) == 3
+
+    def test_parser_reused_across_calls(self, tmp_path):
+        # one parser serves every call in a process: an override given to
+        # one call leaves the next call's config as its file says
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(ENUM_CFG)
+        assert main(["run", str(cfg_path), "--task", "analyze",
+                     "--out", str(tmp_path / "a")]) == 0
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "b")]) == 0
+        reports = [json.loads((tmp_path / d / "report.json").read_text()) for d in "ab"]
+        assert [r["config"]["tasks"] for r in reports] == [["analyze"], ["analyze", "enumerate"]]
+        assert [sorted(r["results"]) for r in reports] == [["analyze"], ["analyze", "enumerate"]]
+
+    def test_repeated_task_appends_within_its_call(self, tmp_path):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(POWER_CFG)
+        for out in "ab":
+            assert main(["run", str(cfg_path), "--task", "analyze", "--task", "enumerate",
+                         "--depth", "2", "--out", str(tmp_path / out)]) == 0
+            report = json.loads((tmp_path / out / "report.json").read_text())
+            assert report["config"]["tasks"] == ["analyze", "enumerate"]
+
+    def test_missing_config_exits_2_every_call(self, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["run"])
+            assert exc.value.code == 2
+            assert "the following arguments are required: config" in capsys.readouterr().err

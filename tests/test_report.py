@@ -7,7 +7,7 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from liminfdim.cli import run
@@ -63,8 +63,30 @@ TREES = st.recursive(
 @settings(max_examples=200, deadline=None)
 @given(doc=st.dictionaries(st.one_of(TEXT, st.just("timing")), TREES, max_size=6),
        canonical=st.booleans())
+# tables that must not be written one join per row: an empty row, cells that
+# json escapes, a cell that is not a str; ragged and tuple rows
+@example(doc={"": [[]]}, canonical=False)
+@example(doc={"t": [["a"], []]}, canonical=False)
+@example(doc={"t": [["a", "b"], ["c"]]}, canonical=False)
+@example(doc={"t": [["a", '"']]}, canonical=False)
+@example(doc={"t": [["\\"], ["a"]]}, canonical=False)
+@example(doc={"t": [["a\nb"]]}, canonical=False)
+@example(doc={"t": [["\x7f"]]}, canonical=False)
+@example(doc={"t": [["a", "é"]]}, canonical=True)
+@example(doc={"t": [["a", 1]]}, canonical=False)
+@example(doc={"t": [("a", "b"), ("c", "d")]}, canonical=False)
 def test_render_json_is_json_dumps(doc, canonical):
     assert render_json(doc, canonical) == reference_json(doc, canonical)
+
+
+@pytest.mark.parametrize("last", [["a", '"'], ["é"], ["0", None], [], ("0", "1")],
+                         ids=["quote", "non-ascii", "none", "empty", "tuple"])
+def test_long_table_with_one_bad_row(last):
+    # longer than a batch of the table check: the bad row is past the first batches
+    table = [[str(i), "0", "1/2"] for i in range(10_000)]
+    table[-2] = last
+    doc = {"rects": table}
+    assert render_json(doc) == reference_json(doc, False)
 
 
 def _strings(node):

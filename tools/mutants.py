@@ -1,5 +1,5 @@
 """Mutation runner for the Cantor tree, the level builder, the numeric kernels,
-the multiplicative cover and its report strings.
+the multiplicative cover, its report strings and the report's table writer.
 
 Applies a fixed table of small code changes, one at a time, to a copy of
 the repository under a temporary directory.  Each entry of ``MUTANTS``
@@ -191,6 +191,9 @@ MUTANTS: dict[str, Mutant] = {
                                                 "tuple(columns), one >> half_cols + 1)"),
     "_grid_run: even run from j0": report("a = j0 + (j0 & 1)", "a = j0"),
     "_grid_run: even run end j1 >> 1": report("(j1 + 1) >> 1", "j1 >> 1"),
+    "_plain_table: no escape check": report("if len(_json_str(text)) != len(text) + 2:",
+                                            "if False:"),
+    "_plain_table: empty rows kept": report("!= {list} or not all(rows):", "!= {list}:"),
 }
 
 
