@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import math
 import sys
 import time
@@ -296,7 +297,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     if args.command == "plot":
         try:
-            report = rep.parse_json(Path(args.report).read_text(encoding="ascii"))
+            report = json.loads(Path(args.report).read_text(encoding="ascii"))
             plot(report, args.kind, args.out)
         except (MissingSeriesError, ValueError, OSError, KeyError, TypeError,
                 AttributeError, OverflowError) as exc:  # a report of the wrong shape

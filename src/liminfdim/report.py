@@ -8,13 +8,12 @@ humans.  Integers (terms, counts, config keys, and the parts of 'p/q' and
 int-to-decimal conversion; ``parse_rational`` reads every form back, in
 reports and config files alike.  Canonical mode drops the timing block and
 sorts keys, making reports byte-identical across runs of the same
-configuration.  ``render_json`` writes the bytes ``json.dumps(report,
-indent=2, sort_keys=canonical)`` would write, with its own renderer: a table
-of strings none of which needs escaping, as a cover's ``rects``, is written
-one join per row, its quotes held in the separators, with no encoder step
-per string.  ``cover_rects`` writes those rows from the cover's columns,
-each column's strings in closed form, and ``cover_csv`` joins them into
-``cover.csv``.
+configuration.  ``render_json`` is ``json.dumps(report, indent=2,
+sort_keys=canonical)`` but for the one large table, a cover's ``rects``,
+whose rows it writes itself into the dump's ``"rects": []``, one join per
+row with the quotes held in the separators; the bytes are the same.
+``cover_rects`` writes those rows from the cover's columns, each column's
+strings in closed form, and ``cover_csv`` joins them into ``cover.csv``.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import json
 from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Union
+from typing import Optional, Union
 
 from .cantor import HolderCertificate
 from .level_sets import CertifiedCount, LevelStats
@@ -84,10 +83,8 @@ def dyadic_str(d: DirectedReal) -> str:
 
 
 def grid_str(n: int, big_k: int) -> str:
-    """n / 2**big_k for n >= 0, written as fraction_str writes it."""
-    shift = min(big_k, (n & -n).bit_length() - 1) if n else big_k
-    num = int_json(n >> shift)
-    return f"{num}" if shift == big_k else f"{num}/{int_json(1 << (big_k - shift))}"
+    """n / 2**big_k as fraction_str writes it: a cover's grid value."""
+    return fraction_str(Fraction(n, 1 << big_k))
 
 
 def _grid_run(j0: int, j1: int, e: int) -> list[str]:
@@ -208,11 +205,16 @@ def certificate_json(cert: HolderCertificate) -> dict:
 # rows per step of _plain_table, which copies one step's cells, never the whole table's
 _TABLE_BATCH = 4096
 
+# what json.dumps writes for a cover's rects once they are emptied
+_EMPTY_RECTS = '"rects": []'
+
 
 def _plain_table(node) -> bool:
-    """True when every item of the list node is a non-empty list of str cells
-    none of which needs escaping, so json.dumps writes each cell as itself
-    in quotes.  Checked in C, a batch of rows at a time."""
+    """True when node is a list whose items are all non-empty lists of str
+    cells none of which needs escaping, so json.dumps writes each cell as
+    itself in quotes.  Checked in C, a batch of rows at a time."""
+    if not isinstance(node, list):
+        return False
     for i in range(0, len(node), _TABLE_BATCH):
         rows = node[i:i + _TABLE_BATCH]
         if set(map(type, rows)) != {list} or not all(rows):
@@ -226,60 +228,45 @@ def _plain_table(node) -> bool:
     return True
 
 
-def _chunks(node, pad: str, sort_keys: bool, out: list[str]) -> None:
-    """Append node to out as ``json.dumps(node, indent=2, sort_keys=sort_keys)``
-    writes it when nested where a newline and indent read ``pad``.  Keys must
-    be strings.  Chunks, not one string per container, so that a large table
-    is copied once, by the caller's final join.  A table ``_plain_table``
-    accepts, as a cover's rects, is written one join per row (rows may differ
-    in length), the quotes held in the separators."""
-    if isinstance(node, str):
-        out.append(_json_str(node))
-        return
-    if not isinstance(node, (dict, list, tuple)):
-        out.append(json.dumps(node))
-        return
-    if not node:
-        out.append("{}" if isinstance(node, dict) else "[]")
-        return
+def _with_rects(doc: dict, canonical: bool) -> Optional[str]:
+    """``json.dumps(doc, indent=2, sort_keys=canonical)`` with the rows of
+    ``results.multiplicative.cover.rects`` written by the package: doc is
+    dumped with ``rects`` empty and the rows, one join each with the quotes
+    held in the separators, put in place of that one ``"rects": []``.  None
+    when that path is not all dicts, ``rects`` is empty or not a plain table,
+    or the dump holds ``"rects": []`` elsewhere too."""
+    keys = ("results", "multiplicative", "cover")
+    path = [doc]
+    for key in keys:
+        path.append(path[-1].get(key))
+        if not isinstance(path[-1], dict):
+            return None
+    rows = path[-1].get("rects")
+    if not rows or not _plain_table(rows):
+        return None
+    node = {**path[-1], "rects": []}
+    for parent, key in zip(reversed(path[:-1]), reversed(keys)):
+        node = {**parent, key: node}   # copies: the caller's report is not changed
+    head, _, tail = json.dumps(node, indent=2, sort_keys=canonical).partition(_EMPTY_RECTS)
+    if _EMPTY_RECTS in tail:
+        return None
+    pad = head[head.rfind("\n"):]     # the newline and indent of the key's line
     inner = pad + "  "
-    if isinstance(node, dict):
-        sep = "{" + inner
-        for key, value in sorted(node.items()) if sort_keys else node.items():
-            out.append(f"{sep}{_json_str(key)}: ")
-            _chunks(value, inner, sort_keys, out)
-            sep = "," + inner
-        out.append(pad + "}")
-        return
-    if _plain_table(node):
-        cell = inner + "  "
-        out.append("[" + inner + "[" + cell + '"')
-        out.append(('"' + inner + "]," + inner + "[" + cell + '"').join(
-            map(('",' + cell + '"').join, node)))
-        out.append('"' + inner + "]" + pad + "]")
-        return
-    sep = "[" + inner
-    for item in node:
-        out.append(sep)
-        _chunks(item, inner, sort_keys, out)
-        sep = "," + inner
-    out.append(pad + "]")
+    cell = inner + "  "
+    return "".join((head, '"rects": [', inner, "[", cell, '"',
+                    ('"' + inner + "]," + inner + "[" + cell + '"').join(
+                        map(('",' + cell + '"').join, rows)),
+                    '"', inner, "]", pad, "]", tail))
 
 
 def render_json(report: dict, canonical: bool = False) -> str:
     """The report as ``json.dumps(report, indent=2, sort_keys=canonical)``
-    writes it, plus a newline; canonical mode drops ``timing``."""
+    writes it, plus a newline; canonical mode drops ``timing``.  A cover's
+    rects, the one large table of a report, are written by ``_with_rects``."""
     doc = dict(report)
     if canonical:
         doc.pop("timing", None)
-    out: list[str] = []
-    _chunks(doc, "\n", canonical, out)
-    out.append("\n")
-    return "".join(out)
-
-
-def parse_json(text: str) -> dict:
-    return json.loads(text)
+    return (_with_rects(doc, canonical) or json.dumps(doc, indent=2, sort_keys=canonical)) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from liminfdim.report import (
     fraction_str,
     grid_str,
     int_json,
-    parse_json,
     render_json,
 )
 from liminfdim.sequences import PowerSpec, generate
@@ -213,7 +212,7 @@ class TestRun:
         cfg = parse_config(POWER_CFG)
         report, _ = run(cfg, canonical=True)
         text = render_json(report, True)
-        assert parse_json(text) == report
+        assert json.loads(text) == report
 
 
 class TestHugeIntegers:

@@ -9,30 +9,16 @@ that the oracle would reject fails here first.  The workload module is only
 read, never changed.
 """
 
-import importlib.util
-from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 from liminfdim import cli
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-
-def load_workload(monkeypatch):
-    # the workload imports perfbench's ``common`` by its bare name
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    spec = importlib.util.spec_from_file_location("perfbench_cli_reports",
-                                                  PERFBENCH / "cli_reports.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
 
 @pytest.mark.parametrize("seed", [1, 2])
-def test_tiny_round_passes_the_oracle(seed, tmp_path, monkeypatch):
-    bench = load_workload(monkeypatch)
+def test_tiny_round_passes_the_oracle(seed, tmp_path, monkeypatch, load_workload):
+    bench = load_workload("cli_reports")
     # attach wraps cli.run in place; monkeypatch puts the original back
     monkeypatch.setattr(cli, "run", cli.run)
     lib = SimpleNamespace(cli=cli)

@@ -1,6 +1,7 @@
-"""The report writer: ``render_json`` against ``json.dumps``, canonical
-reports read back through ``parse_json`` and ``parse_rational``, and the
-cover's closed-form grid strings against ``grid_str``."""
+"""The report writer: ``render_json`` against ``json.dumps``, the cover's
+rects it writes itself included, canonical reports read back through
+``json.loads`` and ``parse_rational``, and the cover's closed-form grid
+strings against ``grid_str``."""
 
 import json
 import re
@@ -13,8 +14,7 @@ from hypothesis import strategies as st
 from liminfdim.cli import run
 from liminfdim.config import load_config, parse_rational
 from liminfdim.numerics import EXACT, DirectedReal
-from liminfdim.report import (_grid_run, dyadic_str, fraction_str, grid_str, parse_json,
-                              render_json)
+from liminfdim.report import _grid_run, dyadic_str, fraction_str, grid_str, render_json
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = (sorted((ROOT / "demos" / "configs").glob("*.cfg"))
@@ -58,34 +58,65 @@ TREES = st.recursive(
     ),
     max_leaves=16,
 )
+DOCS = st.dictionaries(st.one_of(TEXT, st.just("timing")), TREES, max_size=6)
+# rows of grid strings, which render_json writes itself, or any table
+RECTS = st.one_of(
+    st.lists(st.lists(st.from_regex(RATIONAL, fullmatch=True), min_size=1, max_size=4),
+             max_size=6),
+    TABLES,
+)
+
+
+def cover_doc(rects, **rest) -> dict:
+    """A report whose multiplicative cover holds ``rects``."""
+    return {**rest, "results": {"multiplicative": {"cover": {"rects": rects, "n": 1}}}}
+
+
+ROWS = [["1/4", "0", "1/2"], ["0", "1/4", "1/2"]]
 
 
 @settings(max_examples=200, deadline=None)
-@given(doc=st.dictionaries(st.one_of(TEXT, st.just("timing")), TREES, max_size=6),
+@given(doc=st.one_of(DOCS, st.builds(lambda rest, rects: cover_doc(rects, **rest), DOCS, RECTS)),
        canonical=st.booleans())
-# tables that must not be written one join per row: an empty row, cells that
-# json escapes, a cell that is not a str; ragged and tuple rows
-@example(doc={"": [[]]}, canonical=False)
-@example(doc={"t": [["a"], []]}, canonical=False)
-@example(doc={"t": [["a", "b"], ["c"]]}, canonical=False)
-@example(doc={"t": [["a", '"']]}, canonical=False)
-@example(doc={"t": [["\\"], ["a"]]}, canonical=False)
-@example(doc={"t": [["a\nb"]]}, canonical=False)
-@example(doc={"t": [["\x7f"]]}, canonical=False)
-@example(doc={"t": [["a", "é"]]}, canonical=True)
-@example(doc={"t": [["a", 1]]}, canonical=False)
-@example(doc={"t": [("a", "b"), ("c", "d")]}, canonical=False)
+# rects that must not be written one join per row: an empty row, cells that
+# json escapes, a cell that is not a str, tuple rows; ragged rows are written
+@example(doc=cover_doc([[]]), canonical=False)
+@example(doc=cover_doc([["a"], []]), canonical=False)
+@example(doc=cover_doc([["a", "b"], ["c"]]), canonical=False)
+@example(doc=cover_doc([["a", '"']]), canonical=False)
+@example(doc=cover_doc([["\\"], ["a"]]), canonical=False)
+@example(doc=cover_doc([["a\nb"]]), canonical=False)
+@example(doc=cover_doc([["\x7f"]]), canonical=False)
+@example(doc=cover_doc([["a", "é"]]), canonical=True)
+@example(doc=cover_doc([["a", 1]]), canonical=False)
+@example(doc=cover_doc([("a", "b"), ("c", "d")]), canonical=False)
+# no rows, or no cover path of dicts: json.dumps writes the whole report
+@example(doc=cover_doc([]), canonical=True)
+@example(doc={"results": [ROWS]}, canonical=False)
+@example(doc={"results": {"multiplicative": None}}, canonical=True)
+@example(doc={"results": {"multiplicative": {"cover": ROWS}}}, canonical=True)
+@example(doc={"results": {"multiplicative": {"cover": {"rects": "0"}}}}, canonical=True)
+# a second "rects": [] in the dump, before or after the cover's
+@example(doc=cover_doc(ROWS, config={"rects": []}), canonical=False)
+@example(doc=cover_doc(ROWS, config={"rects": []}), canonical=True)
+@example(doc={**cover_doc(ROWS), "warnings": {"rects": []}}, canonical=False)
+@example(doc=cover_doc(ROWS, config={'x"rects': []}), canonical=True)
+# a non-canonical report keeps its timing; a canonical one drops it
+@example(doc=cover_doc(ROWS, timing={"run": 0.5}), canonical=False)
+@example(doc=cover_doc(ROWS, timing={"run": 0.5}), canonical=True)
 def test_render_json_is_json_dumps(doc, canonical):
     assert render_json(doc, canonical) == reference_json(doc, canonical)
 
 
-@pytest.mark.parametrize("last", [["a", '"'], ["é"], ["0", None], [], ("0", "1")],
-                         ids=["quote", "non-ascii", "none", "empty", "tuple"])
+@pytest.mark.parametrize("last", [["a", '"'], ["\\"], ["a\nb"], ["\x7f"], ["é"], ["0", None],
+                                  [], ("0", "1")],
+                         ids=["quote", "backslash", "newline", "del", "non-ascii", "none",
+                              "empty", "tuple"])
 def test_long_table_with_one_bad_row(last):
     # longer than a batch of the table check: the bad row is past the first batches
     table = [[str(i), "0", "1/2"] for i in range(10_000)]
     table[-2] = last
-    doc = {"rects": table}
+    doc = cover_doc(table)
     assert render_json(doc) == reference_json(doc, False)
 
 
@@ -103,7 +134,7 @@ def _strings(node):
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)
 def test_canonical_report_round_trips(config):
     report, _ = run(load_config(str(config)), canonical=True)
-    assert parse_json(render_json(report, True)) == report
+    assert json.loads(render_json(report, True)) == report
     exact = [s for s in _strings(report) if RATIONAL.fullmatch(s)]
     assert exact
     for s in exact:

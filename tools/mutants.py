@@ -1,5 +1,5 @@
 """Mutation runner for the Cantor tree, the level builder, the numeric kernels,
-the multiplicative cover, its report strings and the report's table writer.
+the multiplicative cover, its report strings and the rows ``render_json`` writes.
 
 Applies a fixed table of small code changes, one at a time, to a copy of
 the repository under a temporary directory.  Each entry of ``MUTANTS``
@@ -194,6 +194,9 @@ MUTANTS: dict[str, Mutant] = {
     "_plain_table: no escape check": report("if len(_json_str(text)) != len(text) + 2:",
                                             "if False:"),
     "_plain_table: empty rows kept": report("!= {list} or not all(rows):", "!= {list}:"),
+    "render_json: rows at the key's indent": report('inner = pad + "  "', "inner = pad"),
+    "render_json: marker taken without the uniqueness check": report(
+        "if _EMPTY_RECTS in tail:", "if False:"),
 }
 
 
