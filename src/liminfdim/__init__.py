@@ -33,8 +33,6 @@ from .level_sets import (
     PrefixResult,
     TorusIntervalSet,
     build_level,
-    constant_radius,
-    count_shifted_rationals,
     prefix_intersection,
 )
 from .multiplicative import (

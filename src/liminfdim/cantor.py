@@ -156,13 +156,6 @@ class CantorTree:
     def center_1d(self, coord: int, level: int, m: int) -> Fraction:
         return (m + self.params.theta[coord]) / self.qs.terms[level - 1]
 
-    def arc_1d(self, coord: int, level: int, m: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        """(inner_lo, inner_hi, outer_lo, outer_hi) of a node's 1-d arc, unrolled."""
-        c = self.center_1d(coord, level, m)
-        r_lo = Fraction(self._r_lo[level - 1], 1 << self._scale)
-        r_hi = Fraction(self._r_hi[level - 1], 1 << self._scale)
-        return (c - r_lo, c + r_lo, c - r_hi, c + r_hi)
-
     def child_range_1d(self, coord: int, level: int, m: int) -> tuple[int, int]:
         """Start and size of the admissible child residue range under node m.
 

@@ -122,8 +122,9 @@ def run(cfg: ExperimentConfig, canonical: bool = False) -> tuple[dict, int]:
             size = cover_size(check_cover(cfg.gamma, cfg.mult_s))
             cover_json = None
             if size > cfg.component_budget:
-                warnings.append(f"multiplicative: the cover needs {size} squares, over the "
-                                f"component budget of {cfg.component_budget}")
+                warnings.append(f"multiplicative: the cover needs {rep.int_json(size)} "
+                                f"squares, over the component budget of "
+                                f"{rep.int_json(cfg.component_budget)}")
                 exit_code = 1
             else:
                 cover, cost = hyperbolic_cover(cfg.gamma, cfg.mult_s, prec)

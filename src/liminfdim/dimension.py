@@ -161,13 +161,6 @@ class CoverReport:
         s_hat = log2_int(m, self.prec).div(self._log_scale, self.prec)
         return SubdivisionCount(depth=self.depth, d=self.d, count=m, branching_1d=bs, s_hat=s_hat)
 
-    def s_cost(self, s: Fraction) -> Enclosure:
-        """N * side**s, the s-dimensional cost of the cover."""
-        pw = self.side.pow_frac(Fraction(s), self.prec)
-        count_range = Enclosure(Enclosure.exact_int(self.count.min).lo,
-                                Enclosure.exact_int(self.count.max).hi)
-        return count_range * pw
-
     def dim_estimate(self) -> Enclosure:
         """log N / (-log side) as a certified enclosure."""
         num = Enclosure(log2_int(self.count.min, self.prec).lo,

@@ -104,16 +104,6 @@ class LevelParams:
         return enc
 
 
-def constant_radius(value: Fraction) -> RadiusFn:
-    """Radius function ignoring q; value must be dyadic to stay exact."""
-    value = Fraction(value)
-
-    def fn(q: int, prec: Optional[int]) -> Enclosure:
-        return Enclosure.from_fraction(value, prec)
-
-    return fn
-
-
 # ---------------------------------------------------------------------------
 # Arc lists: unions of disjoint open arcs with endpoints on a dyadic grid
 # ---------------------------------------------------------------------------
@@ -208,20 +198,6 @@ class ArcList:
         gaps.append(self.arcs[0][0] + self.size - self.arcs[-1][1])
         return Fraction(min(gaps), self.size)
 
-    def contains(self, x: Fraction) -> bool:
-        """Exact membership of a rational point (taken mod 1)."""
-        if self.full:
-            return True
-        x = Fraction(x) % 1
-        num, den = x.numerator, x.denominator
-        scaled = num << self.scale  # compare against endpoint * den
-        for lo, hi in self.arcs:
-            if lo * den < scaled < hi * den:
-                return True
-            if hi > self.size and lo * den < scaled + (den << self.scale) < hi * den:
-                return True
-        return False
-
     def intersect(self, other: "ArcList") -> "ArcList":
         scale = max(self.scale, other.scale)
         a, b = self.rescale(scale), other.rescale(scale)
@@ -291,10 +267,6 @@ class TorusIntervalSet:
         if self.inner.full:
             return CertifiedCount(1, 1)
         return CertifiedCount(self.inner.count, self.outer.count)
-
-    @property
-    def is_full(self) -> bool:
-        return self.inner.full
 
     def intersect(self, other: "TorusIntervalSet") -> "TorusIntervalSet":
         return TorusIntervalSet(
@@ -579,23 +551,3 @@ def prefix_intersection(
         levels.append(_combined_stats(j, q, sets))
     return PrefixResult(tuple(sets), tuple(levels))
 
-
-# ---------------------------------------------------------------------------
-# The shifted-rational counting fact
-# ---------------------------------------------------------------------------
-
-def count_shifted_rationals(a: Fraction, b: Fraction, theta: Fraction, q: int) -> int:
-    """Exact number of p in {0,...,q-1} with (p + theta)/q in the open (a, b).
-
-    Always within [(b-a)q - 2, (b-a)q + 2] of the interval's scaled length.
-    """
-    a, b, theta = Fraction(a), Fraction(b), Fraction(theta)
-    if not 0 <= a < b <= 1:
-        raise ValueError("need 0 <= a < b <= 1")
-    if q < 1:
-        raise ValueError("q must be a positive integer")
-    # the window is open: a centre (p + theta)/q other than a or b is at
-    # least 1/den away from both, so the closed window one 1/den in is the same
-    den = a.denominator * b.denominator * q * theta.denominator
-    first, last = residue_span(int(a * den) + 1, int(b * den) - 1, den, q, theta)
-    return max(0, min(last, q - 1) - max(first, 0) + 1)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor
 from typing import Optional, Union
 
 from .dimension import theoretical_dimension
@@ -84,13 +83,6 @@ class SquareCover:
         out.append((0, 0, self.corner))
         return tuple(out)
 
-    def covers(self, px: Fraction, py: Fraction) -> bool:
-        # integer corners: x <= p <= x + side iff x <= floor(p) and ceil(p) <= x + side
-        px, py = px * (1 << self.big_k), py * (1 << self.big_k)
-        fx, cx, fy, cy = floor(px), ceil(px), floor(py), ceil(py)
-        return any(x <= fx and cx <= x + side and y <= fy and cy <= y + side
-                   for x, y, side in self.squares)
-
     def total_squares(self) -> int:
         return 1 + 2 * sum(count for _, _, count, _ in self.columns)
 
@@ -116,8 +108,14 @@ def _column_counts(big_k: int) -> list[int]:
 
 
 def cover_size(big_k: int) -> int:
-    """Squares in hyperbolic_cover's cover of gamma = 2**-big_k, without building it."""
-    return 1 + 2 * sum(_column_counts(big_k))
+    """Squares in hyperbolic_cover's cover of gamma = 2**-big_k, without building it.
+
+    For K = 2m + r the columns hold (1 + r) * 4**j squares, j = m-1, ..., 0,
+    and one more column a single square when r = 1; each square but the
+    corner has a transpose.  The closed form costs O(K) bits, where summing
+    the columns would cost O(K**2)."""
+    m, r = divmod(big_k, 2)
+    return 1 + 2 * ((4 ** m - 1) // 3 * (1 + r) + r)
 
 
 def hyperbolic_cover(

@@ -66,8 +66,15 @@ def _iroot(x: int, b: int) -> int:
     # and the first g with nxt >= g is r.
     n = x.bit_length()
     if n // b < 64:
-        # a root below 2**64: 2**ceil(n / b) is above it
+        # a root below 2**64: 2**ceil(n / b) is above it, but by up to twice,
+        # and from there each step falls by only about 1 - 1/b; a float
+        # estimate from x's top 64 bits, raised by a 2**-40 margin plus 2,
+        # lies above it too unless rounding failed, which one power checks
         g = 1 << -(-n // b)
+        shift = max(0, n - 64)
+        y = int(2 ** ((math.log2(x >> shift) + shift) / b) * (1 + 2 ** -40)) + 2
+        if y < g and y ** b > x:
+            g = y
     else:
         # precision doubling: the root y of the top bits, taken to half the
         # root's length, gives (y + 1)**b >= (x >> b*k) + 1 > x / 2**(b*k),
@@ -312,10 +319,6 @@ class Enclosure:
     def float_bounds(self) -> tuple[float, float]:
         return float(self.lo), float(self.hi)
 
-    def contains(self, x: Union[Fraction, int]) -> bool:
-        x = Fraction(x)
-        return self.lo.as_fraction() <= x <= self.hi.as_fraction()
-
     def certainly_gt(self, x: Union[Fraction, int]) -> Optional[bool]:
         """True value > x?  True/False when certified, None when straddling."""
         x = Fraction(x)
@@ -324,17 +327,6 @@ class Enclosure:
         if self.hi.as_fraction() <= x:
             return False
         return None
-
-    def certainly_lt(self, x: Union[Fraction, int]) -> Optional[bool]:
-        x = Fraction(x)
-        if self.hi.as_fraction() < x:
-            return True
-        if self.lo.as_fraction() >= x:
-            return False
-        return None
-
-    def floor_range(self) -> tuple[int, int]:
-        return self.lo.floor(), self.hi.floor()
 
     # -- arithmetic --------------------------------------------------------
 

@@ -1,0 +1,82 @@
+"""Test references: plain functions that only the tests call.
+
+Each is an oracle or a fake for the package's code, written from its
+definition: the paper's counting fact for ``residue_span``, exact
+membership of a point in an arc list, a cover or an enclosure, a node's
+1-d arc in a Cantor tree, and a radius function that ignores q.
+"""
+
+from fractions import Fraction
+from math import ceil, floor
+from typing import Optional, Union
+
+from liminfdim.cantor import CantorTree
+from liminfdim.level_sets import ArcList, RadiusFn, residue_span
+from liminfdim.multiplicative import SquareCover
+from liminfdim.numerics import Enclosure
+
+
+def count_shifted_rationals(a: Fraction, b: Fraction, theta: Fraction, q: int) -> int:
+    """Exact number of p in {0,...,q-1} with (p + theta)/q in the open (a, b).
+
+    The paper's counting fact: always within [(b-a)q - 2, (b-a)q + 2] of
+    the interval's scaled length.
+    """
+    a, b, theta = Fraction(a), Fraction(b), Fraction(theta)
+    if not 0 <= a < b <= 1:
+        raise ValueError("need 0 <= a < b <= 1")
+    if q < 1:
+        raise ValueError("q must be a positive integer")
+    # the window is open: a centre (p + theta)/q other than a or b is at
+    # least 1/den away from both, so the closed window one 1/den in is the same
+    den = a.denominator * b.denominator * q * theta.denominator
+    first, last = residue_span(int(a * den) + 1, int(b * den) - 1, den, q, theta)
+    return max(0, min(last, q - 1) - max(first, 0) + 1)
+
+
+def constant_radius(value: Fraction) -> RadiusFn:
+    """Radius function ignoring q; value must be dyadic to stay exact."""
+    value = Fraction(value)
+
+    def fn(q: int, prec: Optional[int]) -> Enclosure:
+        return Enclosure.from_fraction(value, prec)
+
+    return fn
+
+
+def arc_contains(arcs: ArcList, x: Fraction) -> bool:
+    """Exact membership of a rational point (taken mod 1) in an arc list."""
+    if arcs.full:
+        return True
+    x = Fraction(x) % 1
+    num, den = x.numerator, x.denominator
+    scaled = num << arcs.scale  # compare against endpoint * den
+    for lo, hi in arcs.arcs:
+        if lo * den < scaled < hi * den:
+            return True
+        if hi > arcs.size and lo * den < scaled + (den << arcs.scale) < hi * den:
+            return True
+    return False
+
+
+def enclosure_contains(enc: Enclosure, x: Union[Fraction, int]) -> bool:
+    """lo <= x <= hi, exactly."""
+    return enc.lo.as_fraction() <= Fraction(x) <= enc.hi.as_fraction()
+
+
+def covers(cover: SquareCover, px: Fraction, py: Fraction) -> bool:
+    """Whether some closed square of the cover holds the point (px, py)."""
+    # integer corners: x <= p <= x + side iff x <= floor(p) and ceil(p) <= x + side
+    px, py = px * (1 << cover.big_k), py * (1 << cover.big_k)
+    fx, cx, fy, cy = floor(px), ceil(px), floor(py), ceil(py)
+    return any(x <= fx and cx <= x + side and y <= fy and cy <= y + side
+               for x, y, side in cover.squares)
+
+
+def arc_1d(tree: CantorTree, coord: int, level: int,
+           m: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """(inner_lo, inner_hi, outer_lo, outer_hi) of a node's 1-d arc, unrolled."""
+    c = tree.center_1d(coord, level, m)
+    r_lo = Fraction(tree._r_lo[level - 1], 1 << tree._scale)
+    r_hi = Fraction(tree._r_hi[level - 1], 1 << tree._scale)
+    return (c - r_lo, c + r_lo, c - r_hi, c + r_hi)

@@ -16,11 +16,7 @@ from liminfdim.cantor import build_tree
 from liminfdim.cli import run
 from liminfdim.config import parse_config
 from liminfdim.dimension import lower_cantor_count, upper_dim_estimate
-from liminfdim.level_sets import (
-    LevelParams,
-    count_shifted_rationals,
-    prefix_intersection,
-)
+from liminfdim.level_sets import LevelParams, prefix_intersection
 from liminfdim.multiplicative import hyperbolic_cover, mult_bounds, mult_cost_exponent
 from liminfdim.numerics import Enclosure
 from liminfdim.report import render_json
@@ -34,6 +30,8 @@ from liminfdim.sequences import (
     reindex_even,
     validate_regime,
 )
+
+from reference import arc_1d, count_shifted_rationals
 
 
 @contextmanager
@@ -162,7 +160,7 @@ def test_07_mass_distribution():
 
         # separation >= 1/(2 q_k): exhaustive for k <= 2, sampled for k in {3,4}
         for level in (1, 2):
-            arcs = sorted(tree.arc_1d(0, level, m)[2:] for m in tree.nodes_1d(0, level))
+            arcs = sorted(arc_1d(tree, 0, level, m)[2:] for m in tree.nodes_1d(0, level))
             bound = F(1, 2 * qs.terms[level - 1])
             for (a1, b1), (a2, b2) in zip(arcs, arcs[1:]):
                 assert a2 - b1 >= bound
@@ -174,8 +172,8 @@ def test_07_mass_distribution():
                 path = tree.sample_leaf_path(0, rng)
                 m = path[level - 1]
                 sib = m + 1 if rng.random() < 0.5 else m - 1
-                _, _, lo1, hi1 = tree.arc_1d(0, level, m)
-                _, _, lo2, hi2 = tree.arc_1d(0, level, sib)
+                _, _, lo1, hi1 = arc_1d(tree, 0, level, m)
+                _, _, lo2, hi2 = arc_1d(tree, 0, level, sib)
                 gap = lo2 - hi1 if lo2 >= hi1 else lo1 - hi2
                 assert gap >= bound
 

@@ -10,6 +10,8 @@ from liminfdim.level_sets import LevelParams, prefix_intersection
 from liminfdim.numerics import Enclosure
 from liminfdim.sequences import PowerSpec, QSequence, generate
 
+from reference import arc_1d, arc_contains
+
 
 def params_1d(theta=F(0), tau=F(1)):
     return LevelParams(theta=(theta,), tau=tau)
@@ -34,9 +36,9 @@ class TestStructure:
     def test_nesting_exhaustive_small(self):
         tree = build_tree(QSequence((4, 256)), params_1d())
         for m in tree.nodes_1d(0, 1):
-            a, b, _, _ = tree.arc_1d(0, 1, m)
+            a, b, _, _ = arc_1d(tree, 0, 1, m)
             for child in tree.children_1d(0, 1, m):
-                _, _, lo, hi = tree.arc_1d(0, 2, child)
+                _, _, lo, hi = arc_1d(tree, 0, 2, child)
                 assert a <= lo and hi <= b, (m, child)
 
     @pytest.mark.parametrize("qs, theta", [((5, 200), F(0)), ((7, 300), F(2, 7))],
@@ -50,17 +52,17 @@ class TestStructure:
 
         tree = build_tree(QSequence(qs), LevelParams(theta=(theta,), tau=F(1), radius=wide))
         for m in tree.nodes_1d(0, 1):
-            a, b, _, _ = tree.arc_1d(0, 1, m)
+            a, b, _, _ = arc_1d(tree, 0, 1, m)
             start, avail = tree.child_range_1d(0, 1, m)
             assert avail >= tree.branching_1d[1]
             for child in range(start, start + avail):
-                _, _, lo, hi = tree.arc_1d(0, 2, child)
+                _, _, lo, hi = arc_1d(tree, 0, 2, child)
                 assert a <= lo and hi <= b, (m, child)
 
     def test_separation_exhaustive_small(self):
         tree = build_tree(QSequence((4, 256)), params_1d())
         for level in (1, 2):
-            arcs = sorted(tree.arc_1d(0, level, m)[2:] for m in tree.nodes_1d(0, level))
+            arcs = sorted(arc_1d(tree, 0, level, m)[2:] for m in tree.nodes_1d(0, level))
             sep = tree.min_separation(level)
             assert sep >= F(1, 2 * tree.qs.terms[level - 1])
             for (a1, b1), (a2, b2) in zip(arcs, arcs[1:]):
@@ -89,7 +91,7 @@ class TestStructure:
         for _ in range(50):
             path = tree.sample_leaf_path(0, rng)
             c = tree.center_1d(0, 2, path[-1]) % 1
-            assert enum.sets[0].outer.contains(c)
+            assert arc_contains(enum.sets[0].outer, c)
 
     def test_separation_check_rejects_wide_arcs(self):
         # q = 3, tau = 1 has level-1 boxes only 1/9 apart, below 1/(2q)

@@ -381,7 +381,12 @@ class TestCoverReport:
         ("gamma = 1*2^-10\ncomponent_budget = 100\n", 1),
         # 2**38 squares in the first column alone: refused before anything is built
         ("gamma = 1*2^-40\n", 1),
-    ], ids=["K6-at-budget", "K6-over", "K10-over", "K40-default-budget"])
+        # counts past the decimal range: the warning writes them in hex
+        ("gamma = 1*2^-14400\n", 1),
+        ("gamma = 1*2^-1000000\n", 1),
+        (f"gamma = 1*2^-16000\ncomponent_budget = {hex(1 << 15000)}\n", 1),
+    ], ids=["K6-at-budget", "K6-over", "K10-over", "K40-default-budget", "K14400-hex",
+            "K1000000-hex", "K16000-hex-budget"])
     def test_cover_over_component_budget(self, extra, code, tmp_path, monkeypatch, capsys):
         if code:
             def refuse(*args):

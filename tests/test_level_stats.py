@@ -25,10 +25,11 @@ from liminfdim.level_sets import (
     TorusIntervalSet,
     _progression_stats,
     build_level,
-    constant_radius,
     prefix_intersection,
 )
 from liminfdim.sequences import QSequence
+
+from reference import constant_radius
 
 # zero and dyadic shifts put centres on the grid; odd and mixed ones do not
 THETAS = st.sampled_from([F(0), F(1, 2), F(1, 4), F(3, 8), F(1, 3), F(5, 7), F(96, 97),
@@ -147,7 +148,7 @@ def test_full_circle_and_covering_radius():
         check_level(build_level(q, params, 64))  # every arc of one run, none cut
     covering = LevelParams(theta=(F(1, 4),), tau=F(1), radius=constant_radius(F(1)))
     s = build_level(3, covering)
-    assert s.is_full and stats(s.outer) == reference_stats(s.outer) == (F(1), F(1), None)
+    assert s.inner.full and stats(s.outer) == reference_stats(s.outer) == (F(1), F(1), None)
 
 
 # -- prefix_intersection --------------------------------------------------------------------

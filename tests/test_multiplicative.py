@@ -5,12 +5,15 @@ import mpmath
 import pytest
 
 from liminfdim.multiplicative import (
+    _column_counts,
     cover_size,
     hyperbolic_cover,
     mult_bounds,
     mult_cost_exponent,
 )
 from liminfdim.numerics import Enclosure
+
+from reference import covers, enclosure_contains
 
 
 class TestMultBounds:
@@ -40,7 +43,7 @@ class TestMultBounds:
         alpha = Enclosure.from_fraction(F(1, 3), 128)
         lower, upper = mult_bounds(F(1), alpha, 2)
         assert upper == F(3, 2)
-        assert lower.contains(F(4, 3)) and lower.width() <= F(1, 2 ** 100)
+        assert enclosure_contains(lower, F(4, 3)) and lower.width() <= F(1, 2 ** 100)
 
     def test_consistency_with_dimension_formula(self):
         # the d = 1 lower bound is the dimension formula itself
@@ -121,7 +124,7 @@ class TestHyperbolicCover:
         for (x, y) in [(F(0), F(0)), (F(1), F(1, 256)), (F(0), F(1)), (F(1), F(0)),
                        (F(1, 256), F(1)), (F(1, 2), F(1, 128))]:
             assert x * y <= F(1, 256)
-            assert cover.covers(x, y)
+            assert covers(cover, x, y)
 
     @pytest.mark.parametrize("K", range(8))
     def test_covers_every_point_of_a_finer_grid(self, K):
@@ -132,7 +135,7 @@ class TestHyperbolicCover:
         grid = [F(i, n) for i in range(n + 1)]
         for i, x in enumerate(grid):
             for j, y in enumerate(grid):
-                covered = cover.covers(x, y)
+                covered = covers(cover, x, y)
                 if i * j <= n * n >> K:
                     assert covered, (K, x, y)
                 elif covered:
@@ -143,6 +146,10 @@ class TestHyperbolicCover:
             cover, _ = hyperbolic_cover(F(1, 1 << K), F(8, 5))
             assert cover.big_k == K
             assert cover_size(K) == cover.total_squares()
+
+    def test_size_closed_form_is_the_column_sum(self):
+        for K in range(400):
+            assert cover_size(K) == 1 + 2 * sum(_column_counts(K)), K
 
     def test_scaling_band(self):
         # s_cost(gamma) * gamma^-(s-1) stays in a narrow band at s = 1.6

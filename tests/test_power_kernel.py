@@ -11,7 +11,9 @@ direction tags included.
 ``reference_iroot`` is ``numerics._iroot`` as it was before its Newton
 iteration lost the two fix-up loops that followed it and before it started
 from the root of the radicand's top bits; the reference bracket takes its
-roots.
+roots.  ``bisect_iroot`` checks the start that a root below 2**64 takes from
+a float estimate, at degrees up to 10**4, and a tau = 1/4096 config, whose
+powers root degree-4096 radicands, runs through ``cli.main``.
 
 ``reference_pow_frac`` brackets each end of the base on its own, as
 ``Enclosure.pow_frac`` did before an exact base took a single bracket.
@@ -20,6 +22,7 @@ roots.
 ``pow_frac`` it bounds, exact results and 8-bit precision included.
 """
 
+import json
 import math
 import random
 from fractions import Fraction as F
@@ -28,6 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liminfdim import numerics
+from liminfdim.cli import main
 from liminfdim.numerics import (
     DOWN,
     EXACT,
@@ -39,6 +43,7 @@ from liminfdim.numerics import (
     dir_pow,
     pow_exponent_below,
 )
+from liminfdim.report import parse_rational
 from liminfdim.sequences import PowerSpec, generate
 
 
@@ -118,6 +123,51 @@ def test_iroot_of_high_degree(b, n, seed):
     # a degree past the root's bit length gives a root of a few bits; the
     # recursion must not loop when n // b is small
     assert_floor_root(random.Random(seed).getrandbits(n) | 1 << (n - 1), b)
+
+
+def bisect_iroot(x: int, b: int) -> int:
+    """Floor of the b-th root by bisection: lo**b <= x < hi**b throughout."""
+    lo, hi = 0, 1 << -(-x.bit_length() // b)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if mid ** b <= x else (lo, mid)
+    return lo
+
+
+@st.composite
+def small_root_radicands(draw):
+    """Roots below 2**64 (the float-estimated start) of degree up to 10**4,
+    radicands of at most 20,000 bits, exact powers and their neighbours
+    among them."""
+    b = draw(st.integers(3, 10 ** 4))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    root_bits = draw(st.integers(1, min(64, 20000 // b)))
+    root = rng.getrandbits(root_bits) | 1 << (root_bits - 1)
+    if draw(st.booleans()):
+        return root ** b + draw(st.integers(-1, 1)), b
+    return rng.randrange(root ** b, (root + 1) ** b), b
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_root_radicands())
+def test_iroot_matches_bisection(case):
+    x, b = case
+    assert _iroot(x, b) == bisect_iroot(x, b), (x, b)
+
+
+def test_tiny_tau_config_runs(tmp_path):
+    # tau = 1/4096 roots radicands of degree 4096; from a start up to twice
+    # the root, Newton took thousands of steps (seconds) where it now takes a few
+    cfg = tmp_path / "tiny_tau.cfg"
+    cfg.write_text("precision = 128\nsequence = power\nq1 = 3\ngrowth = 4\ntau = 1/4096\n"
+                   "d = 1\ndepth = 3\ntasks = analyze,dimension\n")
+    assert main(["run", str(cfg), "--out", str(tmp_path), "--canonical"]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())["results"]["dimension"]
+    side = report["cover_report"]
+    q, e = 43046721, 1 + F(1, 4096)  # q_3 = 3**16, side = 2 q_3**-(1+tau)
+    lo, hi = parse_rational(side["side_lo"]), parse_rational(side["side_hi"])
+    assert 0 < hi - lo and (lo / 2) ** e.denominator <= F(1, q ** e.numerator)
+    assert F(1, q ** e.numerator) <= (hi / 2) ** e.denominator
 
 
 def reference_power_terms(q1: int, growth: F, depth: int) -> tuple[int, ...]:

@@ -1,5 +1,6 @@
 """Mutation runner for the Cantor tree, the level builder, the numeric kernels,
-the multiplicative cover, its report strings and the rows ``render_json`` writes.
+the dimension estimators, the multiplicative cover, its report strings and
+the rows ``render_json`` writes.
 
 Applies a fixed table of small code changes, one at a time, to a copy of
 the repository under a temporary directory.  Each entry of ``MUTANTS``
@@ -17,7 +18,7 @@ once in the file, any run of whitespace in it matching any run of
 whitespace; an entry whose ``old`` matches no place or several is
 reported as "n/a".
 
-Usage, from the root of a checkout (about twelve minutes):
+Usage, from the root of a checkout (about nine minutes on a 2-vCPU host):
 
     python3 tools/mutants.py
 
@@ -74,6 +75,8 @@ level_sets = _group("src/liminfdim/level_sets.py", "tests/test_level_sets.py",
                     "tests/test_golden.py")
 multiplicative = _group("src/liminfdim/multiplicative.py", "tests/test_multiplicative.py",
                         "tests/test_cli.py")
+dimension = _group("src/liminfdim/dimension.py", "tests/test_dimension.py",
+                   "tests/test_golden.py", "tests/test_acceptance.py")
 report = _group("src/liminfdim/report.py", "tests/test_report.py", "tests/test_cli.py",
                 "tests/test_golden.py")
 
@@ -134,6 +137,9 @@ MUTANTS: dict[str, Mutant] = {
     "_iroot: start from y << k": numerics("g = (_iroot(x >> b * k, b) + 1) << k",
                                           "g = _iroot(x >> b * k, b) << k"),
     "_iroot: base case < 64 -> < 1": numerics("if n // b < 64:", "if n // b < 1:"),
+    # a start below the root ends Newton's iteration at once, on a wrong root
+    "_iroot: unchecked start below the root": numerics(
+        "* (1 + 2 ** -40)) + 2 if y < g and y ** b > x:", "* (1 - 2 ** -40))\n        if y < g:"),
     "pow_exponent_below: no -1": numerics("// s.denominator - 1", "// s.denominator"),
     "holder: no walk skip": cantor("if not _exceeds(self._measure_bound(radius.hi),",
                                    "if _exceeds(self._measure_bound(radius.hi),"),
@@ -181,14 +187,19 @@ MUTANTS: dict[str, Mutant] = {
     "_clip: lo < hi -> <=": level_sets("if lo < hi]", "if lo <= hi]"),
     "residue_span: first +1": level_sets("return -((tn * den - lo * q * td) // step),",
                                          "return -((tn * den - lo * q * td) // step) + 1,"),
-    "count_shifted_rationals: closed at a": level_sets("int(a * den) + 1", "int(a * den)"),
     "cover: no clamp of x0": multiplicative("x0 = min(one >> (k + 1), one - side)",
                                             "x0 = one >> (k + 1)"),
-    "covers: floor <-> ceil": multiplicative(
-        "fx, cx, fy, cy = floor(px), ceil(px), floor(py), ceil(py)",
-        "fx, cx, fy, cy = ceil(px), floor(px), ceil(py), floor(py)"),
     "cover: corner side halved": multiplicative("tuple(columns), one >> half_cols)",
                                                 "tuple(columns), one >> half_cols + 1)"),
+    "cover factor + 2 -> + 1": dimension("scale_int(4 * self.q).add_int(2)",
+                                         "scale_int(4 * self.q).add_int(1)"),
+    "_log_scale: (1 + tau) -> tau": dimension("mul_frac(1 + self.tau, self.prec)",
+                                              "mul_frac(self.tau, self.prec)"),
+    "branching: floor of lo -> of hi": dimension("record.shrink.scale_int(q).lo.floor()",
+                                                 "record.shrink.scale_int(q).hi.floor()"),
+    "theoretical_dimension: no clamp": dimension("if raw < 0:", "if False:"),
+    "raw_count: one factor too many": dimension("for _ in range(self.d - 1):",
+                                                "for _ in range(self.d):"),
     "_grid_run: even run from j0": report("a = j0 + (j0 & 1)", "a = j0"),
     "_grid_run: even run end j1 >> 1": report("(j1 + 1) >> 1", "j1 >> 1"),
     "_plain_table: no escape check": report("if len(_json_str(text)) != len(text) + 2:",
