@@ -31,7 +31,8 @@ from typing import Optional
 from .dimension import RegimeViolationError, branching_factors
 from .level_sets import (BudgetExceededError, LevelParams, _radius_grid, _scale_for,
                          residue_span)
-from .numerics import ONE, UP, DirectedReal, Enclosure, _resolve_prec, pow_exponent_below
+from .numerics import (DEFAULT_PRECISION, ONE, UP, DirectedReal, Enclosure, _resolve_prec,
+                       check_root_size, pow_exponent_below)
 from .sequences import QSequence
 
 DEFAULT_NODE_BUDGET = 10 ** 6
@@ -72,12 +73,16 @@ class HolderCertificate:
             return None
 
 
-def check_holder(s: Fraction, samples: int, d: int) -> None:
-    """A Holder certificate in dimension d needs 0 < s < d + 1 and a sample."""
+def check_holder(s: Fraction, samples: int, d: int, prec: int) -> None:
+    """A Holder certificate in dimension d needs 0 < s < d + 1, a sample, and
+    powers r**s at prec bits whose roots stay under the cap: a sampled
+    radius's mantissa has at most DEFAULT_PRECISION + 3 bits (r_min's
+    enclosure), so r**s roots about s * (DEFAULT_PRECISION + 3) bits of it."""
     if not 0 < s < d + 1:
         raise ValueError(f"Holder exponent {s} out of range (0, {d + 1})")
     if samples < 1:
         raise ValueError("need at least one sample")
+    check_root_size(Fraction(s).denominator, prec, math.ceil(s * (DEFAULT_PRECISION + 3)))
 
 
 class CantorTree:
@@ -440,7 +445,7 @@ class CantorTree:
         integers; ``max_ratio`` is one ``Fraction``, built at the end.
         """
         s = Fraction(s)
-        check_holder(s, samples, self.params.d)
+        check_holder(s, samples, self.params.d, self.prec)
         rng = random.Random(seed)
         r_min = self.min_separation(self.depth) / 4
         # a radius clamped to r_min, which is not dyadic in general, is its

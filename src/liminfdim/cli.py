@@ -119,7 +119,7 @@ def run(cfg: ExperimentConfig, canonical: bool = False) -> tuple[dict, int]:
         elif task == "multiplicative":
             alpha = stats.alpha_last if stats.alpha_last is not None else Fraction(0)
             lower, upper = mult_bounds(cfg.tau, alpha, cfg.d, prec)
-            size = cover_size(check_cover(cfg.gamma, cfg.mult_s))
+            size = cover_size(check_cover(cfg.gamma, cfg.mult_s, prec))
             cover_json = None
             if size > cfg.component_budget:
                 warnings.append(f"multiplicative: the cover needs {rep.int_json(size)} "

@@ -21,7 +21,7 @@ from .level_sets import LevelParams
 from .multiplicative import check_cover
 from .numerics import DEFAULT_PRECISION, _resolve_prec
 from .report import _parse_int, fraction_str, int_json, parse_rational
-from .sequences import SPECS, QSequence, SequenceSpec
+from .sequences import SPECS, QSequence, SequenceSpec, term_bits
 
 TASKS = ("analyze", "enumerate", "dimension", "cantor", "multiplicative")
 
@@ -77,16 +77,20 @@ class ExperimentConfig:
                               f"got {len(self.terms)}", key="terms")
         if not self.theta:
             self.theta = tuple(Fraction(0) for _ in range(self.d))
-        _checked("d, theta, tau", LevelParams, self.theta, self.tau, self.d)
-        _checked(", ".join(f.name for f in fields(SPECS[self.sequence])), self.spec)
+        params = _checked("d, theta, tau", LevelParams, self.theta, self.tau, self.d)
+        spec_keys = ", ".join(f.name for f in fields(SPECS[self.sequence]))
+        spec = _checked(spec_keys, self.spec)
         if self.sequence == "explicit":
             _checked("terms", QSequence, self.terms[:self.depth])
         else:
             _checked("q1", QSequence, (self.q1,))
         self.precision = _checked("precision", _resolve_prec, self.precision)
-        _checked("gamma, mult_s", check_cover, self.gamma, self.mult_s)
+        # the roots each exponent's denominator asks for, against one cap
+        bits = _checked(f"{spec_keys}, depth", term_bits, spec, self.depth)
+        _checked("tau, precision", params.check_roots, self.precision, bits)
+        _checked("gamma, mult_s", check_cover, self.gamma, self.mult_s, self.precision)
         _checked("holder_s, holder_samples", check_holder,
-                 self.holder_s, self.holder_samples, self.d)
+                 self.holder_s, self.holder_samples, self.d, self.precision)
 
     def spec(self) -> SequenceSpec:
         cls = SPECS[self.sequence]

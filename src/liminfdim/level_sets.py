@@ -18,11 +18,12 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
-from math import gcd
-from operator import itemgetter
+from math import ceil, gcd
+from operator import add, floordiv, itemgetter
 from typing import Iterable, Optional, Sequence
 
-from .numerics import Enclosure, _resolve_prec, _shift_ceil, _shift_floor, dir_pow
+from .numerics import (Enclosure, _resolve_prec, _shift_ceil, _shift_floor, check_root_size,
+                       dir_pow)
 from .sequences import QSequence
 
 
@@ -93,6 +94,12 @@ class LevelParams:
                 raise ValueError(f"shift components must lie in [0,1), got {t}")
         if self.tau <= 0:
             raise ValueError("tau must be positive")
+
+    def check_roots(self, prec: int, term_bits: int) -> None:
+        """Raise ValueError when tau's denominator makes the roots of
+        q**-(1+tau), for terms q of up to ``term_bits`` bits, too large
+        (``check_root_size``)."""
+        check_root_size(self.tau.denominator, prec, ceil((1 + self.tau) * term_bits))
 
     def radius_enclosure(self, q: int, prec: Optional[int] = None) -> Enclosure:
         if self.radius is not None:
@@ -309,6 +316,16 @@ def residue_span(lo: int, hi: int, den: int, q: int, theta: Fraction) -> tuple[i
     return -((tn * den - lo * q * td) // step), (hi * q * td - tn * den) // step
 
 
+def _on_grid(rem: int, b: int, den: int, n: int) -> range:
+    """The k in 0..n-1 with den dividing rem + k * b: the centres of a run
+    that lie on the grid, centre k lying at (rem + k * b) / den mod 1."""
+    g = gcd(b, den)
+    if rem % g:
+        return range(0)
+    period = den // g
+    return range(-(rem // g) * pow(b // g, -1, period) % period, n, period)
+
+
 def _progression_stats(n: int, rem: int, r: int, den: int,
                        step: int) -> tuple[int, int, Optional[int]]:
     """Total length, largest arc and smallest gap (None when n = 1), in grid
@@ -316,19 +333,12 @@ def _progression_stats(n: int, rem: int, r: int, den: int,
 
     Centre k lies at (rem + k * step) / den on the grid, 0 <= rem < den.
     Its arc is (c - r, c + 1 + r) for c the centre rounded down, or
-    (c - r, c + r) when the centre lies on the grid.  With (a, b) =
-    divmod(step, den) and rem_k = (rem + k * b) mod den, centre k is on
-    the grid when rem_k = 0, and the gap after arc k is a - 2r - 1 when
-    0 < rem_k < den - b, else a - 2r.
+    (c - r, c + r) when the centre lies on the grid (``_on_grid``).  With
+    (a, b) = divmod(step, den) and rem_k = (rem + k * b) mod den, the gap
+    after arc k is a - 2r - 1 when 0 < rem_k < den - b, else a - 2r.
     """
     a, b = divmod(step, den)
-    g = gcd(b, den)
-    on_grid = 0
-    if rem % g == 0:
-        period = den // g
-        first = -(rem // g) * pow(b // g, -1, period) % period
-        if first < n:
-            on_grid = (n - 1 - first) // period + 1
+    on_grid = len(_on_grid(rem, b, den, n))
     total, widest = n * (2 * r + 1) - on_grid, 2 * r + (on_grid < n)
     if n == 1:
         return total, widest, None
@@ -340,6 +350,39 @@ def _progression_stats(n: int, rem: int, r: int, den: int,
         m, x = divmod(b, fall)
         k += 1 + m
     return total, widest, a - 2 * r - (0 < x and k < n - 1)
+
+
+def _outer_arcs(first: int, last: int, r: int, tn: int, td: int, q: int,
+                scale: int) -> list[tuple[int, int]]:
+    """The uncut outer arcs (floor(c) - r, ceil(c) + r) of the residues
+    m = first..last, for c = (m + tn/td) / q * 2**scale, the centre on the
+    grid: one floor division per centre."""
+    den, step = q * td, td << scale
+    n0 = (first * td + tn) << scale
+    n = last - first + 1
+    start = n0 - r * den
+    los = list(map(floordiv, range(start, start + n * step, step), repeat(den)))
+    his = list(map(add, los, repeat(2 * r + 1)))
+    for k in _on_grid(n0 % den, step % den, den, n):
+        his[k] -= 1  # ceil(c) = floor(c): the centre lies on the grid
+    return list(zip(los, his))
+
+
+def _cut_ends(run: list[tuple[int, int]], wlo: int, whi: int) -> tuple[int, int, int]:
+    """Clip ``run`` in place to the window (wlo, whi).  Both ends of an arc
+    rise along a run, so only a prefix starts before the window and only a
+    suffix ends after it; only those are cut.  Returns (i, h, n): the run's
+    first uncut arc was its i-th, the h cut arcs kept before it and n arcs
+    from it on are uncut."""
+    i, j = 0, len(run)
+    while i < j and run[i][0] < wlo:
+        i += 1
+    while j > i and run[j - 1][1] > whi:
+        j -= 1
+    run[j:] = _clip(run[j:], wlo, whi)
+    head = _clip(run[:i], wlo, whi)
+    run[:i] = head
+    return i, len(head), j - i
 
 
 def build_level(
@@ -355,18 +398,25 @@ def build_level(
     centred at (p + theta)/q.  With ``within`` the result is that set
     intersected with ``within`` (inner with inner, outer with outer).  Each
     window (or the whole circle) takes one ``residue_span`` call, and its
-    residues first..last become one run of arcs built from the arithmetic
-    progression of their centres.  Both ends of an arc rise with m, so only
-    the run's first and last few arcs can cross the window; only those are
-    cut.  The outer list's total length, largest arc and smallest gap come
-    from each run as it is built: ``_progression_stats`` gives those of its
-    uncut arcs in closed form, and the cut arcs, the joins between runs and
-    the gap around the circle are read off the arcs.  The grid is
-    ``within``'s, else the radius's own.  A radius certainly above 1/(2q)
-    covers the torus.  A radius enclosure
-    straddling 1/(2q) raises ``IndeterminateRadiusError``, and so do outer
-    arcs that overlap: the radius is then within a grid step of 1/(2q),
-    where the true arcs may touch.
+    residues first..last become one run of arcs.  One kernel,
+    ``_outer_arcs``, builds each outer window's run uncut: the arc
+    (floor(c) - r_hi, ceil(c) + r_hi) of centre c, by one floor division
+    per centre.  The inner arc of the same residue, (ceil(c) - r_lo,
+    floor(c) + r_lo), is (hi - r_sum, lo + r_sum) for its uncut outer arc
+    (lo, hi) and r_sum = r_lo + r_hi, on the grid or off it.  So an inner
+    window whose residues all lie in one outer run (found by bisecting the
+    runs by their first residue) slices them from it, and only another
+    inner window calls the kernel.  The inner runs are built before the
+    outer runs are cut in place.  Only a run's end arcs can cross its
+    window, so only those are cut (``_cut_ends``).  The outer list's total
+    length, largest arc and smallest gap come from each run as it is cut:
+    ``_progression_stats`` gives those of its uncut arcs in closed form,
+    and the cut arcs, the joins between runs and the gap around the circle
+    are read off the arcs.  The grid is ``within``'s, else the radius's
+    own.  A radius certainly above 1/(2q) covers the torus.  A radius
+    enclosure straddling 1/(2q) raises ``IndeterminateRadiusError``, and
+    so do outer arcs that overlap: the radius is then within a grid step of
+    1/(2q), where the true arcs may touch.
     """
     if q < 1:
         raise ValueError("modulus must be a positive integer")
@@ -386,75 +436,69 @@ def build_level(
     theta = params.theta[coord]
     tn, td = theta.numerator, theta.denominator
     size = 1 << scale
-    den = q * td
-    step = td << scale
 
-    def cut(windows: ArcList, inner: bool) -> ArcList:
-        if inner and r_lo == 0:
-            return ArcList(scale, ())  # a zero radius on this grid: every inner arc is empty
+    def spans(windows: ArcList, r: int) -> list[tuple[int, int, int, int]]:
+        """(wlo, whi, first, last) for each window that holds a residue."""
         if windows.full:
             # every residue once: the q arcs from the first outer arc that
             # starts at or after 0 fit in the window (0, 2 * size) uncut
             first = residue_span(r_hi, r_hi, size, q, theta)[0]
-            spans = [(0, 2 * size, first, first + q - 1)]
-        else:
-            r = r_lo if inner else r_hi
-            spans = [(wlo, whi, *residue_span(wlo - r, whi + r, size, q, theta))
-                     for wlo, whi in windows.arcs]
-        out: list[tuple[int, int]] = []
-        total = widest = 0
-        gaps: list[int] = []
-        for wlo, whi, first, last in spans:
-            if first > last:
-                continue
-            # the centre of residue m lies in [cf, cf + 1 if rem else cf] on
-            # the grid; inner arcs round inward, outer arcs outward
-            n0 = (first * td + tn) << scale
-            centres = map(divmod, range(n0, n0 + (last - first + 1) * step, step), repeat(den))
-            if inner:
-                run = [(cf + (1 if rem else 0) - r_lo, cf + r_lo) for cf, rem in centres]
-            else:
-                run = [(cf - r_hi, cf + (1 if rem else 0) + r_hi) for cf, rem in centres]
-            # both ends rise with m: only a prefix starts before the window
-            # and only a suffix ends after it, so only those are cut
-            i, j = 0, len(run)
-            while i < j and run[i][0] < wlo:
-                i += 1
-            while j > i and run[j - 1][1] > whi:
-                j -= 1
-            run[j:] = _clip(run[j:], wlo, whi)
-            head = _clip(run[:i], wlo, whi)
-            run[:i] = head
-            if not inner and run:
-                # the n uncut arcs h..h+n-1 in closed form; the cut arcs and
-                # every gap that touches them from the arcs themselves, the
-                # uncut ones standing in as one piece
-                h, n = len(head), j - i
-                pieces = run
-                if n:
-                    t, w, g = _progression_stats(n, (n0 + i * step) % den, r_hi, den, step)
-                    total, widest = total + t, max(widest, w)
-                    if g is not None:
-                        gaps.append(g)
-                    pieces = run[:h] + [(run[h][0], run[h + n - 1][1])] + run[h + n:]
-                for lo, hi in run[:h] + run[h + n:]:
-                    total, widest = total + hi - lo, max(widest, hi - lo)
-                if out:
-                    gaps.append(run[0][0] - out[-1][1])  # the join to the run before
-                gaps += [nxt[0] - cur[1] for cur, nxt in zip(pieces, pieces[1:])]
-            out += run
-        if inner or not out:
-            return _circle_order(scale, out)
-        gaps.append(out[0][0] + size - out[-1][1])  # around the circle
-        return _circle_order(scale, out, (total, widest, min(gaps)))
+            return [(0, 2 * size, first, first + q - 1)]
+        out = [(wlo, whi, *residue_span(wlo - r, whi + r, size, q, theta))
+               for wlo, whi in windows.arcs]
+        return [s for s in out if s[2] <= s[3]]
 
-    inner, outer = cut(inner_w, True), cut(outer_w, False)
+    outer_spans = spans(outer_w, r_hi)
+    runs = [_outer_arcs(first, last, r_hi, tn, td, q, scale) for _, _, first, last in outer_spans]
+
+    inner: list[tuple[int, int]] = []
+    if r_lo:  # else a zero radius on this grid: every inner arc is empty
+        firsts = [first for _, _, first, _ in outer_spans]
+        r_sum = r_lo + r_hi
+        for wlo, whi, first, last in spans(inner_w, r_lo):
+            k = bisect_right(firsts, first) - 1
+            if k >= 0 and last <= outer_spans[k][3]:
+                uncut = runs[k][first - firsts[k]:last - firsts[k] + 1]
+            else:
+                uncut = _outer_arcs(first, last, r_hi, tn, td, q, scale)
+            run = [(hi - r_sum, lo + r_sum) for lo, hi in uncut]
+            _cut_ends(run, wlo, whi)
+            inner += run
+
+    den, step = q * td, td << scale
+    out: list[tuple[int, int]] = []
+    total = widest = 0
+    gaps: list[int] = []
+    for (wlo, whi, first, _), run in zip(outer_spans, runs):
+        i, h, n = _cut_ends(run, wlo, whi)
+        if not run:
+            continue
+        # the n uncut arcs h..h+n-1 in closed form; the cut arcs and every
+        # gap that touches them from the arcs themselves, the uncut ones
+        # standing in as one piece
+        pieces = run
+        if n:
+            rem = (((first + i) * td + tn) << scale) % den
+            t, w, g = _progression_stats(n, rem, r_hi, den, step)
+            total, widest = total + t, max(widest, w)
+            if g is not None:
+                gaps.append(g)
+            pieces = run[:h] + [(run[h][0], run[h + n - 1][1])] + run[h + n:]
+        for lo, hi in run[:h] + run[h + n:]:
+            total, widest = total + hi - lo, max(widest, hi - lo)
+        if out:
+            gaps.append(run[0][0] - out[-1][1])  # the join to the run before
+        gaps += [nxt[0] - cur[1] for cur, nxt in zip(pieces, pieces[1:])]
+        out += run
+    if out:
+        gaps.append(out[0][0] + size - out[-1][1])  # around the circle
+    outer = _circle_order(scale, out, (total, widest, min(gaps)) if out else None)
     gap = outer.min_gap()
     if gap is not None and gap < 0:
         raise IndeterminateRadiusError(
             f"outer arcs for q={q} overlap: the radius is within a grid step of 1/(2q), "
             "where the true arcs may touch")
-    return TorusIntervalSet(inner, outer)
+    return TorusIntervalSet(_circle_order(scale, inner), outer)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .dimension import theoretical_dimension
-from .numerics import Enclosure, _resolve_prec, _split_pow2, dir_pow
+from .numerics import Enclosure, _resolve_prec, _split_pow2, check_root_size, dir_pow
 
 
 def mult_bounds(
@@ -87,9 +87,11 @@ class SquareCover:
         return 1 + 2 * sum(count for _, _, count, _ in self.columns)
 
 
-def check_cover(gamma: Fraction, s: Fraction) -> int:
-    """K with gamma = 2**-K, once gamma is a dyadic power in (0, 1] and the
-    cost exponent s lies in (1, 2]; raises ValueError otherwise."""
+def check_cover(gamma: Fraction, s: Fraction, prec: int) -> int:
+    """K with gamma = 2**-K, once gamma is a dyadic power in (0, 1], the
+    cost exponent s lies in (1, 2] and the roots of the powers 2**-(s * j)
+    at prec bits stay under the cap (their radicands are powers of two of
+    about s.denominator * prec bits); raises ValueError otherwise."""
     gamma = Fraction(gamma)
     if not Fraction(1) >= gamma > 0:
         raise ValueError("gamma must lie in (0, 1]")
@@ -99,6 +101,7 @@ def check_cover(gamma: Fraction, s: Fraction) -> int:
         raise ValueError("gamma must be a dyadic power 2**-K")
     if not 1 < Fraction(s) <= 2:
         raise ValueError("the cost exponent is meaningful for s in (1, 2] only")
+    check_root_size(Fraction(s).denominator, prec, 0)
     return k_den - (gamma.numerator.bit_length() - 1)
 
 
@@ -133,7 +136,7 @@ def hyperbolic_cover(
     """
     s = Fraction(s)
     p = _resolve_prec(prec)
-    big_k = check_cover(gamma, s)
+    big_k = check_cover(gamma, s, p)
     one = 1 << big_k
 
     columns: list[tuple[int, int, int, int]] = []

@@ -50,6 +50,23 @@ def _resolve_prec(prec: Optional[int]) -> int:
     return prec
 
 
+# A b-th root taken to prec bits of a power whose integer has ``bits`` bits
+# (q**e for q of bits / e bits, e = a / b) roots a radicand of about
+# b * (prec + bits) bits, and each of Newton's steps on it costs time
+# quadratic in that: a config past the cap is refused, not run for minutes.
+ROOT_RADICAND_CAP = 1 << 22
+
+
+def check_root_size(b: int, prec: int, bits: int) -> None:
+    """Raise ValueError when b * (prec + bits), the size of the radicand a
+    b-th root of a ``bits``-bit power takes at prec bits, passes
+    ``ROOT_RADICAND_CAP``.  No radicand is built."""
+    size = b * (prec + bits)
+    if size > ROOT_RADICAND_CAP:
+        raise ValueError(f"denominator {b} needs roots of about {size} bits at precision "
+                         f"{prec}, past the cap of {ROOT_RADICAND_CAP} bits")
+
+
 def _iroot(x: int, b: int) -> int:
     """Floor of the b-th root of a nonnegative integer."""
     if x < 0:

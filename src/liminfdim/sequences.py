@@ -15,9 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import ceil
 from typing import Iterable, Optional
 
-from .numerics import Enclosure, LogTable, _iroot
+from .numerics import Enclosure, LogTable, _iroot, check_root_size
 
 
 class GenerationError(ValueError):
@@ -148,6 +149,27 @@ def _contractive_step(q: int, tau: Fraction, index: int, divisible: bool) -> int
     if (4 * nxt) ** b > p:
         raise GenerationError(index, f"ceil(q**(1+tau)/8) exceeds q**(1+tau)/4 at q={q}")
     return nxt
+
+
+def term_bits(spec: SequenceSpec, depth: int) -> int:
+    """A bound on the bit length of the first ``depth`` terms, from the
+    family's parameters alone: a step q -> q**e (or a contractive step,
+    below q**e for e = 1 + tau) takes q < 2**n below 2**(ceil(e * n) + 1).
+    Raises ValueError when a step's root, of degree e.denominator, would take
+    a radicand past the cap (``check_root_size``)."""
+    if isinstance(spec, ExplicitSpec):
+        return max(q.bit_length() for q in spec.terms[:depth])
+    n = spec.q1.bit_length()
+    for j in range(1, depth):
+        if isinstance(spec, PowerSpec):
+            e = spec.growth
+        elif isinstance(spec, AlternatingSpec) and j % 2 == 1:
+            e = spec.eta
+        else:
+            e = 1 + spec.tau
+        n = ceil(e * n) + 1
+        check_root_size(e.denominator, 0, n)
+    return n
 
 
 def generate(spec: SequenceSpec, depth: int) -> QSequence:

@@ -13,7 +13,10 @@ iteration lost the two fix-up loops that followed it and before it started
 from the root of the radicand's top bits; the reference bracket takes its
 roots.  ``bisect_iroot`` checks the start that a root below 2**64 takes from
 a float estimate, at degrees up to 10**4, and a tau = 1/4096 config, whose
-powers root degree-4096 radicands, runs through ``cli.main``.
+powers root degree-4096 radicands, runs through ``cli.main``.  A config
+whose exponent denominators would take radicands past ``ROOT_RADICAND_CAP``
+exits 2, naming the key, before any root is taken, and ``term_bits``, from
+which the cap reads the terms' size, bounds the terms the families generate.
 
 ``reference_pow_frac`` brackets each end of the base on its own, as
 ``Enclosure.pow_frac`` did before an exact base took a single bracket.
@@ -27,11 +30,13 @@ import math
 import random
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liminfdim import numerics
+from liminfdim import numerics, sequences
 from liminfdim.cli import main
+from liminfdim.config import parse_config
 from liminfdim.numerics import (
     DOWN,
     EXACT,
@@ -40,11 +45,12 @@ from liminfdim.numerics import (
     Enclosure,
     _iroot,
     _split_pow2,
+    check_root_size,
     dir_pow,
     pow_exponent_below,
 )
 from liminfdim.report import parse_rational
-from liminfdim.sequences import PowerSpec, generate
+from liminfdim.sequences import AlternatingSpec, ContractiveSpec, PowerSpec, generate, term_bits
 
 
 def reference_iroot(x: int, b: int) -> int:
@@ -168,6 +174,55 @@ def test_tiny_tau_config_runs(tmp_path):
     lo, hi = parse_rational(side["side_lo"]), parse_rational(side["side_hi"])
     assert 0 < hi - lo and (lo / 2) ** e.denominator <= F(1, q ** e.numerator)
     assert F(1, q ** e.numerator) <= (hi / 2) ** e.denominator
+
+
+TINY_TAU = ("precision = 128\nsequence = power\nq1 = 3\ngrowth = 4\ntau = 1/16384\n"
+            "d = 1\ndepth = 3\ntasks = analyze,dimension,cantor,multiplicative\n")
+
+
+def test_tiny_tau_config_is_under_the_root_cap():
+    # tau = 1/16384 roots radicands of about 16384 * (128 + 38) bits, under the cap
+    cfg = parse_config(TINY_TAU)
+    assert cfg.tau == F(1, 16384)
+    assert term_bits(cfg.spec(), cfg.depth) >= (3 ** 16).bit_length()
+
+
+# every value whose denominator is a root degree, past the cap; the
+# contractive family roots with tau's denominator while generating
+@pytest.mark.parametrize("lines, key", [
+    ("tau = 1*2^-20", "tau, precision"),
+    ("tau = 1*2^-27", "tau, precision"),
+    ("growth = 1048577/1048576", "q1, growth, depth"),
+    ("sequence = contractive\ntau = 1*2^-20", "q1, tau, depth"),
+    ("holder_s = 1/1048576", "holder_s, holder_samples"),
+    ("mult_s = 1048577/1048576", "gamma, mult_s"),
+])
+def test_config_past_the_root_cap_exits_2(tmp_path, monkeypatch, capsys, lines, key):
+    def no_root(x, b):
+        raise AssertionError("a radicand was built")
+
+    monkeypatch.setattr(numerics, "_iroot", no_root)
+    monkeypatch.setattr(sequences, "_iroot", no_root)
+    cfg = tmp_path / "capped.cfg"
+    cfg.write_text(TINY_TAU + lines + "\n")
+    assert main(["run", str(cfg), "--out", str(tmp_path)]) == 2
+    assert f"key '{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_root_size_cap_is_inclusive():
+    check_root_size(1 << 12, 1000, 24)  # 2**12 * 1024 = 2**22 bits
+    with pytest.raises(ValueError, match="past the cap"):
+        check_root_size(1 << 12, 1000, 25)
+
+
+@pytest.mark.parametrize("spec, depth", [
+    (PowerSpec(4, F(4)), 8), (PowerSpec(13, F(12, 5)), 8), (PowerSpec(3, F(13, 6)), 6),
+    (ContractiveSpec(1000, F(1, 2)), 5), (AlternatingSpec(10 ** 6, F(1, 2), F(5, 2)), 5),
+])
+def test_term_bits_bounds_the_terms(spec, depth):
+    terms = generate(spec, depth).terms
+    assert max(terms).bit_length() <= term_bits(spec, depth)
 
 
 def reference_power_terms(q1: int, growth: F, depth: int) -> tuple[int, ...]:

@@ -6,7 +6,9 @@ windows of the set it refines, ``ArcList.intersect`` cuts on the same path,
 and the tree walks its child ranges and ball windows through the kernel on
 one integer grid.  These tests check the kernel against brute force, the
 intersection against point membership, the fused build against build then
-intersect and against the per-arc builder it replaced, the tree against
+intersect and against the per-arc builder it replaced (on sandwiches whose
+inner windows the outer runs do not hold too), the number of runs the arc
+kernel builds for a level, the tree against
 the ``Fraction`` formulas it replaced, the tree's ball walk on
 tree-index ranges against the walks it replaced, on residue ranges and on
 candidate lists, the pre-walk measure bound against the walk, and the Holder
@@ -23,6 +25,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from liminfdim import level_sets
 from liminfdim.cantor import Ball, CantorTree, build_tree
 from liminfdim.dimension import RegimeViolationError
 from liminfdim.level_sets import (
@@ -33,6 +36,7 @@ from liminfdim.level_sets import (
     _radius_grid,
     _scale_for,
     build_level,
+    prefix_intersection,
     residue_span,
 )
 from liminfdim.numerics import ONE, Enclosure, _resolve_prec
@@ -206,14 +210,34 @@ def half_spacing_radii(draw, q):
                                  F(1, 2 * q) + F(1, 1 << k), F(1, 4 * q), F(1, 3 * q + 1)]))
 
 
+# fixed sandwiches (radius, within) for the examples below
+SANDWICHES = {
+    # touching outer arcs on the grid, windows across 0
+    "touching": (F(1, 8), TorusIntervalSet(ArcList(6, ((3, 30), (40, 70))),
+                                           ArcList(6, ((2, 31), (35, 71))))),
+    # the front inner window (2, 6) lies in the wrapped last outer window
+    # (50, 72): its residue is 0, the outer run's is 5, so it is not sliced
+    "wrapped": (F(1, 16), TorusIntervalSet(ArcList(6, ((2, 6), (12, 28), (52, 62))),
+                                           ArcList(6, ((10, 30), (50, 72))))),
+    # inner windows partly and wholly outside the one outer window
+    "outside": (F(1, 16), TorusIntervalSet(ArcList(6, ((5, 40), (44, 60))),
+                                           ArcList(6, ((2, 20),)))),
+    # with theta = 0 and q = 8 every centre lies on this grid
+    "on grid": (F(1, 64), TorusIntervalSet(ArcList(7, ((24, 60), (70, 138))),
+                                           ArcList(7, ((20, 62), (66, 140))))),
+}
+
+
 @settings(max_examples=400, deadline=None)
 @given(data=st.data(), q=st.one_of(st.just(1), st.integers(1, 40)), theta=THETAS,
        prec=st.sampled_from([8, 16, 64]))
-@example(data=None, q=4, theta=F(0), prec=16)
+@example(data="touching", q=4, theta=F(0), prec=16)
+@example(data="wrapped", q=5, theta=F(1, 3), prec=16)
+@example(data="outside", q=5, theta=F(1, 3), prec=16)
+@example(data="on grid", q=8, theta=F(0), prec=16)
 def test_runs_equal_per_arc_build(data, q, theta, prec):
-    if data is None:  # touching outer arcs on the grid, windows across 0
-        radius = F(1, 8)
-        within = TorusIntervalSet(ArcList(6, ((3, 30), (40, 70))), ArcList(6, ((2, 31), (35, 71))))
+    if isinstance(data, str):
+        radius, within = SANDWICHES[data]
     else:
         radius = data.draw(st.one_of(st.none(), half_spacing_radii(q)))
         if data.draw(st.booleans()):
@@ -227,6 +251,38 @@ def test_runs_equal_per_arc_build(data, q, theta, prec):
     assert got == outcome(reference_build_level, q, params, prec, within)
     if not isinstance(got, str):
         got.validate()
+
+
+def test_kernel_runs_once_per_outer_window(monkeypatch):
+    # the inner runs are sliced from the outer runs: the kernel runs once
+    # per outer window that holds a residue, and at most once more per level
+    # and coordinate, for the front inner window in the wrapped last outer one
+    residues, builds = [], []
+    kernel, build = level_sets._outer_arcs, level_sets.build_level
+
+    def counted_kernel(first, last, *args):
+        residues.append(last - first + 1)
+        return kernel(first, last, *args)
+
+    def counted_build(q, params, prec=None, coord=0, within=None):
+        before = len(residues)
+        level = build(q, params, prec, coord, within)
+        builds.append((q, params.theta[coord], within.outer, len(residues) - before))
+        return level
+
+    monkeypatch.setattr(level_sets, "_outer_arcs", counted_kernel)
+    monkeypatch.setattr(level_sets, "build_level", counted_build)
+    params = LevelParams(theta=(F(3, 997), F(500, 1009)), tau=F(1, 2), d=2)
+    prefix_intersection(QSequence((13, 181, 40009)), params, prec=64)
+    assert len(builds) == 6
+    for q, theta, windows, calls in builds:
+        r_hi = _radius_grid(params.radius_enclosure(q, 64), windows.scale)[1]
+        held = 1 if windows.full else sum(
+            first <= last for first, last in (
+                residue_span(wlo - r_hi, whi + r_hi, windows.size, q, theta)
+                for wlo, whi in windows.arcs))
+        assert held <= calls <= held + 1
+    assert (len(residues), sum(residues)) == (232, 6832)
 
 
 # -- the tree, against the Fraction formulas it replaced ------------------------------------

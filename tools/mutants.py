@@ -165,22 +165,29 @@ MUTANTS: dict[str, Mutant] = {
     "ball_measure: min < -> <=": cantor("if meet * hi_den < hi_num * n:",
                                         "if meet * hi_den <= hi_num * n:", equivalent=True),
     "build_level span first +1": level_sets(BUILD, f"(lambda s: (s[0] + 1, s[1]))({BUILD})"),
-    # equivalent, both: the extra residue's centre lies more than the radius
-    # outside the window, so its arc ends at or before the window's lower end
-    # (or starts at or after its upper end) and the clip drops it
-    "build_level span first -1": level_sets(
-        BUILD, f"(lambda s: (s[0] - 1, s[1]))({BUILD})", equivalent=True),
-    "build_level span last +1": level_sets(
-        BUILD, f"(lambda s: (s[0], s[1] + 1))({BUILD})", equivalent=True),
+    # the next two and the cover check below leave every arc as it is (an
+    # extra residue's arc lies outside its window and the clip drops it; a
+    # miss builds the same arcs), but they make the kernel build more
+    # residues, which the kernel count test sees
+    "build_level span first -1": level_sets(BUILD, f"(lambda s: (s[0] - 1, s[1]))({BUILD})"),
+    "build_level span last +1": level_sets(BUILD, f"(lambda s: (s[0], s[1] + 1))({BUILD})"),
     "build_level span last -1": level_sets(BUILD, f"(lambda s: (s[0], s[1] - 1))({BUILD})"),
     "overlap test gap < 0 -> <= 0": level_sets("gap is not None and gap < 0",
                                                "gap is not None and gap <= 0"),
     "build_level: no join gap": level_sets("gaps.append(run[0][0] - out[-1][1])", "pass"),
     "build_level: no wrap gap": level_sets("gaps.append(out[0][0] + size - out[-1][1])", "pass"),
-    "on-grid centres +1": level_sets("on_grid = (n - 1 - first) // period + 1",
-                                     "on_grid = (n - 1 - first) // period + 1 + 1"),
-    "on-grid centres -1": level_sets("on_grid = (n - 1 - first) // period + 1",
-                                     "on_grid = (n - 1 - first) // period + 1 - 1"),
+    "on-grid centres +1": level_sets("on_grid = len(_on_grid(rem, b, den, n))",
+                                     "on_grid = len(_on_grid(rem, b, den, n)) + 1"),
+    "on-grid centres -1": level_sets("on_grid = len(_on_grid(rem, b, den, n))",
+                                     "on_grid = len(_on_grid(rem, b, den, n)) - 1"),
+    "_on_grid: first centre +1": level_sets("% period, n, period)", "% period + 1, n, period)"),
+    "_outer_arcs: no on-grid -1": level_sets("his[k] -= 1", "his[k] -= 0"),
+    "inner arcs: r_sum - 1": level_sets("r_sum = r_lo + r_hi for wlo,",
+                                       "r_sum = r_lo + r_hi - 1\n        for wlo,"),
+    "inner arcs: cached slice start +1": level_sets("runs[k][first - firsts[k]:",
+                                                    "runs[k][first - firsts[k] + 1:"),
+    "inner arcs: cover check <= -> <": level_sets("last <= outer_spans[k][3]",
+                                                  "last < outer_spans[k][3]"),
     "arc width 2r + 1 -> 2r": level_sets("n * (2 * r + 1)", "n * (2 * r)"),
     "short gap 0 < rem -> <=": level_sets("(0 < x and", "(0 <= x and"),
     "short gap k < n - 1 -> <=": level_sets("k < n - 1)", "k <= n - 1)"),
