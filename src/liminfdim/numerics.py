@@ -12,6 +12,10 @@ Building blocks:
 * ``LogTable``: log ratios at one precision over a cache of log2 values, the
   one home of ``log_ratio``'s rule.
 
+Every log2 goes through one process-wide LRU cache of the last
+``LOG2_CACHE_SIZE`` results, keyed by (integer, precision), so a log2 is
+taken once per process while it stays in the cache.
+
 All certified paths run on exact integer arithmetic.  Floats appear only to
 pick working scales (never to decide a bound), so a bad float estimate can
 cost a retry but not soundness.
@@ -19,6 +23,7 @@ cost a retry but not soundness.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -29,6 +34,10 @@ DEFAULT_PRECISION = 128
 MIN_PRECISION = 8
 # extra bits on each log2 whose quotient LogTable.ratio rounds to the working precision
 LOG_GUARD_BITS = 8
+# (n, prec) log2 brackets the process keeps: a term's logs recur within a few
+# dozen log2 calls (the estimates of one depth, the analyses of one sequence),
+# and at 1024 bits the cache holds about 0.4 MB
+LOG2_CACHE_SIZE = 128
 
 
 class Direction(Enum):
@@ -433,8 +442,8 @@ class Enclosure:
         if self.lo.mantissa <= 0:
             raise ValueError("log2 requires a certainly positive enclosure")
         # log2(m * 2**e) = log2(m) + e for each end
-        lo = _log2_bracket(self.lo.mantissa, p).lo + DirectedReal.from_int(self.lo.exponent)
-        hi = _log2_bracket(self.hi.mantissa, p).hi + DirectedReal.from_int(self.hi.exponent)
+        lo = _log2_cached(self.lo.mantissa, p).lo + DirectedReal.from_int(self.lo.exponent)
+        hi = _log2_cached(self.hi.mantissa, p).hi + DirectedReal.from_int(self.hi.exponent)
         return Enclosure(lo, hi)
 
     def min_with(self, other: "Enclosure") -> "Enclosure":
@@ -560,9 +569,16 @@ def _log2_bracket(n: int, prec: int) -> Enclosure:
     return Enclosure(lo_dr, hi_dr)
 
 
+@functools.lru_cache(maxsize=LOG2_CACHE_SIZE)
+def _log2_cached(n: int, prec: int) -> Enclosure:
+    """``_log2_bracket(n, prec)``, kept for the process's next calls; enclosures
+    are frozen, so a kept result is the value every caller would compute."""
+    return _log2_bracket(n, prec)
+
+
 def log2_int(n: int, prec: Optional[int] = None) -> Enclosure:
     """Enclosure of log2(n) for an integer n >= 1."""
-    return _log2_bracket(n, _resolve_prec(prec))
+    return _log2_cached(n, _resolve_prec(prec))
 
 
 def _power_exponent_of(a: int, b: int) -> Optional[int]:
@@ -586,7 +602,8 @@ class LogTable:
     exact if dyadic and rounded outward at ``prec`` bits otherwise.  Both
     cases are decided on integers alone.  Any other ratio divides, at
     ``prec``, the log2 values of a and b taken at ``prec + LOG_GUARD_BITS``
-    bits, and each integer's log2 is taken at most once per table.
+    bits.  Each integer's log2 is read at most once per table, whatever the
+    size of the process's log2 cache, which serves the table's misses.
     """
 
     def __init__(self, prec: Optional[int] = None):

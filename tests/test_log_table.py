@@ -12,6 +12,12 @@ what the per-depth loops gave before it.
 rule, behind ``log_ratio``, ``exponent_stats`` and ``validate_regime``
 alike, so ``reference_log_ratio`` keeps the rule as ``log_ratio`` wrote it
 before, and all three must match it bit for bit, direction tags included.
+
+Every log2 goes through one process-wide (n, prec) cache in front of the
+kernel.  The per-call counts start from a cold cache (``kernel_calls``);
+the last tests check what the cache shares across calls, that it stays
+within its bound, and that past the bound it still gives the kernel's
+brackets bit for bit.
 """
 
 import math
@@ -20,7 +26,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from liminfdim import cli, dimension, numerics
@@ -33,7 +39,16 @@ from liminfdim.dimension import (
     upper_cover_count,
     upper_dim_estimate,
 )
-from liminfdim.numerics import Enclosure, dir_pow, log2_int, log_ratio
+from liminfdim.numerics import (
+    DOWN,
+    UP,
+    DirectedReal,
+    Enclosure,
+    LogTable,
+    dir_pow,
+    log2_int,
+    log_ratio,
+)
 from liminfdim.sequences import (
     ContractiveSpec,
     ExplicitSpec,
@@ -57,10 +72,22 @@ SEQUENCES = [
 ]
 
 
+class _Evaluations(list):
+    """Kernel evaluations since the list was last emptied.  Emptying it
+    empties the process's log2 cache too, so each count starts cold and
+    counts the evaluations within the calls it covers."""
+
+    def __delitem__(self, index):
+        numerics._log2_cached.cache_clear()
+        super().__delitem__(index)
+
+
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Count the evaluations of the log2 kernel behind every public log."""
-    calls = []
+    """Count the evaluations of the log2 kernel behind every public log, from
+    a cold log2 cache."""
+    numerics._log2_cached.cache_clear()
+    calls = _Evaluations()
     inner = numerics._log2_bracket
 
     def counted(n, prec):
@@ -96,7 +123,9 @@ def test_kernel_calls_per_call(qs, kernel_calls):
     J = len(qs)
     per_depth = [_count(kernel_calls, upper_dim_estimate, qs, F(1, 2), 2, depth, PREC)
                  for depth in range(1, J + 1)]
-    assert len(set(per_depth)) == 1, per_depth
+    # log2 of the count's two ends and of q_J; the count q_1**2 of depth 1 is
+    # exact, and its two ends share one evaluation
+    assert per_depth == [2] + [3] * (J - 1), per_depth
     assert _count(kernel_calls, upper_cover_count, qs, F(1, 2), 1, J, PREC) == 0
     assert _count(kernel_calls, exponent_stats, qs, PREC) <= 2 * J - 1
     # no (argument, precision) pair is taken twice within one call
@@ -143,10 +172,11 @@ def test_per_depth_calls(qs, pow_calls, kernel_calls, products):
         assert _count(products, lower_cantor_count, qs, TAU, 2, J, PREC) == 0
         assert _count(products, branching_factors, qs, TAU, J, PREC) == 0
         assert _count(products, lambda: upper_cover_count(qs, TAU, 2, J, PREC).count) == J
-        # the same log kernels as before the walk: log2 M, then log2 q_J
+        # the same log kernels as before the walk: log2 M, then log2 q_J,
+        # once when M = q_J
         del kernel_calls[:]
         sub = lower_cantor_count(qs, TAU, 2, J, PREC)
-        assert kernel_calls == [(sub.count, PREC), (qs.terms[J - 1], PREC)]
+        assert kernel_calls == list(dict.fromkeys([(sub.count, PREC), (qs.terms[J - 1], PREC)]))
 
 
 @pytest.mark.parametrize("qs", SEQUENCES + [QSequence((3, 8, 100, 20000))],
@@ -159,14 +189,13 @@ def test_series_takes_each_factor_and_log_once(qs, pow_calls, kernel_calls):
         per_record.append(Counter(kernel_calls))
     # one power per depth, of q_1, ..., q_D in turn
     assert [q for q, _, _ in pow_calls] == list(qs.terms)
-    # upper_dim_estimate and lower_cantor_count each take log2 q_J; the
-    # record takes it once for both
+    # the record takes log2 q_J once for both estimates, and so does the pair
+    # of calls, through the log2 cache
     for J, got in enumerate(per_record, start=1):
         del kernel_calls[:]
         upper_dim_estimate(qs, TAU, 2, J, PREC)
         try:
             lower_cantor_count(qs, TAU, 2, J, PREC)
-            got[(qs.terms[J - 1], PREC)] += 1
         except RegimeViolationError:
             pass
         assert got == Counter(kernel_calls)
@@ -182,7 +211,9 @@ def test_run_walks_the_depths_once(depth, pow_calls):
 
 def test_run_log_calls_on_highprec_config(kernel_calls):
     cli.run(load_config(ROOT / "tests" / "golden" / "power13_highprec.cfg"))
-    assert len(kernel_calls) == 50          # 58 with log2 q_J taken twice per depth
+    # 58 with log2 q_J taken twice per depth, 50 with log2 169 (depth 1's
+    # count q_1**2 and its M) taken three times
+    assert len(kernel_calls) == 48
 
 
 def test_main_builds_the_cover_once(tmp_path, monkeypatch):
@@ -403,3 +434,66 @@ def test_series_matches_per_depth_bit_for_bit(terms, prec, tau, d):
         assert rec.lower.branching_1d == sub.branching_1d == ref
         assert _bits_of(rec.lower.s_hat) == _bits_of(sub.s_hat) == _bits_of(
             log2_int(sub.count, prec).div(den, prec))
+
+
+# -- the process-wide log2 cache --------------------------------------------
+
+def _cache_size():
+    return numerics._log2_cached.cache_info().currsize
+
+
+@pytest.mark.parametrize("qs", SEQUENCES, ids=lambda qs: f"J{len(qs)}q{qs.terms[0]}")
+def test_log2_is_taken_once_across_calls(qs, kernel_calls):
+    for J in range(1, len(qs) + 1):
+        # the two estimates of a depth share log2 q_J
+        del kernel_calls[:]
+        upper_dim_estimate(qs, TAU, 2, J, PREC)
+        try:
+            lower_cantor_count(qs, TAU, 2, J, PREC)
+        except RegimeViolationError:
+            pass
+        assert kernel_calls.count((qs.terms[J - 1], PREC)) == 1
+        assert _cache_size() <= numerics.LOG2_CACHE_SIZE
+    # the regime check reads the logs the statistics have just taken
+    del kernel_calls[:]
+    exponent_stats(qs, PREC)
+    taken = len(kernel_calls)
+    assert taken and _cache_size() <= numerics.LOG2_CACHE_SIZE
+    validate_regime(qs, TAU, PREC)
+    assert len(kernel_calls) == taken
+
+
+def test_log2_cache_stays_within_its_bound():
+    # past the bound, the oldest entries make room
+    for n in range(3, 3 + 2 * numerics.LOG2_CACHE_SIZE):
+        log2_int(n, 8)
+        assert _cache_size() <= numerics.LOG2_CACHE_SIZE
+    assert _cache_size() == numerics.LOG2_CACHE_SIZE
+
+
+@settings(max_examples=10, deadline=None)
+@example(bits=list(range(1000, 3000, 40)), low=3 ** 1900, precs=[53, 128], shift=-7)
+@given(bits=st.lists(st.integers(2, 3000), min_size=50, max_size=50, unique=True),
+       low=st.integers(0, 2 ** 3000), precs=st.lists(PRECS, min_size=2, max_size=2, unique=True),
+       shift=st.integers(-50, 50))
+def test_cache_gives_the_kernels_brackets(bits, low, precs, shift):
+    """Past LOG2_CACHE_SIZE distinct (n, prec) pairs, so entries are evicted,
+    every log2 still equals the uncached kernel's, ends and tags included."""
+    # 50 odd integers of distinct lengths: 200 pairs with the tables' guard bits
+    ns = [(1 << b) | (low & ((1 << b) - 1)) | 1 for b in bits]
+    pairs = list(zip(ns, ns[1:] + ns[:1]))
+    kernel = {(n, prec): numerics._log2_bracket(n, prec) for n in ns for prec in precs}
+    ratio = {(a, b, prec): _bits_of(reference_log_ratio(a, b, prec))
+             for a, b in pairs for prec in precs}
+    e = DirectedReal.from_int(shift)
+    for _ in range(2):          # the second round reads kept and evicted entries
+        for a, b in pairs:
+            for prec in precs:
+                assert _bits_of(log2_int(a, prec)) == _bits_of(kernel[a, prec])
+                lo, hi = sorted((a, b))
+                enc = Enclosure(DirectedReal(lo, shift, DOWN), DirectedReal(hi, shift, UP))
+                want = Enclosure(kernel[lo, prec].lo + e, kernel[hi, prec].hi + e)
+                assert _bits_of(enc.log2(prec)) == _bits_of(want)
+                assert _bits_of(LogTable(prec).ratio(a, b)) == ratio[a, b, prec]
+            # one n at two precisions: two brackets of different widths
+            assert _bits_of(log2_int(a, precs[0])) != _bits_of(log2_int(a, precs[1]))

@@ -2,7 +2,8 @@
 
 Deleting the ``liminfdim`` modules from ``sys.modules`` and importing them
 again (as a benchmark or a notebook reload does) must leave nothing that
-holds the old modules' classes.  A type alias written with ``typing``'s
+holds the old modules' classes, the old ``numerics``' log2 cache of its
+``Enclosure`` instances included.  A type alias written with ``typing``'s
 subscript forms (``Union[...]``, ``typing.Callable[...]``) is kept in
 ``typing``'s per-form cache, and each copy of the classes it names stays
 alive through it, with everything those classes reach.
@@ -56,6 +57,8 @@ def classes():
 
 old = classes()
 exercise()
+# the process's log2 cache holds the old Enclosure class's instances
+assert sys.modules["liminfdim.numerics"]._log2_cached.cache_info().currsize > 0
 del liminfdim
 for name in [n for n in sys.modules if n == "liminfdim" or n.startswith("liminfdim.")]:
     del sys.modules[name]

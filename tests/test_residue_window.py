@@ -212,20 +212,40 @@ def half_spacing_radii(draw, q):
 
 # fixed sandwiches (radius, within) for the examples below
 SANDWICHES = {
-    # touching outer arcs on the grid, windows across 0
-    "touching": (F(1, 8), TorusIntervalSet(ArcList(6, ((3, 30), (40, 70))),
-                                           ArcList(6, ((2, 31), (35, 71))))),
+    # touching outer arcs on the grid, windows across 0 (the outer windows'
+    # wrapped last arc ends where their first begins)
+    "touching": (F(1, 8), TorusIntervalSet(ArcList(6, ((3, 30), (40, 66))),
+                                           ArcList(6, ((2, 31), (35, 66))))),
     # the front inner window (2, 6) lies in the wrapped last outer window
     # (50, 72): its residue is 0, the outer run's is 5, so it is not sliced
     "wrapped": (F(1, 16), TorusIntervalSet(ArcList(6, ((2, 6), (12, 28), (52, 62))),
                                            ArcList(6, ((10, 30), (50, 72))))),
-    # inner windows partly and wholly outside the one outer window
-    "outside": (F(1, 16), TorusIntervalSet(ArcList(6, ((5, 40), (44, 60))),
-                                           ArcList(6, ((2, 20),)))),
     # with theta = 0 and q = 8 every centre lies on this grid
     "on grid": (F(1, 64), TorusIntervalSet(ArcList(7, ((24, 60), (70, 138))),
                                            ArcList(7, ((20, 62), (66, 140))))),
 }
+# valid arc lists whose inner windows lie partly and wholly outside the one
+# outer window: no refinement makes such a pair, but the builder must match
+# the reference on any pair of valid lists, as on the drawn ones
+UNNESTED = {
+    "outside": (F(1, 16), TorusIntervalSet(ArcList(6, ((5, 40), (44, 60))),
+                                           ArcList(6, ((2, 20),)))),
+}
+PAIRS = {**SANDWICHES, **UNNESTED}
+
+
+def _cells(arcs, scale):
+    """The grid cells an arc list covers, on the circle of 2**scale cells."""
+    arcs = arcs.rescale(scale)
+    return {k % arcs.size for lo, hi in arcs.arcs for k in range(lo, hi)}
+
+
+@pytest.mark.parametrize("name", list(PAIRS))
+def test_sandwiches_are_valid(name):
+    _, within = PAIRS[name]
+    within.validate()
+    scale = max(within.inner.scale, within.outer.scale)
+    assert (_cells(within.inner, scale) <= _cells(within.outer, scale)) is (name in SANDWICHES)
 
 
 @settings(max_examples=400, deadline=None)
@@ -237,7 +257,7 @@ SANDWICHES = {
 @example(data="on grid", q=8, theta=F(0), prec=16)
 def test_runs_equal_per_arc_build(data, q, theta, prec):
     if isinstance(data, str):
-        radius, within = SANDWICHES[data]
+        radius, within = PAIRS[data]
     else:
         radius = data.draw(st.one_of(st.none(), half_spacing_radii(q)))
         if data.draw(st.booleans()):

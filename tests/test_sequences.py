@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liminfdim.sequences import (
     AlternatingSpec,
@@ -39,6 +41,17 @@ class TestGenerate:
         qs = generate(ContractiveSpec(64, F(1)), 4)
         for a, b in zip(qs.terms, qs.terms[1:]):
             assert F(a ** 2, 8) <= b <= F(a ** 2, 4)
+
+    @settings(max_examples=40, deadline=None)
+    @given(q1=st.integers(65, 2000), tau=st.sampled_from([F(1, 2), F(2, 3), F(1), F(3, 2)]))
+    def test_contractive_step_is_the_least_in_its_window(self, q1, tau):
+        # with q**tau > 8 the least integer at or above x = q**(1+tau)/8 exceeds
+        # q and lies at or below x/4 (x >= 8), so every step exists
+        qs = generate(ContractiveSpec(q1, tau), 4)
+        a, b = (1 + tau).numerator, (1 + tau).denominator
+        for q, nxt in zip(qs.terms, qs.terms[1:]):
+            assert (8 * (nxt - 1)) ** b < q ** a <= (8 * nxt) ** b
+            assert (4 * nxt) ** b <= q ** a
 
     def test_contractive_too_small_reports_index(self):
         with pytest.raises(GenerationError) as exc:

@@ -1,6 +1,7 @@
-"""Mutation runner for the Cantor tree, the level builder, the numeric kernels,
-the dimension estimators, the multiplicative cover, its report strings and
-the rows ``render_json`` writes.
+"""Mutation runner for the Cantor tree, the level builder, the numeric kernels
+and the log2 cache, the sequence families and the regime check, the dimension
+estimators, the multiplicative cover, its report strings and the rows
+``render_json`` writes.
 
 Applies a fixed table of small code changes, one at a time, to a copy of
 the repository under a temporary directory.  Each entry of ``MUTANTS``
@@ -18,7 +19,7 @@ once in the file, any run of whitespace in it matching any run of
 whitespace; an entry whose ``old`` matches no place or several is
 reported as "n/a".
 
-Usage, from the root of a checkout (about nine minutes on a 2-vCPU host):
+Usage, from the root of a checkout (about twelve minutes on a 2-vCPU host):
 
     python3 tools/mutants.py
 
@@ -79,6 +80,8 @@ dimension = _group("src/liminfdim/dimension.py", "tests/test_dimension.py",
                    "tests/test_golden.py", "tests/test_acceptance.py")
 report = _group("src/liminfdim/report.py", "tests/test_report.py", "tests/test_cli.py",
                 "tests/test_golden.py")
+sequences = _group("src/liminfdim/sequences.py", "tests/test_sequences.py",
+                   "tests/test_log_table.py", "tests/test_dimension.py", "tests/test_golden.py")
 
 # Code that several mutants change.  A span mutant moves the (first, last)
 # result of one residue_span call by wrapping the call in a lambda: the
@@ -141,6 +144,22 @@ MUTANTS: dict[str, Mutant] = {
     "_iroot: unchecked start below the root": numerics(
         "* (1 + 2 ** -40)) + 2 if y < g and y ** b > x:", "* (1 - 2 ** -40))\n        if y < g:"),
     "pow_exponent_below: no -1": numerics("// s.denominator - 1", "// s.denominator"),
+    "log2 cache bypassed": numerics("lru_cache(maxsize=LOG2_CACHE_SIZE)", "lru_cache(maxsize=0)"),
+    "log2 cache unbounded": numerics("lru_cache(maxsize=LOG2_CACHE_SIZE)",
+                                     "lru_cache(maxsize=None)"),
+    # the cache keyed by n alone: the first precision's bracket serves every
+    # later one
+    "log2 cache drops prec": numerics(
+        "@functools.lru_cache(maxsize=LOG2_CACHE_SIZE) def _log2_cached(n: int, prec: int)",
+        "def _log2_cached(n: int, prec: int) -> Enclosure:\n"
+        "    _log2_cached.prec = prec\n"
+        "    return _log2_of(n)\n\n\n"
+        "@functools.lru_cache(maxsize=LOG2_CACHE_SIZE)\n"
+        "def _log2_of(n: int) -> Enclosure:\n"
+        "    return _log2_bracket(n, _log2_cached.prec)\n\n\n"
+        "_log2_cached.cache_clear = _log2_of.cache_clear\n"
+        "_log2_cached.cache_info = _log2_of.cache_info\n\n\n"
+        "def _log2_unkeyed(n: int, prec: int)"),
     "holder: no walk skip": cantor("if not _exceeds(self._measure_bound(radius.hi),",
                                    "if _exceeds(self._measure_bound(radius.hi),"),
     "measure bound: no +1": cantor("(w * self.qs.terms[k] >> shift) + 1",
@@ -207,6 +226,15 @@ MUTANTS: dict[str, Mutant] = {
     "theoretical_dimension: no clamp": dimension("if raw < 0:", "if False:"),
     "raw_count: one factor too many": dimension("for _ in range(self.d - 1):",
                                                 "for _ in range(self.d):"),
+    "alpha: one term off": sequences(
+        "alpha_list.append(table.ratio(prefix_product, terms[j])) prefix_product *= terms[j]",
+        "prefix_product *= terms[j]\n        alpha_list.append(table.ratio(prefix_product, terms[j]))"),
+    "regime threshold tau + 1 -> tau": sequences("threshold = Fraction(tau) + 1",
+                                                 "threshold = Fraction(tau)"),
+    "regime: INDETERMINATE -> PASS": sequences("RegimeResult(RegimeStatus.INDETERMINATE, j)",
+                                               "RegimeResult(RegimeStatus.PASS, j)"),
+    "_ceil_root: >= -> >": sequences("r if r ** b >= x else", "r if r ** b > x else"),
+    "contractive window 4 -> 8": sequences("if (4 * nxt) ** b > p:", "if (8 * nxt) ** b > p:"),
     "_grid_run: even run from j0": report("a = j0 + (j0 & 1)", "a = j0"),
     "_grid_run: even run end j1 >> 1": report("(j1 + 1) >> 1", "j1 >> 1"),
     "_plain_table: no escape check": report("if len(_json_str(text)) != len(text) + 2:",
