@@ -129,6 +129,22 @@ class CantorTree:
             self._count_1d.append(total)
         self._counts = [c ** params.d for c in self._count_1d]
 
+        # child_range_1d's window, affine in the parent residue m: a child n
+        # is admissible iff its centre (n + theta) / q' lies within r_lo(q) -
+        # r_hi(q') of the parent's centre (m + theta) / q.  Times q q'
+        # theta.denominator 2**scale that is |n step - (m mult - offset)| <=
+        # slack, with one (mult, offset, slack, step) per coordinate and level
+        self._child_windows = []
+        for theta in params.theta:
+            tn, td = theta.numerator, theta.denominator
+            windows = []
+            for k in range(1, self.depth):
+                q, q_next = qs.terms[k - 1], qs.terms[k]
+                slack = (self._r_lo[k - 1] - self._r_hi[k]) * q * q_next * td
+                windows.append((td * q_next << self._scale, tn * (q - q_next) << self._scale,
+                                slack, td * q << self._scale))
+            self._child_windows.append(windows)
+
         # nesting sanity on the leftmost path of each coordinate
         for i in range(params.d):
             m = 0
@@ -165,19 +181,16 @@ class CantorTree:
         """Start and size of the admissible child residue range under node m.
 
         Admissibility is certified containment: the child's outer arc must
-        lie inside the parent's inner arc.
+        lie inside the parent's inner arc.  The range is the ceiling and the
+        floor of two affine functions of m, from the constants built with
+        the tree.
         """
         if not 1 <= level < self.depth:
             raise ValueError("children exist for levels 1..depth-1")
-        # the parent's inner arc less the child's outer radius, over the
-        # denominator q * theta.denominator * 2**scale
-        theta = self.params.theta[coord]
-        qd = self.qs.terms[level - 1] * theta.denominator
-        c = (m * theta.denominator + theta.numerator) << self._scale
-        slack = (self._r_lo[level - 1] - self._r_hi[level]) * qd
-        first, last = residue_span(c - slack, c + slack, qd << self._scale,
-                                   self.qs.terms[level], theta)
-        return first, max(0, last - first + 1)
+        mult, offset, slack, step = self._child_windows[coord][level - 1]
+        x = m * mult - offset
+        first = -((slack - x) // step)
+        return first, max(0, (x + slack) // step - first + 1)
 
     def children_1d(self, coord: int, level: int, m: int) -> range:
         """The selected children: the `branching` smallest admissible residues."""
@@ -206,28 +219,38 @@ class CantorTree:
 
     # -- point and leaf sampling -------------------------------------------
 
-    def sample_leaf_path(self, coord: int, rng: random.Random) -> list[int]:
-        m = rng.randrange(self.qs.terms[0])
-        path = [m]
-        for k in range(1, self.depth):
-            start, _ = self.child_range_1d(coord, k, path[-1])
-            path.append(start + rng.randrange(self.branching_1d[k]))
-        return path
-
     def sample_point(self, rng: random.Random, perturb: bool = True) -> tuple[Fraction, ...]:
         """A leaf centre, optionally perturbed but kept inside the leaf."""
+        return self._place_point(self._draw_point(rng, perturb))
+
+    def _draw_point(self, rng: random.Random,
+                    perturb: bool) -> list[tuple[list[int], Optional[int]]]:
+        """The random values of one point, per coordinate in this order: a
+        level-1 residue, the index of the child taken at each deeper level,
+        and a 24-bit offset when perturbed (None otherwise)."""
+        draws = []
+        for _ in self.params.theta:
+            path = [rng.randrange(b) for b in self.branching_1d]
+            draws.append((path, rng.getrandbits(24) if perturb else None))
+        return draws
+
+    def _place_point(self, draws: list[tuple[list[int], Optional[int]]]) -> tuple[Fraction, ...]:
+        """The point of ``_draw_point``'s values: each coordinate walks its
+        leaf path down from the level-1 residue, through ``child_range_1d``."""
         q = self.qs.terms[self.depth - 1]
         shift = 24 + self._scale
         point = []
-        for i, theta in enumerate(self.params.theta):
-            m = self.sample_leaf_path(i, rng)[-1]
+        for i, (theta, (path, t)) in enumerate(zip(self.params.theta, draws)):
+            m = path[0]
+            for k in range(1, self.depth):
+                m = self.child_range_1d(i, k, m)[0] + path[k]
             # the centre (m + theta) / q over q * theta.denominator * 2**(24 + scale)
             qd = q * theta.denominator
             num = (m * theta.denominator + theta.numerator) << shift
-            if perturb:
+            if t is not None:
                 # a dyadic offset t * r_lo with |t| <= 1/2 (t on a 2**-24 grid),
                 # inside the certified leaf radius r_lo = _r_lo / 2**scale
-                num += (rng.getrandbits(24) - (1 << 23)) * self._r_lo[self.depth - 1] * qd
+                num += (t - (1 << 23)) * self._r_lo[self.depth - 1] * qd
             den = qd << shift
             point.append(Fraction(num % den, den))
         return tuple(point)
@@ -251,8 +274,10 @@ class CantorTree:
         parent of the range above when they reach the span, and is otherwise
         found by bisecting the parents.  Every node whose first child residue
         is read costs one ``child_range_1d`` call, cached for the walk; reading
-        it reads its ancestors' too, through the same cache.  The walk stops
-        after the first level where more than 2**14 nodes meet."""
+        it reads its ancestors' too, through the same cache.  The call is a
+        floor and a ceiling of two affine functions of the parent residue,
+        from per-(coordinate, level) constants built with the tree.  The walk
+        stops after the first level where more than 2**14 nodes meet."""
         theta = self.params.theta[coord]
         branching = self.branching_1d
         # one denominator for the centre, the dyadic ball radii and the grid
@@ -440,9 +465,11 @@ class CantorTree:
         the bound B from the radius alone (``_measure_bound``), its ratio is
         below mu.hi / 2**k <= B / 2**k, so when either of these is at most
         the best, the ratio is strictly below it and the result is the same.
-        Every sample still draws its point and radius, so the random stream
-        does not depend on the skips.  Ratios are compared as shifted
-        integers; ``max_ratio`` is one ``Fraction``, built at the end.
+        Every sample draws the random values of its point (``_draw_point``)
+        and its radius, so the random stream does not depend on the skips;
+        the values become a centre (``_place_point``) only for a ball that is
+        walked.  Ratios are compared as shifted integers; ``max_ratio`` is one
+        ``Fraction``, built at the end.
         """
         s = Fraction(s)
         check_holder(s, samples, self.params.d, self.prec)
@@ -455,7 +482,7 @@ class CantorTree:
         log_lo = r_min.numerator.bit_length() - r_min.denominator.bit_length() - 1
         best_mu = best_pow = worst = None
         for _ in range(samples):
-            point = self.sample_point(rng, perturb=rng.random() < 0.5)
+            draws = self._draw_point(rng, perturb=rng.random() < 0.5)
             e = math.floor(rng.uniform(log_lo, 0.0))
             mantissa = (1 << 30) + rng.getrandbits(30)
             # the radius mantissa * 2**(e - 30), in [2**e, 2**(e + 1)), clamped
@@ -471,7 +498,7 @@ class CantorTree:
                 below = DirectedReal(1, pow_exponent_below(radius.lo, s))
                 if not _exceeds(self._measure_bound(radius.hi), below, best_mu, best_pow):
                     continue
-            ball = Ball(point, radius)
+            ball = Ball(self._place_point(draws), radius)
             mu = self.ball_measure(ball).hi
             if worst is not None and not _exceeds(mu, below, best_mu, best_pow):
                 continue

@@ -2,8 +2,15 @@ import importlib.util
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, settings
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+# For ``tools/mutants.py``, which needs only pass or fail: a failing example
+# is reported as found, not shrunk first.  Select it with
+# ``--hypothesis-profile=mutants``; without the option the default profile
+# holds.
+settings.register_profile("mutants", phases=[p for p in Phase if p is not Phase.shrink])
 
 
 @pytest.fixture

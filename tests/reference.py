@@ -3,9 +3,12 @@
 Each is an oracle or a fake for the package's code, written from its
 definition: the paper's counting fact for ``residue_span``, exact
 membership of a point in an arc list, a cover or an enclosure, a node's
-1-d arc in a Cantor tree, and a radius function that ignores q.
+1-d arc in a Cantor tree, a tree's child range as one ``residue_span``
+call, a random leaf path walked down a tree, and a radius function that
+ignores q.
 """
 
+import random
 from fractions import Fraction
 from math import ceil, floor
 from typing import Optional, Union
@@ -80,3 +83,29 @@ def arc_1d(tree: CantorTree, coord: int, level: int,
     r_lo = Fraction(tree._r_lo[level - 1], 1 << tree._scale)
     r_hi = Fraction(tree._r_hi[level - 1], 1 << tree._scale)
     return (c - r_lo, c + r_lo, c - r_hi, c + r_hi)
+
+
+def residue_span_child_range(tree: CantorTree, coord: int, level: int,
+                             m: int) -> tuple[int, int]:
+    """``CantorTree.child_range_1d`` as one ``residue_span`` call: the
+    children whose centres lie in the parent's inner arc less the child's
+    outer radius, over the denominator q * theta.denominator * 2**scale."""
+    theta = tree.params.theta[coord]
+    qd = tree.qs.terms[level - 1] * theta.denominator
+    c = (m * theta.denominator + theta.numerator) << tree._scale
+    slack = (tree._r_lo[level - 1] - tree._r_hi[level]) * qd
+    first, last = residue_span(c - slack, c + slack, qd << tree._scale,
+                               tree.qs.terms[level], theta)
+    return first, max(0, last - first + 1)
+
+
+def sample_leaf_path(tree: CantorTree, coord: int, rng: random.Random) -> list[int]:
+    """The residues of a random leaf's path, level 1 first: a uniform
+    level-1 residue, then at each level a uniform child of the one above.
+    It draws what ``CantorTree.sample_point`` draws for one coordinate,
+    before the perturbation, and in the same order."""
+    path = [rng.randrange(tree.qs.terms[0])]
+    for k in range(1, tree.depth):
+        start, _ = tree.child_range_1d(coord, k, path[-1])
+        path.append(start + rng.randrange(tree.branching_1d[k]))
+    return path

@@ -31,7 +31,7 @@ from liminfdim.sequences import (
     validate_regime,
 )
 
-from reference import arc_1d, count_shifted_rationals
+from reference import arc_1d, count_shifted_rationals, sample_leaf_path
 
 
 @contextmanager
@@ -169,7 +169,7 @@ def test_07_mass_distribution():
         for level in (3, 4):
             bound = F(1, 2 * qs.terms[level - 1])
             for _ in range(200):
-                path = tree.sample_leaf_path(0, rng)
+                path = sample_leaf_path(tree, 0, rng)
                 m = path[level - 1]
                 sib = m + 1 if rng.random() < 0.5 else m - 1
                 _, _, lo1, hi1 = arc_1d(tree, 0, level, m)

@@ -10,7 +10,7 @@ from liminfdim.level_sets import LevelParams, prefix_intersection
 from liminfdim.numerics import Enclosure
 from liminfdim.sequences import PowerSpec, QSequence, generate
 
-from reference import arc_1d, arc_contains
+from reference import arc_1d, arc_contains, sample_leaf_path
 
 
 def params_1d(theta=F(0), tau=F(1)):
@@ -89,7 +89,7 @@ class TestStructure:
         enum = prefix_intersection(qs, params_1d())
         rng = random.Random(7)
         for _ in range(50):
-            path = tree.sample_leaf_path(0, rng)
+            path = sample_leaf_path(tree, 0, rng)
             c = tree.center_1d(0, 2, path[-1]) % 1
             assert arc_contains(enum.sets[0].outer, c)
 
@@ -112,7 +112,7 @@ class TestStructure:
             tree.nodes_1d(0, 4)  # ~7.7e25 leaves, far past the budget
         # queries still work on the implicit representation
         rng = random.Random(0)
-        assert len(tree.sample_leaf_path(0, rng)) == 4
+        assert len(sample_leaf_path(tree, 0, rng)) == 4
 
 
 class TestBallMeasure:

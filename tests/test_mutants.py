@@ -1,6 +1,6 @@
 """Every entry of ``tools/mutants.py`` still applies to the source.
 
-The mutation runner takes about twelve minutes and no CI step runs it, so a
+The mutation runner takes about nine minutes and no CI step runs it, so a
 refactor that moves or rewrites a mutated line would only show there as an
 "n/a" line.  These tests fail first: each entry's ``old`` code matches its
 target exactly once, the edited file compiles to a different program than

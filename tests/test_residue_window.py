@@ -3,20 +3,23 @@
 ``residue_span`` answers "which m put (m + theta)/q inside this window" on
 integers.  ``build_level(within=...)`` builds each level already cut to the
 windows of the set it refines, ``ArcList.intersect`` cuts on the same path,
-and the tree walks its child ranges and ball windows through the kernel on
-one integer grid.  These tests check the kernel against brute force, the
-intersection against point membership, the fused build against build then
-intersect and against the per-arc builder it replaced (on sandwiches whose
-inner windows the outer runs do not hold too), the number of runs the arc
-kernel builds for a level, the tree against
-the ``Fraction`` formulas it replaced, the tree's ball walk on
-tree-index ranges against the walks it replaced, on residue ranges and on
-candidate lists, the pre-walk measure bound against the walk, and the Holder
-certificate, which skips balls that cannot raise its worst ratio, against
-the ``Fraction`` loop that measured every ball; the replaced code is kept
-here as the reference.
+and the tree walks its ball windows through the kernel on one integer
+grid; its child ranges are the kernel's affine form in the parent residue.
+These tests check the kernel against brute force, the intersection against
+point membership, the fused build against build then intersect and against
+the per-arc builder it replaced (on sandwiches whose inner windows the
+outer runs do not hold too), the number of runs the arc kernel builds for a
+level, the tree against the ``Fraction`` formulas it replaced, its child
+ranges against the ``residue_span`` call they replaced, the tree's ball
+walk on tree-index ranges against the walks it replaced, on residue ranges
+and on candidate lists, the pre-walk measure bound against the walk, and
+the Holder certificate, which skips balls that cannot raise its worst
+ratio, against the ``Fraction`` loop that measured every ball, and places a
+centre only for a ball it walks; the replaced code is kept here or in
+``reference.py`` as the reference.
 """
 
+import dataclasses
 import math
 import random
 from fractions import Fraction as F
@@ -42,7 +45,8 @@ from liminfdim.level_sets import (
 from liminfdim.numerics import ONE, Enclosure, _resolve_prec
 from liminfdim.sequences import QSequence
 
-from reference import arc_contains, constant_radius
+from reference import (arc_contains, constant_radius, residue_span_child_range,
+                       sample_leaf_path)
 
 THETAS = st.sampled_from([F(0), F(1, 2), F(1, 3), F(5, 8), F(96, 97), F(45, 97), F(68, 97),
                           F(7, 1000), F(999, 1000)])
@@ -386,7 +390,7 @@ def fraction_ball_measure(tree, ball, window_counts=fraction_window_counts):
 def reference_sample_point(tree, rng, perturb=True):
     point = []
     for i in range(tree.params.d):
-        path = tree.sample_leaf_path(i, rng)
+        path = sample_leaf_path(tree, i, rng)
         c = tree.center_1d(i, tree.depth, path[-1])
         if perturb:
             t = F(rng.getrandbits(24) - (1 << 23), 1 << 24)
@@ -608,6 +612,33 @@ def walk_radii(draw, tree):
     return Enclosure.from_fraction(F(1, 2) - F(1, draw(st.integers(3, 1 << 40))), tree.prec)
 
 
+# shifts with denominators up to 97, and dyadic ones
+AFFINE_THETAS = st.one_of(
+    st.fractions(0, 1, max_denominator=97).filter(lambda t: t < 1),
+    st.integers(0, 64).flatmap(lambda e: st.integers(0, (1 << e) - 1).map(lambda n: F(n, 1 << e))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tree=walk_trees(), data=st.data())
+def test_child_ranges_match_residue_span(tree, data):
+    # the walk trees' sequences, with their shifts redrawn and at 64, 128
+    # or 1024 bits; parents in -3q..3q and far past q
+    params = dataclasses.replace(
+        tree.params, theta=tuple(data.draw(AFFINE_THETAS) for _ in range(tree.params.d)))
+    try:
+        tree = build_tree(tree.qs, params, prec=data.draw(st.sampled_from([64, 128, 1024])))
+    except RegimeViolationError:
+        assume(False)
+    for coord in range(tree.params.d):
+        for level in range(1, tree.depth):
+            q = tree.qs.terms[level - 1]
+            far = st.integers(-q << 64, q << 64)
+            for m in [-3 * q, 0, q - 1, 3 * q] + data.draw(
+                    st.lists(st.one_of(st.integers(-3 * q, 3 * q), far), max_size=12)):
+                assert tree.child_range_1d(coord, level, m) == \
+                    residue_span_child_range(tree, coord, level, m)
+
+
 POWER_D2 = build_tree(QSequence((4, 256, 1 << 32, 1 << 128)),
                       LevelParams(theta=(F(5, 8), F(1, 3)), tau=F(1), d=2), prec=128)
 
@@ -797,6 +828,25 @@ def test_certificate_keeps_the_first_of_tied_balls():
     assert len(tied) == 2 and tied[0].center != tied[1].center
     cert = tree.holder_certificate(s, samples, seed)
     assert certificate_bits(cert.max_ratio, cert.worst_ball) == certificate_bits(best, tied[0])
+
+
+def test_certificate_places_only_walked_balls(monkeypatch):
+    # the 13 balls of test_certificate_skips_most_powers that are walked are
+    # the only ones whose draws become a centre; the certificate is still
+    # the reference's
+    placed = []
+    place_point = CantorTree._place_point
+
+    def counted_place(self, draws):
+        placed.append(draws)
+        return place_point(self, draws)
+
+    monkeypatch.setattr(CantorTree, "_place_point", counted_place)
+    cert = TINY_D2.holder_certificate(F(3, 5), 60, 2)
+    assert len(placed) == 13
+    monkeypatch.undo()
+    ref = reference_holder_certificate(TINY_D2, F(3, 5), 60, 2)
+    assert certificate_bits(cert.max_ratio, cert.worst_ball) == certificate_bits(*ref)
 
 
 def test_certificate_skips_most_powers(monkeypatch):
