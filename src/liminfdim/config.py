@@ -16,8 +16,8 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable, Optional, get_args, get_origin, get_type_hints
 
-from .cantor import check_holder
-from .level_sets import LevelParams
+from .cantor import DEFAULT_NODE_BUDGET, check_holder
+from .level_sets import DEFAULT_COMPONENT_BUDGET, LevelParams
 from .multiplicative import check_cover
 from .numerics import DEFAULT_PRECISION, _resolve_prec
 from .report import _parse_int, fraction_str, int_json, parse_rational
@@ -51,8 +51,8 @@ class ExperimentConfig:
     d: int = 1
     depth: int = 4
     precision: int = DEFAULT_PRECISION
-    component_budget: int = 10 ** 7
-    node_budget: int = 10 ** 6
+    component_budget: int = DEFAULT_COMPONENT_BUDGET
+    node_budget: int = DEFAULT_NODE_BUDGET
     tasks: tuple[str, ...] = ("analyze",)
     seed: int = 0
     holder_s: Fraction = Fraction(3, 10)

@@ -24,7 +24,7 @@ from typing import Iterator, Optional, Union
 
 from .level_sets import CertifiedCount
 from .numerics import Enclosure, _resolve_prec, dir_pow, log2_int
-from .sequences import QSequence, RegimeResult, validate_regime
+from .sequences import QSequence
 
 
 class RegimeViolationError(ValueError):
@@ -140,12 +140,6 @@ class CoverReport:
             raise self.branching.with_traceback(None)
         return self.branching
 
-    @property
-    def regime(self) -> RegimeResult:
-        """Growth-regime verdict of the prefix, computed each time it is read."""
-        prefix = QSequence(tuple(record.q for record in self._lineage()))
-        return validate_regime(prefix, self.tau, self.prec)
-
     @cached_property
     def _log_scale(self) -> Enclosure:  # (1+tau) log2 q_J
         return log2_int(self.q, self.prec).mul_frac(1 + self.tau, self.prec)
@@ -202,8 +196,7 @@ def upper_cover_count(qs: QSequence, tau: Fraction, d: int = 1, depth: Optional[
                       prec: Optional[int] = None) -> CoverReport:
     """Cover of the depth-J intersection by boxes of side 2 q_J**-(1+tau).
 
-    The record of ``depth_series`` at depth J.  Takes no logarithm; the
-    advisory regime check runs only when ``CoverReport.regime`` is read.
+    The record of ``depth_series`` at depth J.  Takes no logarithm.
     """
     return _record_at(qs, tau, d, depth, prec)
 

@@ -9,8 +9,6 @@ Building blocks:
 * ``dir_pow`` / ``log2_int`` / ``log_ratio``: enclosure-producing kernels for
   integer powers with rational exponents and base-2 logarithms.  These cover
   every irrational quantity the rest of the library needs.
-* ``LogTable``: log ratios at one precision over a cache of log2 values, the
-  one home of ``log_ratio``'s rule.
 
 Every log2 goes through one process-wide LRU cache of the last
 ``LOG2_CACHE_SIZE`` results, keyed by (integer, precision), so a log2 is
@@ -32,7 +30,7 @@ from typing import Optional, Union
 
 DEFAULT_PRECISION = 128
 MIN_PRECISION = 8
-# extra bits on each log2 whose quotient LogTable.ratio rounds to the working precision
+# extra bits on each log2 whose quotient log_ratio rounds to the working precision
 LOG_GUARD_BITS = 8
 # (n, prec) log2 brackets the process keeps: a term's logs recur within a few
 # dozen log2 calls (the estimates of one depth, the analyses of one sequence),
@@ -594,40 +592,24 @@ def _power_exponent_of(a: int, b: int) -> Optional[int]:
     return None
 
 
-class LogTable:
-    """Certified log ratios at one precision, over a cache of log2 values.
+def log_ratio(a: int, b: int, prec: Optional[int] = None) -> Enclosure:
+    """Enclosure of log(a)/log(b) for integers a, b >= 2.
 
-    ``ratio(a, b)`` encloses log(a)/log(b) for integers a, b >= 2.  It is
-    exact when a is an integer power of b; when b is a power a**k, 1/k is
+    Exact when a is an integer power of b; when b is a power a**k, 1/k is
     exact if dyadic and rounded outward at ``prec`` bits otherwise.  Both
     cases are decided on integers alone.  Any other ratio divides, at
     ``prec``, the log2 values of a and b taken at ``prec + LOG_GUARD_BITS``
-    bits.  Each integer's log2 is read at most once per table, whatever the
-    size of the process's log2 cache, which serves the table's misses.
+    bits through ``log2_int``.  A caller's logs are taken once while its
+    distinct integers fit in the log2 cache (``LOG2_CACHE_SIZE``); past
+    that, evicted ones are taken again, to the same brackets.
     """
-
-    def __init__(self, prec: Optional[int] = None):
-        self.prec = _resolve_prec(prec)
-        self._logs: dict[int, Enclosure] = {}
-
-    def log2(self, n: int) -> Enclosure:
-        enc = self._logs.get(n)
-        if enc is None:
-            enc = self._logs[n] = log2_int(n, self.prec + LOG_GUARD_BITS)
-        return enc
-
-    def ratio(self, a: int, b: int) -> Enclosure:
-        k = _power_exponent_of(a, b)
-        if k is not None:
-            return Enclosure.exact_int(k)
-        k = _power_exponent_of(b, a)
-        if k is not None:
-            return Enclosure.from_fraction(Fraction(1, k), self.prec)
-        return self.log2(a).div(self.log2(b), self.prec)
-
-
-def log_ratio(a: int, b: int, prec: Optional[int] = None) -> Enclosure:
-    """Enclosure of log(a)/log(b) for integers a, b >= 2, by ``LogTable.ratio``."""
     if a < 2 or b < 2:
         raise ValueError("log_ratio requires both arguments >= 2")
-    return LogTable(prec).ratio(a, b)
+    p = _resolve_prec(prec)
+    k = _power_exponent_of(a, b)
+    if k is not None:
+        return Enclosure.exact_int(k)
+    k = _power_exponent_of(b, a)
+    if k is not None:
+        return Enclosure.from_fraction(Fraction(1, k), p)
+    return log2_int(a, p + LOG_GUARD_BITS).div(log2_int(b, p + LOG_GUARD_BITS), p)

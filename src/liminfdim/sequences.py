@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import ceil
 from typing import Iterable, Optional
 
-from .numerics import Enclosure, LogTable, _iroot, check_root_size
+from .numerics import Enclosure, _iroot, check_root_size, log_ratio
 
 
 class GenerationError(ValueError):
@@ -221,19 +221,19 @@ class ExponentStats:
 
 
 def exponent_stats(qs: QSequence, prec: Optional[int] = None) -> ExponentStats:
-    # Every ratio comes from one LogTable, so each term's log2 is taken at
-    # most once per call.  The table detects power relations between integers
-    # first, so ratios like log 1000 / log 10 come out exact; the cumulative
-    # entries go through the prefix product q_1 * ... * q_{j-1} to get the
-    # same benefit, and take that product's own log2 otherwise.
-    table = LogTable(prec)
+    # log_ratio detects power relations between integers first, so ratios
+    # like log 1000 / log 10 come out exact; the cumulative entries go through
+    # the prefix product q_1 * ... * q_{j-1} to get the same benefit, and take
+    # that product's own log2 otherwise.  The 2J - 2 distinct integers of J
+    # terms each take one log2 per call while they fit in the log2 cache,
+    # that is up to 65 terms.
     terms = qs.terms
-    h_list = [table.ratio(b, a) for a, b in zip(terms, terms[1:])]
+    h_list = [log_ratio(b, a, prec) for a, b in zip(terms, terms[1:])]
     alpha_list = []
     running = None
     prefix_product = terms[0]
     for j in range(1, len(terms)):
-        alpha_list.append(table.ratio(prefix_product, terms[j]))
+        alpha_list.append(log_ratio(prefix_product, terms[j], prec))
         prefix_product *= terms[j]
     for h in h_list:
         running = h if running is None else running.min_with(h)
@@ -281,8 +281,8 @@ def validate_regime(qs: QSequence, tau: Fraction, prec: Optional[int] = None) ->
     can retry at higher precision instead of trusting a coin flip.  Only the
     steps up to the first one that does not pass are computed.
     """
-    table = LogTable(prec)
-    return regime_from_steps((table.ratio(b, a) for a, b in zip(qs.terms, qs.terms[1:])), tau)
+    steps = (log_ratio(b, a, prec) for a, b in zip(qs.terms, qs.terms[1:]))
+    return regime_from_steps(steps, tau)
 
 
 def reindex_even(qs: QSequence, tau: Fraction) -> tuple[QSequence, Fraction]:

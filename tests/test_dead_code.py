@@ -11,7 +11,9 @@ as reads, and a name that only tests call is a test reference: it belongs in
 its spans by name, so a name in ``perfbench/tracer.py``'s ``SPANS`` counts
 as read.  Uses are matched by bare name (``x.count`` reads every
 ``count``), so the check can miss dead code, and it flags only names that
-no code reads by name.
+no code reads by name.  A public class member is held to more: it counts as
+read only through an attribute read (``x.name``) or the tracer's ``SPANS``,
+so a local variable of the same name does not keep it.
 """
 
 import ast
@@ -46,6 +48,19 @@ def _span_names() -> set[str]:
                  if isinstance(node, ast.Assign)
                  and any(isinstance(t, ast.Name) and t.id == "SPANS" for t in node.targets))
     return {part for _, attrs in spans for attr in attrs for part in attr.split(".")}
+
+
+def _attribute_reads(tree: ast.AST) -> set[str]:
+    """Every attribute the module loads (``x.name``)."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def _callers() -> list[ast.Module]:
+    """The modules whose reads count: ``src/`` less ``__init__``, the demos
+    and the benchmark."""
+    return [ast.parse(path.read_text(), str(path)) for root in CALLERS
+            for path in sorted(root.rglob("*.py")) if path != SRC / "__init__.py"]
 
 
 def _package() -> dict[Path, ast.Module]:
@@ -84,11 +99,19 @@ def test_public_names_have_a_caller_outside_the_tests():
                     if isinstance(member, defs) and not member.name.startswith("_"):
                         defined.setdefault(member.name, []).append(
                             f"{path.name}: {node.name}.{member.name}")
-    used = _span_names()
-    for root in CALLERS:
-        for path in sorted(root.rglob("*.py")):
-            if path != SRC / "__init__.py":
-                used |= _reads(ast.parse(path.read_text(), str(path)))
+    used = _span_names().union(*map(_reads, _callers()))
     dead = sorted(where for name, places in defined.items() if name not in used
                   for where in places)
     assert not dead, f"public names only the tests call: {dead}"
+
+
+def test_public_members_are_read_as_attributes():
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    members = [(member.name, f"{path.name}: {node.name}.{member.name}")
+               for path, tree in _package().items() for node in tree.body
+               if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+               for member in node.body
+               if isinstance(member, defs) and not member.name.startswith("_")]
+    read = _span_names().union(*map(_attribute_reads, _callers()))
+    dead = sorted(where for name, where in members if name not in read)
+    assert not dead, f"public members no code reads as an attribute: {dead}"

@@ -15,7 +15,8 @@ from liminfdim.dimension import (
     upper_dim_estimate,
 )
 from liminfdim.numerics import Enclosure
-from liminfdim.sequences import PowerSpec, QSequence, RegimeStatus, exponent_stats, generate
+from liminfdim.sequences import (PowerSpec, QSequence, RegimeStatus, exponent_stats, generate,
+                                 validate_regime)
 
 from reference import enclosure_contains
 
@@ -70,10 +71,12 @@ class TestUpperCover:
         assert enclosure_contains(e2, e1.midpoint() * 2)
 
     def test_regime_flag_attached(self):
-        good = upper_cover_count(generate(PowerSpec(4, F(4)), 3), F(1))
-        assert good.regime.status is RegimeStatus.PASS
-        bad = upper_cover_count(QSequence((4, 8)), F(1))
-        assert bad.regime.status is RegimeStatus.FAIL
+        # the cover carries no verdict; its prefix's comes from validate_regime
+        for qs, status in ((generate(PowerSpec(4, F(4)), 3), RegimeStatus.PASS),
+                           (QSequence((4, 8)), RegimeStatus.FAIL)):
+            cover = upper_cover_count(qs, F(1))
+            prefix = QSequence(qs.terms[:cover.depth])
+            assert validate_regime(prefix, cover.tau, cover.prec).status is status
 
     def test_deep_prefix(self):
         # each record extends its parent's product; reading the last one of a

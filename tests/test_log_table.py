@@ -1,23 +1,24 @@
 """One certified log2 per term and call, and one walk per depth series.
 
 ``exponent_stats`` and ``validate_regime`` take every log2 q_j once per call
-and divide table entries, and ``upper_cover_count`` no longer re-checks the
-regime.  ``depth_series`` takes every level factor q_k**-(1+tau) once and
-shares log2 q_J between the two estimates of a depth.  These tests pin the
-kernel call counts (log2 and ``dir_pow``) and check bit for bit that the
-table gives what ``log_ratio`` gives on its own, and that the series gives
-what the per-depth loops gave before it.
+through ``log_ratio``, and ``upper_cover_count`` takes no log at all.
+``depth_series`` takes every level factor q_k**-(1+tau) once and shares
+log2 q_J between the two estimates of a depth.  These tests pin the kernel
+call counts (log2 and ``dir_pow``), and check bit for bit that the
+statistics give what ``log_ratio`` gives on its own, and that the series
+gives what the per-depth loops gave before it.
 
-``LogTable`` in ``numerics`` is now the one implementation of the log ratio
-rule, behind ``log_ratio``, ``exponent_stats`` and ``validate_regime``
-alike, so ``reference_log_ratio`` keeps the rule as ``log_ratio`` wrote it
-before, and all three must match it bit for bit, direction tags included.
+``log_ratio`` in ``numerics`` is the one implementation of the log ratio
+rule, behind ``exponent_stats`` and ``validate_regime`` alike, so
+``reference_log_ratio`` keeps the rule in its own words, on the uncached
+kernel, and all three must match it bit for bit, direction tags included.
 
 Every log2 goes through one process-wide (n, prec) cache in front of the
-kernel.  The per-call counts start from a cold cache (``kernel_calls``);
-the last tests check what the cache shares across calls, that it stays
-within its bound, and that past the bound it still gives the kernel's
-brackets bit for bit.
+kernel, which is all that makes a log2 once per call.  The per-call counts
+start from a cold cache (``kernel_calls``); the last tests check the depth
+up to which a call's logs fit in the cache, what the cache shares across
+calls, that it stays within its bound, and that past the bound it still
+gives the kernel's brackets bit for bit.
 """
 
 import math
@@ -44,7 +45,6 @@ from liminfdim.numerics import (
     UP,
     DirectedReal,
     Enclosure,
-    LogTable,
     dir_pow,
     log2_int,
     log_ratio,
@@ -231,13 +231,16 @@ def test_main_builds_the_cover_once(tmp_path, monkeypatch):
 
 
 def test_cover_regime_is_read_lazily(kernel_calls):
-    report = upper_cover_count(QSequence((4, 8)), F(1), prec=PREC)
+    # the cover takes no log; the regime is the caller's own check
+    qs = QSequence((4, 8))
+    report = upper_cover_count(qs, F(1), prec=PREC)
     assert not kernel_calls
-    assert report.regime.status is RegimeStatus.FAIL
+    assert validate_regime(QSequence(qs.terms[:report.depth]), report.tau,
+                           report.prec).status is RegimeStatus.FAIL
     assert kernel_calls
 
 
-# -- property: the shared table changes no bit ------------------------------
+# -- property: one rule for every log ratio, bit for bit --------------------
 
 def _power_chain(base, exponents):
     """base, base**k1, base**(k1*k2), ..."""
@@ -288,9 +291,9 @@ def _reference_power_exponent_of(a, b):
 
 
 def reference_log_ratio(a, b, prec):
-    """log(a)/log(b) as ``log_ratio`` computed it before ``LogTable`` held
-    the rule: exact for a power relation either way, else two log2 kernels
-    at prec + 8 bits divided at prec."""
+    """log(a)/log(b) by the rule of ``log_ratio``, on the uncached kernel:
+    exact for a power relation either way, else two log2 kernels at
+    prec + 8 bits divided at prec."""
     k = _reference_power_exponent_of(a, b)
     if k is not None:
         return Enclosure.exact_int(k)
@@ -463,6 +466,16 @@ def test_log2_is_taken_once_across_calls(qs, kernel_calls):
     assert len(kernel_calls) == taken
 
 
+def test_stats_take_each_log_once_up_to_65_terms(kernel_calls):
+    # 65 odd primes: no power relations, so each of the 2J - 2 = 128 distinct
+    # integers (65 terms, 63 prefix products) needs a log2, which fills the
+    # cache exactly, and no integer is evicted before its last read
+    primes = [n for n in range(3, 400, 2) if all(n % p for p in range(3, math.isqrt(n) + 1, 2))]
+    qs = QSequence(tuple(primes[:65]))
+    assert _count(kernel_calls, exponent_stats, qs, 64) == 128 == numerics.LOG2_CACHE_SIZE
+    assert len(set(kernel_calls)) == 128
+
+
 def test_log2_cache_stays_within_its_bound():
     # past the bound, the oldest entries make room
     for n in range(3, 3 + 2 * numerics.LOG2_CACHE_SIZE):
@@ -479,7 +492,7 @@ def test_log2_cache_stays_within_its_bound():
 def test_cache_gives_the_kernels_brackets(bits, low, precs, shift):
     """Past LOG2_CACHE_SIZE distinct (n, prec) pairs, so entries are evicted,
     every log2 still equals the uncached kernel's, ends and tags included."""
-    # 50 odd integers of distinct lengths: 200 pairs with the tables' guard bits
+    # 50 odd integers of distinct lengths: 200 pairs with log_ratio's guard bits
     ns = [(1 << b) | (low & ((1 << b) - 1)) | 1 for b in bits]
     pairs = list(zip(ns, ns[1:] + ns[:1]))
     kernel = {(n, prec): numerics._log2_bracket(n, prec) for n in ns for prec in precs}
@@ -494,6 +507,6 @@ def test_cache_gives_the_kernels_brackets(bits, low, precs, shift):
                 enc = Enclosure(DirectedReal(lo, shift, DOWN), DirectedReal(hi, shift, UP))
                 want = Enclosure(kernel[lo, prec].lo + e, kernel[hi, prec].hi + e)
                 assert _bits_of(enc.log2(prec)) == _bits_of(want)
-                assert _bits_of(LogTable(prec).ratio(a, b)) == ratio[a, b, prec]
+                assert _bits_of(log_ratio(a, b, prec)) == ratio[a, b, prec]
             # one n at two precisions: two brackets of different widths
             assert _bits_of(log2_int(a, precs[0])) != _bits_of(log2_int(a, precs[1]))

@@ -139,9 +139,11 @@ MUTANTS: dict[str, Mutant] = {
     "place: adds the draw of the level above": cantor(
         "m = self.child_range_1d(i, k, m)[0] + path[k]",
         "m = self.child_range_1d(i, k, m)[0] + path[k - 1]"),
-    "LogTable: no guard bits": numerics("self.prec + LOG_GUARD_BITS", "self.prec + 0"),
-    "LogTable: no a = b**k check": numerics("k = _power_exponent_of(a, b)", "k = None"),
-    "LogTable: no b = a**k check": numerics("k = _power_exponent_of(b, a)", "k = None"),
+    "log_ratio: no guard bits": numerics(
+        "log2_int(a, p + LOG_GUARD_BITS).div(log2_int(b, p + LOG_GUARD_BITS), p)",
+        "log2_int(a, p).div(log2_int(b, p), p)"),
+    "log_ratio: no a = b**k check": numerics("k = _power_exponent_of(a, b)", "k = None"),
+    "log_ratio: no b = a**k check": numerics("k = _power_exponent_of(b, a)", "k = None"),
     "_radius_grid: floor <-> ceil": level_sets(
         "return (_shift_floor(lo.mantissa, lo.exponent + scale), _shift_ceil(",
         "return (_shift_ceil(lo.mantissa, lo.exponent + scale), _shift_floor("),
@@ -165,6 +167,7 @@ MUTANTS: dict[str, Mutant] = {
     "log2 cache bypassed": numerics("lru_cache(maxsize=LOG2_CACHE_SIZE)", "lru_cache(maxsize=0)"),
     "log2 cache unbounded": numerics("lru_cache(maxsize=LOG2_CACHE_SIZE)",
                                      "lru_cache(maxsize=None)"),
+    "LOG2_CACHE_SIZE 128 -> 64": numerics("LOG2_CACHE_SIZE = 128", "LOG2_CACHE_SIZE = 64"),
     # the cache keyed by n alone: the first precision's bracket serves every
     # later one
     "log2 cache drops prec": numerics(
@@ -245,8 +248,9 @@ MUTANTS: dict[str, Mutant] = {
     "raw_count: one factor too many": dimension("for _ in range(self.d - 1):",
                                                 "for _ in range(self.d):"),
     "alpha: one term off": sequences(
-        "alpha_list.append(table.ratio(prefix_product, terms[j])) prefix_product *= terms[j]",
-        "prefix_product *= terms[j]\n        alpha_list.append(table.ratio(prefix_product, terms[j]))"),
+        "alpha_list.append(log_ratio(prefix_product, terms[j], prec)) prefix_product *= terms[j]",
+        "prefix_product *= terms[j]\n"
+        "        alpha_list.append(log_ratio(prefix_product, terms[j], prec))"),
     "regime threshold tau + 1 -> tau": sequences("threshold = Fraction(tau) + 1",
                                                  "threshold = Fraction(tau)"),
     "regime: INDETERMINATE -> PASS": sequences("RegimeResult(RegimeStatus.INDETERMINATE, j)",
