@@ -8,7 +8,9 @@ Building blocks:
 * ``Enclosure``: a pair of directed values bracketing a real number.
 * ``dir_pow`` / ``log2_int`` / ``log_ratio``: enclosure-producing kernels for
   integer powers with rational exponents and base-2 logarithms.  These cover
-  every irrational quantity the rest of the library needs.
+  every irrational quantity the rest of the library needs.  The log2 kernel
+  squares one rounded-up fixed-point end, one exponent bit per square; a
+  written error bound, not a second end, certifies the other side.
 
 Every log2 goes through one process-wide LRU cache of the last
 ``LOG2_CACHE_SIZE`` results, keyed by (integer, precision), so a log2 is
@@ -64,14 +66,16 @@ def _resolve_prec(prec: Optional[int]) -> int:
 ROOT_RADICAND_CAP = 1 << 22
 
 
-def check_root_size(b: int, prec: int, bits: int) -> None:
+def check_root_size(b: int, prec: int, bits: int, subject: str = "") -> None:
     """Raise ValueError when b * (prec + bits), the size of the radicand a
     b-th root of a ``bits``-bit power takes at prec bits, passes
-    ``ROOT_RADICAND_CAP``.  No radicand is built."""
+    ``ROOT_RADICAND_CAP``.  No radicand is built.  ``subject`` opens the
+    message in place of the denominator, size and precision."""
     size = b * (prec + bits)
     if size > ROOT_RADICAND_CAP:
-        raise ValueError(f"denominator {b} needs roots of about {size} bits at precision "
-                         f"{prec}, past the cap of {ROOT_RADICAND_CAP} bits")
+        subject = subject or (f"denominator {b} needs roots of about {size} bits "
+                              f"at precision {prec}")
+        raise ValueError(f"{subject}, past the cap of {ROOT_RADICAND_CAP} bits")
 
 
 def _iroot(x: int, b: int) -> int:
@@ -536,8 +540,24 @@ def dir_pow(q: int, e: Union[Fraction, int], prec: Optional[int] = None) -> Encl
 def _log2_bracket(n: int, prec: int) -> Enclosure:
     """Enclosure of log2(n) for an integer n >= 1; exact for powers of two.
 
-    Uses the classical square-and-renormalize scheme: track m**(2**t) / 2**E
-    as a certified fixed-point interval, emit one exponent bit per squaring.
+    The classical square-and-renormalise scheme on one end.  With x =
+    n / 2**e0 in (1, 2), each of the ``steps`` = prec + 3 steps squares the
+    working value v (v = x at the start) and halves it once when the square
+    passes 2, emitting that halving as the next bit of ``acc``, so that
+    x**(2**steps) = v * 2**acc and log2(n) = e0 + (acc + log2 v) / 2**steps.
+    ``hi``, a g-bit fixed-point upper bound of v, decides each bit: it starts
+    at ceil(x * 2**g), and every square and halving of it rounds up.
+
+    ``hi`` stays in [2**g, 2**(g+1)] before each square (x * 2**g lies in
+    it at the start), so after one it is at most 2**(g+2) and a single
+    halving brings it back; so v <= hi / 2**g <= 2 at the end.  Write hi =
+    2**g * v * (1 + eps).  Each rounding up adds at most 1 to a value of at
+    least 2**g, a factor of at most 1 + 2**-g, so a step takes 1 + eps to
+    at most (1 + eps)**2 * (1 + 2**-g)**2: eps_{t+1} <= 2 eps_t + eps_t**2
+    + O(2**-g), and ln(1 + eps) < 3 * 2**steps * 2**-g = 3 * 2**-10, as
+    g = steps + 10.  So eps < 2**-8, and v = hi / (2**g * (1 + eps)) > 1/2
+    as hi >= 2**g: log2 v lies in [-1, 1], which gives the bracket's ends
+    acc - 1 and acc + 1.
     """
     if n < 1:
         raise ValueError("log2 of a nonpositive integer")
@@ -546,22 +566,15 @@ def _log2_bracket(n: int, prec: int) -> Enclosure:
     steps = prec + 3
     g = steps + 10
     e0 = n.bit_length() - 1
-    lo, rem = divmod(n << g, 1 << e0)
-    hi = lo + (1 if rem else 0)
+    hi = -((-n << g) >> e0)
     acc = 0
     unit2 = 2 << g
-    half = 1 << (g - 1)
     for _ in range(steps):
-        lo = (lo * lo) >> g
         hi = ((hi * hi) + (1 << g) - 1) >> g
         acc <<= 1
-        while hi > unit2:
-            lo >>= 1
+        if hi > unit2:
             hi = (hi + 1) >> 1
             acc += 1
-    if not (half <= lo and hi <= (4 << g)):  # pragma: no cover - guard margin
-        raise ArithmeticError("log2 working interval escaped its window")
-    # log2(n) = e0 + (acc + log2 v)/2**steps with v in [1/2, 2] certified.
     lo_dr = DirectedReal((e0 << steps) + acc - 1, -steps, DOWN)
     hi_dr = DirectedReal((e0 << steps) + acc + 1, -steps, UP)
     return Enclosure(lo_dr, hi_dr)

@@ -155,8 +155,8 @@ def term_bits(spec: SequenceSpec, depth: int) -> int:
     """A bound on the bit length of the first ``depth`` terms, from the
     family's parameters alone: a step q -> q**e (or a contractive step,
     below q**e for e = 1 + tau) takes q < 2**n below 2**(ceil(e * n) + 1).
-    Raises ValueError when a step's root, of degree e.denominator, would take
-    a radicand past the cap (``check_root_size``)."""
+    Raises ValueError, naming the term, when a term's bound times its step's
+    root degree e.denominator passes the cap (``check_root_size``)."""
     if isinstance(spec, ExplicitSpec):
         return max(q.bit_length() for q in spec.terms[:depth])
     n = spec.q1.bit_length()
@@ -168,7 +168,9 @@ def term_bits(spec: SequenceSpec, depth: int) -> int:
         else:
             e = 1 + spec.tau
         n = ceil(e * n) + 1
-        check_root_size(e.denominator, 0, n)
+        b = e.denominator
+        root = f", taken as a degree-{b} root of about {b * n} bits" if b > 1 else ""
+        check_root_size(b, 0, n, f"term {j + 1} has about {n} bits{root}")
     return n
 
 

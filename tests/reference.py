@@ -4,8 +4,9 @@ Each is an oracle or a fake for the package's code, written from its
 definition: the paper's counting fact for ``residue_span``, exact
 membership of a point in an arc list, a cover or an enclosure, a node's
 1-d arc in a Cantor tree, a tree's child range as one ``residue_span``
-call, a random leaf path walked down a tree, and a radius function that
-ignores q.
+call, a random leaf path walked down a tree, a radius function that
+ignores q, and the log2 kernel as it was when it squared both ends of its
+working interval.
 """
 
 import random
@@ -16,7 +17,7 @@ from typing import Optional, Union
 from liminfdim.cantor import CantorTree
 from liminfdim.level_sets import ArcList, RadiusFn, residue_span
 from liminfdim.multiplicative import SquareCover
-from liminfdim.numerics import Enclosure
+from liminfdim.numerics import DOWN, UP, DirectedReal, Enclosure
 
 
 def count_shifted_rationals(a: Fraction, b: Fraction, theta: Fraction, q: int) -> int:
@@ -109,3 +110,33 @@ def sample_leaf_path(tree: CantorTree, coord: int, rng: random.Random) -> list[i
         start, _ = tree.child_range_1d(coord, k, path[-1])
         path.append(start + rng.randrange(tree.branching_1d[k]))
     return path
+
+
+def reference_log2_bracket(n: int, prec: int) -> Enclosure:
+    """``numerics._log2_bracket`` with both ends of its working interval:
+    ``lo`` squared and halved rounding down beside ``hi``, a halving loop
+    that runs while ``hi`` passes 2, and a final check that the interval
+    stayed in [1/2, 4] before the bracket is read off ``acc``."""
+    if n < 1:
+        raise ValueError("log2 of a nonpositive integer")
+    if n & (n - 1) == 0:
+        return Enclosure.exact_int(n.bit_length() - 1)
+    steps = prec + 3
+    g = steps + 10
+    e0 = n.bit_length() - 1
+    lo, rem = divmod(n << g, 1 << e0)
+    hi = lo + (1 if rem else 0)
+    acc = 0
+    unit2 = 2 << g
+    for _ in range(steps):
+        lo = (lo * lo) >> g
+        hi = ((hi * hi) + (1 << g) - 1) >> g
+        acc <<= 1
+        while hi > unit2:
+            lo >>= 1
+            hi = (hi + 1) >> 1
+            acc += 1
+    if not (1 << (g - 1) <= lo and hi <= (4 << g)):
+        raise ArithmeticError("log2 working interval escaped its window")
+    return Enclosure(DirectedReal((e0 << steps) + acc - 1, -steps, DOWN),
+                     DirectedReal((e0 << steps) + acc + 1, -steps, UP))

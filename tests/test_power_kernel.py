@@ -16,7 +16,8 @@ a float estimate, at degrees up to 10**4, and a tau = 1/4096 config, whose
 powers root degree-4096 radicands, runs through ``cli.main``.  A config
 whose exponent denominators would take radicands past ``ROOT_RADICAND_CAP``
 exits 2, naming the key, before any root is taken, and ``term_bits``, from
-which the cap reads the terms' size, bounds the terms the families generate.
+which the cap reads the terms' size, bounds the terms the families generate
+and names the first term past the cap.
 
 ``reference_pow_frac`` brackets each end of the base on its own, as
 ``Enclosure.pow_frac`` did before an exact base took a single bracket.
@@ -208,6 +209,21 @@ def test_config_past_the_root_cap_exits_2(tmp_path, monkeypatch, capsys, lines, 
     assert main(["run", str(cfg), "--out", str(tmp_path)]) == 2
     assert f"key '{key}'" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
+
+
+# the family names the first term past the cap and its size, and the root's
+# degree for a step that takes one, not a root or a precision no key set
+@pytest.mark.parametrize("lines, message", [
+    ("growth = 40\ndepth = 5", "term 5 has about 5185641 bits, past the cap of 4194304 bits"),
+    ("growth = 1048577/1048576\ndepth = 3",
+     "term 3 has about 6 bits, taken as a degree-1048576 root of about 6291456 bits, "
+     "past the cap of 4194304 bits"),
+])
+def test_term_size_refusal_names_the_term(tmp_path, capsys, lines, message):
+    cfg = tmp_path / "deep.cfg"
+    cfg.write_text(f"sequence = power\nq1 = 3\n{lines}\n")
+    assert main(["run", str(cfg), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"config error: key 'q1, growth, depth': {message}\n"
 
 
 def test_root_size_cap_is_inclusive():
