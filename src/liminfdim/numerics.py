@@ -8,9 +8,14 @@ Building blocks:
 * ``Enclosure``: a pair of directed values bracketing a real number.
 * ``dir_pow`` / ``log2_int`` / ``log_ratio``: enclosure-producing kernels for
   integer powers with rational exponents and base-2 logarithms.  These cover
-  every irrational quantity the rest of the library needs.  The log2 kernel
-  squares one rounded-up fixed-point end, one exponent bit per square; a
-  written error bound, not a second end, certifies the other side.
+  every irrational quantity the rest of the library needs.  A log2 bracket
+  is defined by a squaring kernel that squares one rounded-up fixed-point
+  end, one bit per square, and drifts up by less than 9 * 2**-11 of its last
+  bit.  It is found faster, in fixed point: k square roots reduce the
+  argument, the atanh series gives ln, and one held ln 2 constant divides
+  it, to within 2 units of the 16th guard bit.  Ziv's rounding test accepts
+  that value where the two bounds decide the squaring kernel's bracket, and
+  runs the squaring kernel on the rest (about 1 in 225 arguments).
 
 Every log2 goes through one process-wide LRU cache of the last
 ``LOG2_CACHE_SIZE`` results, keyed by (integer, precision), so a log2 is
@@ -537,32 +542,168 @@ def dir_pow(q: int, e: Union[Fraction, int], prec: Optional[int] = None) -> Encl
 # Logarithm kernel
 # ---------------------------------------------------------------------------
 
+# Ziv's rounding test on the fast log2 (``_log2_bracket``): the guard bits
+# computed past the bracket's last bit, the fast value's proven error bound in
+# units of the last guard bit, and in the same units a bound on how far up the
+# squaring kernel (``_log2_squares``) drifts: 9 * 2**-11 of the bracket's last bit
+_ZIV_GUARD = 16
+_ZIV_ERROR = 2
+_ZIV_DRIFT = 9 << (_ZIV_GUARD - 11)
+
+# ln 2 in fixed point as (w, c) with c <= 2**w * ln 2 < c + 2; widened, never
+# narrowed, by ``_ln2_fixed``.  Every pair it ever holds is valid, so two
+# threads that widen it at once cost time, not soundness.
+_LN2 = (0, 0)
+
+
+def _atanh_fixed(s: int, w: int, terms: int) -> int:
+    """The first ``terms`` >= 1 terms of atanh(sigma) = sum of
+    sigma**(2j+1) / (2j+1), sigma = s / 2**w <= 1/3, in w-bit fixed point.
+
+    Every product and quotient is floored, so the sum A is at most
+    2**w * atanh(sigma).  The power P_j = floor(P_{j-1} * Q / 2**w), with
+    P_0 = s and Q = floor(s**2 / 2**w), falls short of 2**w * sigma**(2j+1)
+    by d_j <= d_{j-1} * sigma**2 + sigma**(2j-1) + 1 <= d_{j-1} / 9 + 4/3, so
+    d_j < 3/2, and each term j >= 1 is short by less than d_j / 3 + 1 <= 3/2.
+    When sigma**(2 terms + 1) <= 2**-w the series' tail adds at most
+    (9/8) / (2 terms + 1) <= 3/8, and if s = floor(2**w * t) for a t <= 1/3,
+    2**w * (atanh t - atanh sigma) < (9/8) (atanh' <= 9/8 on [0, 1/3]).  So
+    0 <= 2**w * atanh(t) - A < 3/2 * terms.
+    """
+    q = s * s >> w
+    p = a = s
+    for j in range(1, terms):
+        p = p * q >> w
+        a += p // (2 * j + 1)
+    return a
+
+
+def _ln2_fixed(w: int) -> int:
+    """c with c <= 2**w * ln 2 < c + 2, for w >= 4.
+
+    The module holds one such constant, at a width hw >= w, and returns it
+    shifted down: a floor of (2**hw * ln 2 - e) / 2**(hw - w), e in [0, 2),
+    is short of 2**w * ln 2 by less than 2 / 2**(hw - w) + 1 <= 2.  A wider w
+    widens it to max(w, 2 * hw), from ln 2 = 2 atanh(1/3) at v = hw + u bits,
+    u = hw.bit_length() + 2: 9**-m / 3 < 2**-(3m + 1) <= 2**-v for m =
+    (v + 1) // 3 terms, so 2A is short by less than 3m <= v + 1 < 2**u, and
+    2A >> u by less than 2.
+    """
+    global _LN2
+    hw, c = _LN2
+    if hw < w:
+        hw = max(w, 2 * hw)
+        u = hw.bit_length() + 2
+        v = hw + u
+        c = 2 * _atanh_fixed((1 << v) // 3, v, (v + 1) // 3) >> u
+        _LN2 = (hw, c)
+    return c >> (hw - w)
+
+
+def _log2_atanh(n: int, f: int) -> int:
+    """An integer z with |z - 2**f * log2(n)| < ``_ZIV_ERROR`` = 2, for an
+    integer n >= 2 that is not a power of two and f >= 8.
+
+    x = n / 2**e0 lies in (1, 2), and ln x = 2**(k+1) atanh(s) with s =
+    (v - 1) / (v + 1) and v = x**(1 / 2**k).  In fixed point of w bits:
+
+    * y = floor(x * 2**w), then k times y = isqrt(y * 2**w), which is
+      floor(2**w * (y / 2**w) ** (1/2)).  Each floor takes at most 1 off a
+      value of at least 2**w, a factor e**-mu with mu = -ln(1 - 2**-w) <
+      (8/7) 2**-w, and a square root halves the loss before it; so v = y /
+      2**w in [1, 2), taken as the reduced argument from here on, has 0 <=
+      ln x - 2**k ln v < 2**k * 2 mu < 2**k (16/7) 2**-w.
+    * s <= 1/3, and s <= atanh s = ln(v) / 2 < ln 2 / 2**(k+1) <
+      2**-(k + 3/2); m terms with (2k + 3)(2m + 1) >= 2w give s**(2m + 1)
+      <= 2**-w, and ``_atanh_fixed`` of floor(2**w * s) a sum A with
+      0 <= 2**w atanh(s) - A < 3m/2.  So
+      L = A * 2**(k+1) has 0 <= 2**w ln x - L < 2**(k+1) 3m/2 + 2**k 16/7
+      < 2**(k+2) (m + 2).
+    * c = ``_ln2_fixed(w)`` has 0 <= 2**w ln 2 - c < 2, so c > 2**(w-1).
+      With a = 2**w ln x in [L, L + 2**(k+2) (m + 2)) and b = 2**w ln 2 in
+      [c, c + 2): 2**f a / b - floor(2**f L / c) < 2**f 2**(k+2) (m + 2) / c
+      + 1 < 2**(f - w + k + 3) (m + 2) + 1, and it is above 2**f L (1 / (c
+      + 2) - 1 / c) >= -2**(f+1) (L / c) / c > -2**(f - w + 3), as L / c < b
+      / (b - 2) <= 2.
+    * w = w0 + t with w0 = f + k + 3 and 2**t > w0 + 3: m <= w / 2, so
+      m + 2 <= w0 + 3 < 2**t and 2**(f - w + k + 3) (m + 2) < 1.  Both
+      sides of the error then lie within 2.
+
+    The reduction's depth k only sets the cost (square roots against
+    series terms), and any k >= 0 keeps the bound.
+    """
+    e0 = n.bit_length() - 1
+    k = math.isqrt(f) // 3
+    w0 = f + k + 3
+    w = w0 + (w0 + 3).bit_length()
+    y = _shift_floor(n, w - e0)
+    for _ in range(k):
+        y = math.isqrt(y << w)
+    one = 1 << w
+    s = ((y - one) << w) // (y + one)
+    terms = -(-(2 * w - 2 * k - 3) // (4 * k + 6))
+    ln_x = _atanh_fixed(s, w, terms) << (k + 1)
+    return (e0 << f) + (ln_x << f) // _ln2_fixed(w)
+
+
+def _log2_enclosure(acc: int, steps: int) -> Enclosure:
+    """The bracket [acc - 1, acc + 1] / 2**steps of a log2 whose scaled value
+    2**steps * log2 n lies in (acc - 1, acc + 1)."""
+    return Enclosure(DirectedReal(acc - 1, -steps, DOWN), DirectedReal(acc + 1, -steps, UP))
+
+
 def _log2_bracket(n: int, prec: int) -> Enclosure:
     """Enclosure of log2(n) for an integer n >= 1; exact for powers of two.
 
-    The classical square-and-renormalise scheme on one end.  With x =
-    n / 2**e0 in (1, 2), each of the ``steps`` = prec + 3 steps squares the
-    working value v (v = x at the start) and halves it once when the square
-    passes 2, emitting that halving as the next bit of ``acc``, so that
-    x**(2**steps) = v * 2**acc and log2(n) = e0 + (acc + log2 v) / 2**steps.
-    ``hi``, a g-bit fixed-point upper bound of v, decides each bit: it starts
-    at ceil(x * 2**g), and every square and halving of it rounds up.
-
-    ``hi`` stays in [2**g, 2**(g+1)] before each square (x * 2**g lies in
-    it at the start), so after one it is at most 2**(g+2) and a single
-    halving brings it back; so v <= hi / 2**g <= 2 at the end.  Write hi =
-    2**g * v * (1 + eps).  Each rounding up adds at most 1 to a value of at
-    least 2**g, a factor of at most 1 + 2**-g, so a step takes 1 + eps to
-    at most (1 + eps)**2 * (1 + 2**-g)**2: eps_{t+1} <= 2 eps_t + eps_t**2
-    + O(2**-g), and ln(1 + eps) < 3 * 2**steps * 2**-g = 3 * 2**-10, as
-    g = steps + 10.  So eps < 2**-8, and v = hi / (2**g * (1 + eps)) > 1/2
-    as hi >= 2**g: log2 v lies in [-1, 1], which gives the bracket's ends
-    acc - 1 and acc + 1.
+    The bracket is ``_log2_squares``'s, bit for bit, found faster where
+    Ziv's rounding test can tell what that kernel returns.  With steps =
+    prec + 3 and Y = 2**steps * log2 n, which is irrational, that kernel
+    returns the bracket of an integer acc in (Y - 1, Y + delta] with delta <
+    9 * 2**-11: floor(Y), or floor(Y) + 1 when Y lies within delta below an
+    integer.  ``_log2_atanh`` gives z with |z - 2**G * Y| < E, G =
+    ``_ZIV_GUARD``, E = ``_ZIV_ERROR``.  Write z = m * 2**G + r, 0 <= r <
+    2**G.  When E <= r < 2**G - E - D, D = ``_ZIV_DRIFT`` = 9 * 2**(G - 11)
+    >= 2**G * delta, then 2**G * Y > z - E >= m * 2**G and 2**G * Y < z + E
+    <= (m + 1) * 2**G - D, so m < Y < m + 1 - delta and the kernel's acc is
+    m.  Otherwise (about 1 in 225 arguments) the kernel runs.
     """
     if n < 1:
         raise ValueError("log2 of a nonpositive integer")
     if n & (n - 1) == 0:
         return Enclosure.exact_int(n.bit_length() - 1)
+    steps = prec + 3
+    z = _log2_atanh(n, steps + _ZIV_GUARD)
+    r = z & ((1 << _ZIV_GUARD) - 1)
+    if _ZIV_ERROR <= r < (1 << _ZIV_GUARD) - _ZIV_ERROR - _ZIV_DRIFT:
+        return _log2_enclosure(z >> _ZIV_GUARD, steps)
+    return _log2_squares(n, prec)
+
+
+def _log2_squares(n: int, prec: int) -> Enclosure:
+    """Enclosure of log2(n) for an integer n >= 2 that is not a power of two:
+    ``_log2_bracket``'s fallback, and the definition of its bracket.
+
+    The classical square-and-renormalise scheme on one end.  With x =
+    n / 2**e0 in (1, 2), each of the ``steps`` = prec + 3 steps squares the
+    working value u (u = x at the start) and halves it once when the square
+    passes 2, emitting that halving as the next bit of ``acc``, so that
+    x**(2**steps) = u * 2**acc and log2(n) = e0 + (acc + log2 u) / 2**steps.
+    ``hi``, a g-bit fixed-point upper bound of u, decides each bit: it starts
+    at ceil(x * 2**g), and every square and halving of it rounds up.
+
+    ``hi`` stays in [2**g, 2**(g+1)] before each square (x * 2**g lies in
+    it at the start), so after one it is at most 2**(g+2) and a single
+    halving brings it back; so it ends in [2**g, 2**(g+1)].  Write hi =
+    2**g * u * (1 + eps).  Each rounding up adds at most 1 to a value of at
+    least 2**g, a factor of at most 1 + 2**-g, so a step takes 1 + eps to
+    at most (1 + eps)**2 * (1 + 2**-g)**2: ln(1 + eps) grows to at most
+    twice itself plus 2**(1-g) per step from at most 2**-g, and so stays
+    below 3 * 2**steps * 2**-g = 3 * 2**-10, as g = steps + 10.  So u ends
+    in [1 / (1 + eps), 2], and u = 2 would make log2 x rational: with Y =
+    2**steps * log2 x, acc = Y - log2 u lies in (Y - 1, Y + delta], delta =
+    log2(1 + eps) < 3 * 2**-10 / ln 2 < 9 * 2**-11, and log2 x lies in
+    [(acc - 1) / 2**steps, (acc + 1) / 2**steps].
+    """
     steps = prec + 3
     g = steps + 10
     e0 = n.bit_length() - 1
@@ -575,9 +716,7 @@ def _log2_bracket(n: int, prec: int) -> Enclosure:
         if hi > unit2:
             hi = (hi + 1) >> 1
             acc += 1
-    lo_dr = DirectedReal((e0 << steps) + acc - 1, -steps, DOWN)
-    hi_dr = DirectedReal((e0 << steps) + acc + 1, -steps, UP)
-    return Enclosure(lo_dr, hi_dr)
+    return _log2_enclosure((e0 << steps) + acc, steps)
 
 
 @functools.lru_cache(maxsize=LOG2_CACHE_SIZE)

@@ -1,6 +1,8 @@
 import math
+import random
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,8 +17,8 @@ from liminfdim.dimension import (
     upper_dim_estimate,
 )
 from liminfdim.numerics import Enclosure
-from liminfdim.sequences import (PowerSpec, QSequence, RegimeStatus, exponent_stats, generate,
-                                 validate_regime)
+from liminfdim.sequences import (ExplicitSpec, PowerSpec, QSequence, RegimeStatus,
+                                 exponent_stats, generate, validate_regime)
 
 from reference import enclosure_contains
 
@@ -164,3 +166,43 @@ class TestBracket:
         # alpha_last sits just below 1/3, the dimension just above it
         assert dv.value.certainly_gt(F(1, 3)) is True
         assert dv.value.hi.as_fraction() < F(1, 3) + F(1, 1000)
+
+
+@st.composite
+def bracket_sequences(draw):
+    """A sequence of 3 to 6 terms like the bracket-highprec workload's: a
+    power family from q_1 in 10..20 with a growth of 13/6 to 5/2, or seeded
+    odd terms whose bit lengths grow by a factor of 1.9 to 2.4."""
+    depth = draw(st.integers(3, 6))
+    if draw(st.booleans()):
+        growth = draw(st.sampled_from((F(13, 6), F(9, 4), F(7, 3), F(12, 5), F(5, 2))))
+        return generate(PowerSpec(draw(st.integers(10, 20)), growth), depth)
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    bits, terms = draw(st.integers(4, 6)), []
+    for _ in range(depth):
+        terms.append(rng.getrandbits(bits - 1) | 1 << (bits - 1) | 1)
+        bits = int(bits * draw(st.sampled_from((1.9, 2.0, 2.1, 2.2, 2.3, 2.4)))) + 1
+    return generate(ExplicitSpec(tuple(terms)), depth)
+
+
+@settings(max_examples=600, deadline=None)
+@given(bracket_sequences(), st.integers(64, 256), st.sampled_from((1, 2)),
+       st.sampled_from((F(1, 2), F(1))))
+def test_bracket_holds_the_formula_where_the_regime_passes(qs, prec, d, tau):
+    """lower.s_hat.lo <= d (1 - tau alpha_J) / (1 + tau) <= upper.hi at each
+    depth J >= 2 up to the first step with h_j <= 1 + tau, alpha_J from
+    mpmath at twice the precision.  M <= q_J**d (q_1 ... q_{J-1})**(-d tau)
+    <= N, as each branching is a floor of q_k / q_{k-1}**(1+tau) and each
+    cover factor exceeds it, so the two estimators bracket the formula."""
+    with mpmath.workprec(2 * prec + 64):
+        logs = [mpmath.log(q) for q in qs.terms]
+        t = mpmath.mpf(tau.numerator) / tau.denominator
+        slack = mpmath.ldexp(1, -2 * prec)   # mpmath's own rounding
+        for depth in range(2, len(qs) + 1):
+            if logs[depth - 1] / logs[depth - 2] <= 1 + t:
+                break
+            value = d * (1 - t * mpmath.fsum(logs[:depth - 1]) / logs[depth - 1]) / (1 + t)
+            lower = lower_cantor_count(qs, tau, d, depth, prec).s_hat.lo
+            upper = upper_dim_estimate(qs, tau, d, depth, prec).hi
+            assert mpmath.ldexp(lower.mantissa, lower.exponent) <= value + slack, (qs, depth)
+            assert value - slack <= mpmath.ldexp(upper.mantissa, upper.exponent), (qs, depth)

@@ -5,8 +5,9 @@ refactor that moves or rewrites a mutated line would only show there as an
 "n/a" line.  These tests fail first: each entry's ``old`` code matches its
 target exactly once, the edited file compiles to a different program than
 the source's (and so from a different AST), each listed test file exists,
-and the target is a module of the package.  The runner module is only
-read, never run.
+and the target is a module of the package.  The last two tests check the
+runner's file filter, which picks the mutants and test files of the named
+sources; they start no mutant and no test run.
 """
 
 import importlib.util
@@ -63,3 +64,30 @@ def test_apply_matches_once_across_whitespace():
     assert runner.apply("a = b  +\n  c\n", "b + c", "d") == "a = d\n"
     assert runner.apply("x + 1; x + 1", "x + 1", "y") is None
     assert runner.apply("x + 1", "x - 1", "y") is None
+
+
+NUMERICS = "src/liminfdim/numerics.py"
+
+
+def test_select_runs_only_the_named_files_mutants(monkeypatch):
+    assert runner.select([]) == runner.MUTANTS
+    chosen = runner.select([NUMERICS])
+    assert chosen == {name: m for name, m in runner.MUTANTS.items() if m.target == NUMERICS}
+    assert "Ziv test: no fallback" in chosen
+    # the unmutated run takes the group's test files, each once
+    assert runner.tests_of(chosen) == runner.MUTANTS["Ziv test: no fallback"].tests
+    # a path is read from the working directory
+    assert runner.select([str(ROOT / NUMERICS)]) == chosen
+    monkeypatch.chdir(ROOT / "src")
+    assert runner.select(["liminfdim/numerics.py", "./liminfdim/numerics.py"]) == chosen
+    both = runner.select(["liminfdim/numerics.py", "liminfdim/cantor.py"])
+    assert {m.target for m in both.values()} == {NUMERICS, "src/liminfdim/cantor.py"}
+
+
+def test_a_file_without_mutants_is_refused_before_any_run(capsys):
+    with pytest.raises(ValueError, match="no mutant edits"):
+        runner.select(["src/liminfdim/svg.py"])
+    with pytest.raises(SystemExit) as exit_info:
+        runner.main(["src/liminfdim/svg.py"])
+    assert exit_info.value.code == 2
+    assert "no mutant edits" in capsys.readouterr().err

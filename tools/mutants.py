@@ -1,7 +1,7 @@
-"""Mutation runner for the Cantor tree, the level builder, the numeric kernels
-and the log2 cache, the sequence families and the regime check, the dimension
-estimators, the multiplicative cover, its report strings and the rows
-``render_json`` writes.
+"""Mutation runner for the Cantor tree, the level builder, the numeric kernels,
+the fast log2's Ziv test and the log2 cache, the sequence families and the
+regime check, the dimension estimators, the multiplicative cover, its report
+strings and the rows ``render_json`` writes.
 
 Applies a fixed table of small code changes, one at a time, to a copy of
 the repository under a temporary directory.  Each entry of ``MUTANTS``
@@ -21,17 +21,22 @@ once in the file, any run of whitespace in it matching any run of
 whitespace; an entry whose ``old`` matches no place or several is
 reported as "n/a".
 
-Usage, from the root of a checkout (about nine minutes on a 2-vCPU host):
+Usage, from the root of a checkout (the whole table takes about nine
+minutes on a 2-vCPU host):
 
-    python3 tools/mutants.py
+    python3 tools/mutants.py [SOURCE ...]
 
-The exit status is 0 when every applicable mutant not marked equivalent
-was killed, 1 when one survived, and 2 when the tests fail without a
-mutant.  It is a report, not a gate: no CI step runs it.
+Named source files, such as ``src/liminfdim/numerics.py``, limit the run to
+the mutants that edit them, and the unmutated run to those mutants' test
+files; with none, the whole table runs.  The exit status is 0 when every
+applicable mutant not marked equivalent was killed, 1 when one survived,
+and 2 when the tests fail without a mutant or a named file has no mutants.
+It is a report, not a gate: no CI step runs it.
 """
 
 from __future__ import annotations
 
+import argparse
 import os
 import re
 import shutil
@@ -153,6 +158,21 @@ MUTANTS: dict[str, Mutant] = {
     "_log2_bracket: lower end -1": numerics("acc - 1, -steps, DOWN", "acc - 1 - 1, -steps, DOWN"),
     "_log2_bracket: upper end +1": numerics("acc + 1, -steps, UP", "acc + 1 + 1, -steps, UP"),
     "_log2_bracket: upper end -1": numerics("acc + 1, -steps, UP", "acc + 1 - 1, -steps, UP"),
+    # the drift inputs need the fallback, and without the drift margin the
+    # fast path takes them and returns the floor
+    "Ziv test: no fallback": numerics(
+        "if _ZIV_ERROR <= r < (1 << _ZIV_GUARD) - _ZIV_ERROR - _ZIV_DRIFT:", "if True:"),
+    "Ziv test: drift margin 0": numerics("_ZIV_DRIFT = 9 << (_ZIV_GUARD - 11)", "_ZIV_DRIFT = 0"),
+    # no input was found whose bracket this window changes (the fast value
+    # mostly errs low, and the squaring kernel drifts by far less than its
+    # bound); the error bound test, which holds the fast value to E, kills it
+    "Ziv test: error margin 0": numerics("_ZIV_ERROR = 2", "_ZIV_ERROR = 0"),
+    # the guard bits absorb a missing term except for x near 2 at a width
+    # where the term count has little slack, as in the bound test's
+    # example (2**64 - 1, 2032)
+    "atanh series one term short": numerics(
+        "terms = -(-(2 * w - 2 * k - 3) // (4 * k + 6))",
+        "terms = -(-(2 * w - 2 * k - 3) // (4 * k + 6)) - 1"),
     # both move the bracket on about 1 in 1,500 and 1 in 4,600 random inputs;
     # the kernel tests pin inputs on which they do
     "_log2_bracket: no rounding bump on the square": numerics(
@@ -289,9 +309,39 @@ def run_tests(workdir: Path, tests: tuple[str, ...]) -> tuple[bool, float]:
     return passed, time.monotonic() - t0
 
 
-def main() -> int:
-    sources = {m.target: (ROOT / m.target).read_text() for m in MUTANTS.values()}
-    all_tests = tuple(dict.fromkeys(t for m in MUTANTS.values() for t in m.tests))
+def select(paths: list[str]) -> dict[str, Mutant]:
+    """The entries of ``MUTANTS`` that edit the named source files, or the
+    whole table when none is named.  A path is read from the working
+    directory, and one that leads out of the checkout from its root; a
+    file that no entry edits raises ValueError."""
+    if not paths:
+        return dict(MUTANTS)
+    targets = {m.target for m in MUTANTS.values()}
+    named = set()
+    for path in paths:
+        full = Path(path).resolve()
+        target = full.relative_to(ROOT).as_posix() if full.is_relative_to(ROOT) else path
+        if target not in targets:
+            raise ValueError(f"no mutant edits {path}")
+        named.add(target)
+    return {name: m for name, m in MUTANTS.items() if m.target in named}
+
+
+def tests_of(mutants: dict[str, Mutant]) -> tuple[str, ...]:
+    """Every test file the mutants list, each once, in the table's order."""
+    return tuple(dict.fromkeys(t for m in mutants.values() for t in m.tests))
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("sources", nargs="*", metavar="SOURCE",
+                        help="run only the mutants of these source files")
+    args = parser.parse_args(argv)
+    try:
+        mutants = select(args.sources)
+    except ValueError as exc:
+        parser.error(str(exc))
+    sources = {m.target: (ROOT / m.target).read_text() for m in mutants.values()}
     survived = 0
     with tempfile.TemporaryDirectory(prefix="liminfdim-mutants-") as tmp:
         work = Path(tmp)
@@ -300,12 +350,12 @@ def main() -> int:
                         ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
         shutil.copytree(ROOT / "demos", work / "demos",
                         ignore=shutil.ignore_patterns("__pycache__"))
-        ok, secs = run_tests(work, all_tests)
+        ok, secs = run_tests(work, tests_of(mutants))
         print(f"{'unmutated':32} {'passes' if ok else 'FAILS'}  ({secs:.0f} s)", flush=True)
         if not ok:
             print("the tests fail without a mutant; nothing to measure", file=sys.stderr)
             return 2
-        for name, mutant in MUTANTS.items():
+        for name, mutant in mutants.items():
             text = apply(sources[mutant.target], mutant.old, mutant.new)
             if text is None:
                 print(f"{name:32} n/a", flush=True)
