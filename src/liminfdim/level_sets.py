@@ -62,9 +62,6 @@ class CertifiedCount:
     def __mul__(self, other: "CertifiedCount") -> "CertifiedCount":
         return CertifiedCount(self.min * other.min, self.max * other.max)
 
-    def is_exact(self) -> bool:
-        return self.min == self.max
-
 
 RadiusFn = Callable[[int, int], Enclosure]
 

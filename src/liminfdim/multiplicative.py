@@ -42,8 +42,7 @@ def mult_bounds(
     lower = theoretical_dimension(tau, alpha, 1, prec).value
     upper = d - 1 + Fraction(1, Fraction(tau) + 1)
     if isinstance(lower, Enclosure):
-        return Enclosure.from_endpoints(lower.lo.as_fraction() + d - 1,
-                                        lower.hi.as_fraction() + d - 1, prec), upper
+        return lower.add_int(d - 1), upper
     return lower + d - 1, upper
 
 

@@ -220,14 +220,8 @@ class DirectedReal:
     def __lt__(self, other: "DirectedReal") -> bool:
         return self._cmp(other) < 0
 
-    def __le__(self, other: "DirectedReal") -> bool:
-        return self._cmp(other) <= 0
-
     def __gt__(self, other: "DirectedReal") -> bool:
         return self._cmp(other) > 0
-
-    def __ge__(self, other: "DirectedReal") -> bool:
-        return self._cmp(other) >= 0
 
     @staticmethod
     def _join(d1: Direction, d2: Direction) -> Direction:
@@ -247,15 +241,12 @@ class DirectedReal:
         m = (self.mantissa << (self.exponent - e)) + (other.mantissa << (other.exponent - e))
         return DirectedReal(m, e, d)
 
-    def __sub__(self, other: "DirectedReal") -> "DirectedReal":
-        return self + (-other)
-
     def __mul__(self, other: "DirectedReal") -> "DirectedReal":
-        # Direction algebra is only sound for sign-definite factors.
-        if self.direction is not EXACT and other.direction is not EXACT:
-            if self.mantissa < 0 or other.mantissa < 0:
-                raise ValueError("directed product of negative values is ambiguous")
+        # a negative factor turns a bound around, so a directed product needs
+        # nonnegative factors (``Enclosure.__mul__`` checks their quantities too)
         d = self._join(self.direction, other.direction)
+        if d is not EXACT and (self.mantissa < 0 or other.mantissa < 0):
+            raise ValueError("a directed product needs nonnegative factors")
         return DirectedReal(self.mantissa * other.mantissa, self.exponent + other.exponent, d)
 
     def floor(self) -> int:
@@ -264,15 +255,14 @@ class DirectedReal:
     def ceil(self) -> int:
         return _shift_ceil(self.mantissa, self.exponent)
 
-    def retag(self, direction: Direction) -> "DirectedReal":
-        return DirectedReal(self.mantissa, self.exponent, direction)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DirectedReal({self.mantissa}*2^{self.exponent}, {self.direction.value})"
 
 
 def _div_directed(num: DirectedReal, den: DirectedReal, prec: int, direction: Direction) -> DirectedReal:
-    """num / den rounded in `direction`, den > 0, ~prec significant bits."""
+    """num / den rounded in `direction`, den > 0, ~prec significant bits.
+    A quotient with no remainder is tagged EXACT only when both operands
+    are; one of a bound is a bound in `direction`."""
     if den.mantissa <= 0:
         raise ZeroDivisionError("directed division requires a positive denominator")
     t = prec + 4 - (abs(num.mantissa).bit_length() - den.mantissa.bit_length())
@@ -280,8 +270,9 @@ def _div_directed(num: DirectedReal, den: DirectedReal, prec: int, direction: Di
     scaled = num.mantissa << t
     q, r = divmod(scaled, den.mantissa)  # Python floor division: rounds toward -inf
     if r == 0:
-        return DirectedReal(q, num.exponent - den.exponent - t, EXACT)
-    if direction is UP:
+        if num.direction is EXACT and den.direction is EXACT:
+            direction = EXACT
+    elif direction is UP:
         q += 1
     elif direction is not DOWN:
         raise ValueError("inexact division needs a rounding direction")
@@ -292,9 +283,9 @@ def _div_directed(num: DirectedReal, den: DirectedReal, prec: int, direction: Di
 class Enclosure:
     """Certified bracket ``lo <= true value <= hi`` of a real number.
 
-    Addition, subtraction and multiplication of dyadics are exact, so those
-    operations never widen beyond the interval arithmetic itself; division
-    and the power/log kernels round outward at a requested precision.
+    Addition and multiplication of dyadics are exact, so those operations
+    never widen beyond the interval arithmetic itself; division and the
+    power/log kernels round outward at a requested precision.
     """
 
     lo: DirectedReal
@@ -369,18 +360,11 @@ class Enclosure:
     def __add__(self, other: "Enclosure") -> "Enclosure":
         return Enclosure(self.lo + other.lo, self.hi + other.hi)
 
-    def __sub__(self, other: "Enclosure") -> "Enclosure":
-        return self + (-other)
-
     def __mul__(self, other: "Enclosure") -> "Enclosure":
-        cands = []
-        for a in (self.lo, self.hi):
-            for b in (other.lo, other.hi):
-                cands.append(DirectedReal(a.mantissa * b.mantissa, a.exponent + b.exponent, EXACT))
-        lo = min(cands)
-        hi = max(cands)
-        return Enclosure(lo.retag(DOWN if lo != hi else EXACT),
-                         hi.retag(UP if lo != hi else EXACT))
+        """The product of two nonnegative enclosures: [lo * lo', hi * hi']."""
+        if self.lo.mantissa < 0 or other.lo.mantissa < 0:
+            raise ValueError("enclosure products need nonnegative lower ends")
+        return Enclosure(self.lo * other.lo, self.hi * other.hi)
 
     def scale_int(self, k: int) -> "Enclosure":
         if k >= 0:
@@ -403,14 +387,7 @@ class Enclosure:
             lo = DirectedReal(self.lo.mantissa * q.numerator, self.lo.exponent - k, self.lo.direction)
             hi = DirectedReal(self.hi.mantissa * q.numerator, self.hi.exponent - k, self.hi.direction)
             return Enclosure(lo, hi)
-        p = _resolve_prec(prec)
-        lo = _div_directed(
-            DirectedReal(self.lo.mantissa * q.numerator, self.lo.exponent),
-            DirectedReal.from_int(q.denominator), p, DOWN)
-        hi = _div_directed(
-            DirectedReal(self.hi.mantissa * q.numerator, self.hi.exponent),
-            DirectedReal.from_int(q.denominator), p, UP)
-        return Enclosure(lo, hi)
+        return self.scale_int(q.numerator).div(Enclosure.exact_int(q.denominator), prec)
 
     def div(self, other: "Enclosure", prec: Optional[int] = None) -> "Enclosure":
         """Interval division; the denominator must be certainly positive."""

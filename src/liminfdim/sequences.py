@@ -47,13 +47,6 @@ class QSequence:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def __getitem__(self, j: int) -> int:
-        return self.terms[j]
-
-    @property
-    def depth(self) -> int:
-        return len(self.terms)
-
 
 # ---------------------------------------------------------------------------
 # Families

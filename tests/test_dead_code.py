@@ -14,6 +14,11 @@ as read.  Uses are matched by bare name (``x.count`` reads every
 no code reads by name.  A public class member is held to more: it counts as
 read only through an attribute read (``x.name``) or the tracer's ``SPANS``,
 so a local variable of the same name does not keep it.
+
+Two kinds of dead member still pass: a dunder (``__sub__``, ``__getitem__``)
+is exempt, as Python calls it through syntax no read shows; and a member
+whose name another class also defines (``depth``, ``is_exact``) is kept by
+that class's reads.  Such members are found by tracing the callers' runs.
 """
 
 import ast

@@ -3,14 +3,16 @@
 Every operand is an enclosure with dyadic endpoints, exact or not.  For each
 operation the result must contain the exact result at the corners of its
 operands and at a drawn interior point of each, and it must be exact itself
-whenever its operands are exact and the exact result is again a dyadic: the
-ring operations, ``scale_int``, ``add_int``, ``min_with`` and ``mul_frac`` by
-a dyadic always keep dyadics dyadic; ``mul_frac`` by any other rational and
-``div`` do so exactly when the quotient happens to be dyadic.
+whenever its operands are exact and the exact result is again a dyadic: sums,
+products, ``scale_int``, ``add_int``, ``min_with`` and ``mul_frac`` by a dyadic
+always keep dyadics dyadic; ``mul_frac`` by any other rational and ``div`` do
+so exactly when the quotient happens to be dyadic.  Products are drawn from
+nonnegative enclosures, the only ones they take; any other raises.
 """
 
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +23,8 @@ from reference import enclosure_contains
 EXPONENTS = st.integers(-30, 30)
 DYADICS = st.builds(lambda m, e: F(m) * F(2) ** e, st.integers(-2 ** 40, 2 ** 40), EXPONENTS)
 POSITIVE = st.builds(lambda m, e: F(m) * F(2) ** e, st.integers(1, 2 ** 40), EXPONENTS)
+NONNEGATIVE = st.builds(lambda m, e: F(m) * F(2) ** e, st.integers(0, 2 ** 40), EXPONENTS)
+NEGATIVE = st.builds(lambda m, e: F(m) * F(2) ** e, st.integers(-2 ** 40, -1), EXPONENTS)
 UNIT = st.fractions(0, 1, max_denominator=1 << 20)
 PRECS = st.integers(8, 96)
 
@@ -53,21 +57,31 @@ def _check(result: Enclosure, exact_values, inputs_exact: bool) -> None:
         assert result.is_exact and result.lo.as_fraction() == exact_values[0]
 
 
+# (enclosure operation, exact operation, operand values)
 BINARY = {
-    "add": (lambda x, y: x + y, lambda a, b: a + b),
-    "sub": (lambda x, y: x - y, lambda a, b: a - b),
-    "mul": (lambda x, y: x * y, lambda a, b: a * b),
-    "min_with": (lambda x, y: x.min_with(y), min),
+    "add": (lambda x, y: x + y, lambda a, b: a + b, DYADICS),
+    "mul": (lambda x, y: x * y, lambda a, b: a * b, NONNEGATIVE),
+    "min_with": (lambda x, y: x.min_with(y), min, DYADICS),
 }
 
 
 @settings(max_examples=200, deadline=None)
-@given(op=st.sampled_from(sorted(BINARY)), x=operands(), y=operands())
-def test_binary_ops_contain_exact_result(op, x, y):
-    enc_op, exact_op = BINARY[op]
-    (ex, xs), (ey, ys) = x, y
+@given(op=st.sampled_from(sorted(BINARY)), data=st.data())
+def test_binary_ops_contain_exact_result(op, data):
+    enc_op, exact_op, values = BINARY[op]
+    (ex, xs), (ey, ys) = data.draw(operands(values)), data.draw(operands(values))
     _check(enc_op(ex, ey), [exact_op(a, b) for a in xs for b in ys],
            ex.is_exact and ey.is_exact)
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=operands(), lo=NEGATIVE, hi=DYADICS)
+def test_product_with_a_negative_lower_end_raises(x, lo, hi):
+    enc, _ = x
+    negative = _enclosure(lo, max(lo, hi))
+    for a, b in ((enc, negative), (negative, enc)):
+        with pytest.raises(ValueError, match="lower ends"):
+            a * b
 
 
 @settings(max_examples=200, deadline=None)

@@ -6,6 +6,7 @@ import pytest
 
 from liminfdim.numerics import (
     DOWN,
+    EXACT,
     UP,
     DirectedReal,
     Enclosure,
@@ -44,6 +45,18 @@ class TestDirectedReal:
         b = DirectedReal(5, -3)
         assert (a + b).as_fraction() == F(3, 4) + F(5, 8)
         assert (a * b).as_fraction() == F(15, 32)
+
+    def test_directed_product_needs_nonnegative_factors(self):
+        down = DirectedReal(31, -1, DOWN)
+        # -2 times a lower bound of 15.5 is an upper bound of the product
+        with pytest.raises(ValueError, match="nonnegative"):
+            DirectedReal(-2, 0) * down
+        with pytest.raises(ValueError, match="nonnegative"):
+            down * DirectedReal(-1, 0, DOWN)
+        p = DirectedReal(2, 0) * down
+        assert p.as_fraction() == 31 and p.direction is DOWN
+        p = DirectedReal(-2, 0) * DirectedReal(-3, 0)
+        assert p.as_fraction() == 6 and p.direction is EXACT
 
     def test_mixed_directions_rejected(self):
         with pytest.raises(ValueError):
@@ -159,8 +172,20 @@ class TestEnclosure:
         b = Enclosure.from_endpoints(F(-1, 8), F(3, 8))
         s = a + b
         assert s.lo.as_fraction() == F(1, 8) and s.hi.as_fraction() == F(7, 8)
-        p = a * b
-        assert p.lo.as_fraction() == F(-1, 16) and p.hi.as_fraction() == F(3, 16)
+        p = a * (b + Enclosure.from_fraction(F(1, 8)))
+        assert p.lo.as_fraction() == 0 and p.hi.as_fraction() == F(1, 4)
+        # products are taken of nonnegative enclosures only
+        with pytest.raises(ValueError, match="lower ends"):
+            a * b
+
+    def test_exact_quotient_of_bounds_keeps_their_directions(self):
+        e = Enclosure(DirectedReal(3, 0, DOWN), DirectedReal(5, 0, UP))
+        q = e.div(Enclosure.exact_int(1), 64)
+        assert (q.lo.direction, q.hi.direction) == (DOWN, UP)
+        q = e.mul_frac(F(2, 3), 64)
+        assert (q.lo.direction, q.hi.direction) == (DOWN, UP)
+        q = Enclosure.exact_int(6).div(Enclosure.exact_int(4), 64)
+        assert (q.lo.direction, q.hi.direction) == (EXACT, EXACT)
 
     def test_division_exact_when_clean(self):
         d = Enclosure.exact_int(1366).div(Enclosure.exact_int(4096))

@@ -181,6 +181,19 @@ MUTANTS: dict[str, Mutant] = {
     "_div_directed: DOWN <-> UP": numerics(
         "if direction is UP: q += 1 elif direction is not DOWN:",
         "if direction is DOWN:\n        q += 1\n    elif direction is not UP:"),
+    # exact quotients of bounds: the tag test divides [3, 5] by 1 and takes 2/3 of it
+    "_div_directed: every exact quotient EXACT": numerics(
+        "if num.direction is EXACT and den.direction is EXACT:", "if True:"),
+    "Enclosure product: upper end hi * lo'": numerics(
+        "self.hi * other.hi)", "self.hi * other.lo)"),
+    # the directed factors' own check still refuses most negative products;
+    # two exact-tagged lower ends pass it
+    "Enclosure product: no nonnegative check": numerics(
+        "if self.lo.mantissa < 0 or other.lo.mantissa < 0:", "if False:"),
+    "DirectedReal product: sign checked only for two directed factors": numerics(
+        "if d is not EXACT and (self.mantissa < 0 or other.mantissa < 0):",
+        "if (self.direction is not EXACT and other.direction is not EXACT\n"
+        "                and (self.mantissa < 0 or other.mantissa < 0)):"),
     "_shift_floor rounds up": numerics(SHIFT_FLOOR, SHIFT_CEIL),
     "_shift_ceil rounds down": numerics(SHIFT_CEIL, SHIFT_FLOOR),
     "_iroot: start from y << k": numerics("g = (_iroot(x >> b * k, b) + 1) << k",
