@@ -8,12 +8,12 @@ humans.  Integers (terms, counts, config keys, and the parts of 'p/q' and
 int-to-decimal conversion; ``parse_rational`` reads every form back, in
 reports and config files alike.  Canonical mode drops the timing block and
 sorts keys, making reports byte-identical across runs of the same
-configuration.  ``render_json`` is ``json.dumps(report, indent=2,
-sort_keys=canonical)`` but for the one large table, a cover's ``rects``,
-whose rows it writes itself into the dump's ``"rects": []``, one join per
-row with the quotes held in the separators; the bytes are the same.
-``cover_rects`` writes those rows from the cover's columns, each column's
-strings in closed form, and ``cover_csv`` joins them into ``cover.csv``.
+configuration.  ``cover_rects`` writes a cover's rows as a ``CoverRows``,
+each column's strings in closed form, and keeps those strings with the rows.
+``render_json`` is ``json.dumps(report, indent=2, sort_keys=canonical)`` but
+for those rows, which it writes column by column into the dump's
+``"rects": []``, the quotes held in the separators; the bytes are the same.
+``cover_csv`` writes ``cover.csv`` from the same strings.
 """
 
 from __future__ import annotations
@@ -22,9 +22,8 @@ import csv
 import io
 import json
 from fractions import Fraction
-from itertools import chain
-from json.encoder import encode_basestring_ascii as _json_str
-from typing import Optional, Union
+from itertools import chain, repeat
+from typing import Iterator, Optional, Union
 
 from .cantor import HolderCertificate
 from .level_sets import CertifiedCount, LevelStats
@@ -101,16 +100,26 @@ def _grid_run(j0: int, j1: int, e: int) -> list[str]:
     return out
 
 
-def cover_rects(cover: SquareCover) -> list[list[str]]:
+class CoverRows(list):
+    """A cover's [x, y, side] string rows, equal to and dumped by ``json`` as
+    that plain list, which also keeps ``columns``, one (xs, side) pair per
+    column whose rows are [x, "0", side] and ["0", x, side] for each x, and
+    ``corner``, the last row's side.  ``render_json`` and ``cover_csv`` write
+    the rows from these: no code may change it once ``cover_rects`` returns it."""
+
+    __slots__ = ("columns", "corner")
+
+
+def cover_rects(cover: SquareCover) -> CoverRows:
     """[grid_str(v, K) for v in square] for each of the cover's squares, in
     order.  A column's x values are written in closed form: x0 and x are
     multiples of side = 2**(k+1), so x / 2**K = j / 2**(K-k-1) with
-    j = x / side.  The strings "0" and a column's side are shared by its rows;
-    its rows [x, "0", side] and ["0", x, side] are two list comprehensions,
-    placed into alternate slots.  Past DECIMAL_MAX_BITS, and for a lone square
-    off its side's grid, each x goes through grid_str."""
+    j = x / side.  A column's strings are shared by its rows and kept with
+    them.  Past DECIMAL_MAX_BITS, and for a lone square off its side's grid,
+    each x goes through grid_str."""
     big_k = cover.big_k
-    rects: list = [None] * cover.total_squares()
+    rects = CoverRows(repeat(None, cover.total_squares()))
+    rects.columns = []
     i = 0
     for k, side, count, x0 in cover.columns:
         s = grid_str(side, big_k)
@@ -121,9 +130,20 @@ def cover_rects(cover: SquareCover) -> list[list[str]]:
         end = i + 2 * count
         rects[i:end:2] = [[x, "0", s] for x in xs]
         rects[i + 1:end:2] = [["0", x, s] for x in xs]
+        rects.columns.append((xs, s))
         i = end
-    rects[i] = ["0", "0", grid_str(cover.corner, big_k)]
+    rects.corner = grid_str(cover.corner, big_k)
+    rects[i] = ["0", "0", rects.corner]
     return rects
+
+
+def _columns(rows: CoverRows, sep_a: str, sep_b: str) -> Iterator[str]:
+    """Each column's rows as one join of x, sep_a, x, sep_b for each of its x,
+    the column's side string put in place of both separators' '{}'."""
+    for xs, s in rows.columns:
+        parts = [None, sep_a.format(s), None, sep_b.format(s)] * len(xs)
+        parts[::4] = parts[2::4] = xs
+        yield "".join(parts)
 
 
 def enclosure_json(enc: Enclosure) -> dict:
@@ -202,39 +222,17 @@ def certificate_json(cert: HolderCertificate) -> dict:
     }
 
 
-# rows per step of _plain_table, which copies one step's cells, never the whole table's
-_TABLE_BATCH = 4096
-
 # what json.dumps writes for a cover's rects once they are emptied
 _EMPTY_RECTS = '"rects": []'
 
 
-def _plain_table(node) -> bool:
-    """True when node is a list whose items are all non-empty lists of str
-    cells none of which needs escaping, so json.dumps writes each cell as
-    itself in quotes.  Checked in C, a batch of rows at a time."""
-    if not isinstance(node, list):
-        return False
-    for i in range(0, len(node), _TABLE_BATCH):
-        rows = node[i:i + _TABLE_BATCH]
-        if set(map(type, rows)) != {list} or not all(rows):
-            return False
-        try:
-            text = "".join(chain.from_iterable(rows))
-        except TypeError:  # a cell that is not a str
-            return False
-        if len(_json_str(text)) != len(text) + 2:  # an escaped character writes 2+ chars
-            return False
-    return True
-
-
 def _with_rects(doc: dict, canonical: bool) -> Optional[str]:
-    """``json.dumps(doc, indent=2, sort_keys=canonical)`` with the rows of
-    ``results.multiplicative.cover.rects`` written by the package: doc is
-    dumped with ``rects`` empty and the rows, one join each with the quotes
-    held in the separators, put in place of that one ``"rects": []``.  None
-    when that path is not all dicts, ``rects`` is empty or not a plain table,
-    or the dump holds ``"rects": []`` elsewhere too."""
+    """``json.dumps(doc, indent=2, sort_keys=canonical)`` and a newline, the
+    rows of ``results.multiplicative.cover.rects`` written by the package:
+    doc is dumped with ``rects`` empty and the rows, column by column with
+    the quotes and indentation held in the separators, put in place of that
+    one ``"rects": []``.  None when that path is not all dicts, ``rects`` is
+    not a ``CoverRows``, or the dump holds ``"rects": []`` elsewhere too."""
     keys = ("results", "multiplicative", "cover")
     path = [doc]
     for key in keys:
@@ -242,7 +240,7 @@ def _with_rects(doc: dict, canonical: bool) -> Optional[str]:
         if not isinstance(path[-1], dict):
             return None
     rows = path[-1].get("rects")
-    if not rows or not _plain_table(rows):
+    if not isinstance(rows, CoverRows):
         return None
     node = {**path[-1], "rects": []}
     for parent, key in zip(reversed(path[:-1]), reversed(keys)):
@@ -253,10 +251,11 @@ def _with_rects(doc: dict, canonical: bool) -> Optional[str]:
     pad = head[head.rfind("\n"):]     # the newline and indent of the key's line
     inner = pad + "  "
     cell = inner + "  "
-    return "".join((head, '"rects": [', inner, "[", cell, '"',
-                    ('"' + inner + "]," + inner + "[" + cell + '"').join(
-                        map(('",' + cell + '"').join, rows)),
-                    '"', inner, "]", pad, "]", tail))
+    sep_b = '",' + cell + '"{}"' + inner + "]," + inner + "[" + cell + '"'  # side, next row
+    sep_a = '",' + cell + '"0' + sep_b + '0",' + cell + '"'
+    return "".join(chain((head, '"rects": [', inner, "[", cell, '"'), _columns(rows, sep_a, sep_b),
+                         ('0",', cell, '"0",', cell, '"', rows.corner, '"', inner, "]", pad, "]",
+                          tail, "\n")))
 
 
 def render_json(report: dict, canonical: bool = False) -> str:
@@ -266,7 +265,7 @@ def render_json(report: dict, canonical: bool = False) -> str:
     doc = dict(report)
     if canonical:
         doc.pop("timing", None)
-    return (_with_rects(doc, canonical) or json.dumps(doc, indent=2, sort_keys=canonical)) + "\n"
+    return _with_rects(doc, canonical) or json.dumps(doc, indent=2, sort_keys=canonical) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -287,10 +286,11 @@ def levels_csv(levels: list[dict]) -> str:
     return buf.getvalue()
 
 
-def cover_csv(rects: list[list[str]]) -> str:
-    """The rows of a cover's rects under an 'x,y,side' header; no grid string
-    holds a character that needs quoting."""
-    return "\n".join(chain(("x,y,side",), map(",".join, rects), ("",)))
+def cover_csv(rects: CoverRows) -> str:
+    """The rows of a cover's rects under an 'x,y,side' header, written from
+    its columns; no grid string holds a character that needs quoting."""
+    return "".join(chain(("x,y,side\n",), _columns(rects, ",0,{}\n0,", ",{}\n"),
+                         ("0,0,", rects.corner, "\n")))
 
 
 def dimension_csv(series: list[dict]) -> str:

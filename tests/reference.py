@@ -2,7 +2,8 @@
 
 Each is an oracle or a fake for the package's code, written from its
 definition: the paper's counting fact for ``residue_span``, exact
-membership of a point in an arc list, a cover or an enclosure, a node's
+membership of a point in an arc list, a cover or an enclosure, a cover
+built by hand on a grid too fine for ``hyperbolic_cover``, a node's
 1-d arc in a Cantor tree, a tree's child range as one ``residue_span``
 call, a random leaf path walked down a tree, a radius function that
 ignores q, and the log2 kernel as it was when it squared both ends of its
@@ -75,6 +76,16 @@ def covers(cover: SquareCover, px: Fraction, py: Fraction) -> bool:
     fx, cx, fy, cy = floor(px), ceil(px), floor(py), ceil(py)
     return any(x <= fx and cx <= x + side and y <= fy and cy <= y + side
                for x, y, side in cover.squares)
+
+
+
+def wide_cover(big_k: int) -> SquareCover:
+    """A hand-built cover at grid 2**-big_k, far too fine to build by
+    hyperbolic_cover: four columns, one a lone square off its side's grid,
+    and the corner."""
+    one = 1 << big_k
+    return SquareCover(big_k, ((0, 2, 5, 6), (1, 4, 1, 2), (3, 16, 2, 80),
+                               (big_k - 2, one >> 1, 1, one >> 1)), one >> 7)
 
 
 def arc_1d(tree: CantorTree, coord: int, level: int,

@@ -1,9 +1,11 @@
-"""``tools/ab.py --bytes``: the byte comparison of canonical reports.
+"""``tools/ab.py``: the byte comparison of canonical reports and the
+paired benchmark runs.
 
-The comparison runs here on two configs with the working tree on both
+The byte comparison runs here on two configs with the working tree on both
 sides, where nothing may differ; the line-by-line report of differences
-is checked on hand-made outcomes; the corpus is checked for its parts.
-"""
+is checked on hand-made outcomes; the corpus is checked for its parts.  One
+tiny pair of benchmark runs goes through the working tree on both sides,
+and the table of medians, wins and verdicts is checked on hand-made results."""
 
 import importlib.util
 from pathlib import Path
@@ -57,6 +59,67 @@ def test_the_corpus_holds_every_part(tmp_path):
                + sorted((ROOT / "tests" / "golden").glob("*.cfg"))]
     assert names[:2 * len(configs)] == [f"{c}.{fmt}" for c in configs for fmt in ("json", "csv")]
     assert "power13_highprec.prec4096.csv" in names and "power13_highprec.prec8192.csv" in names
+    covers = [f"multiplicative_2^-{k}.{fmt}" for k in (17, 18) for fmt in ("json", "csv")]
+    assert [n for n in names if n.startswith("multiplicative_2^-")] == covers
+    assert "gamma = 1*2^-17\n" in (tmp_path / "multiplicative_2^-17.cfg").read_text()
     cli = [n for n in names if n.startswith("cli-reports-")]
     assert len(cli) == 800 and len(set(names)) == len(names)
     assert (tmp_path / "cli-reports-s2-000-deep.cfg").read_text().startswith("# seeded deep")
+
+
+def test_a_tiny_pair_of_the_working_tree(tmp_path, capsys):
+    pairs = ab.run_pairs(ROOT / "src", ROOT / "src", "cli-reports", [1], 1, True, tmp_path)
+    assert ab.failures(pairs) == []
+    for result in pairs[0]:
+        assert result["correct"] and result["failed"] == 0
+        assert result["metrics"]["ok_frac"]["value"] == 1
+    assert (tmp_path / "base" / "perfbench" / "run.py").is_file()
+    assert "pair 1/1, seed 1, base then head" in capsys.readouterr().out
+
+
+def result(throughput: float, rss: float, correct: bool = True, failed: int = 0) -> dict:
+    return {"correct": correct, "attempted": 10, "failed": failed,
+            "metrics": {"throughput_ops_s": {"value": throughput, "unit": "ops/s"},
+                        "peak_rss_mb": {"value": rss, "unit": "MB"}}}
+
+
+METRICS = [{"name": "throughput_ops_s", "better": "higher", "bound": 0.25},
+           {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]
+
+
+def test_the_summary_of_hand_made_results():
+    # throughput: 9 of 10 pairs won, medians 100 -> 120 apart by more than the
+    # base's quartile range; RSS: 12 % worse in the median, past its 10 % bound
+    base = [100.0, 101.0, 99.0, 100.0, 102.0, 98.0, 100.0, 101.0, 99.0, 100.0]
+    head = [120.0] * 9 + [90.0]
+    pairs = [(result(b, 50.0), result(h, 56.0)) for b, h in zip(base, head)]
+    lines = ab.summary(pairs, METRICS)
+    assert lines[0].startswith("10 pairs;")
+    assert lines[1].split()[:5] == ["throughput_ops_s", "100", "->", "120", "+20.0%"]
+    assert "won 9/10  better" in lines[1] and "base 98-102" in lines[1]
+    assert "head 90-120" in lines[1]
+    assert "won 0/10  worse" in lines[2] and "+12.0%" in lines[2]
+
+
+def test_a_gain_inside_the_base_spread_is_not_better():
+    # every pair won, but the median moves by less than the base's quartile range
+    pairs = [(result(b, 50.0), result(b + 1, 50.0)) for b in (90.0, 100.0, 110.0, 120.0)]
+    assert ab.verdict([90.0, 100.0, 110.0, 120.0], [91.0, 101.0, 111.0, 121.0],
+                      "higher", 0.25) == (4, "same")
+    assert "won 4/4  same" in ab.summary(pairs, METRICS)[1]
+    # 8 of 10 pairs won is too few, however large the gain, and so are 5 pairs
+    assert ab.verdict([100.0] * 10, [200.0] * 8 + [50.0] * 2, "higher", 0.25) == (8, "same")
+    assert ab.verdict([100.0] * 5, [200.0] * 5, "higher", 0.25) == (5, "same")
+    # lower is better: 10 of 10 pairs won by a clear margin
+    assert ab.verdict([10.0, 11.0] * 5, [8.0] * 10, "lower", 0.25) == (10, "better")
+
+
+def test_failed_runs_are_listed():
+    pairs = [(result(1, 1), result(1, 1, correct=False)),
+             (result(1, 1, failed=2), {"correct": False, "error": "exit 2: no source"})]
+    assert ab.failures(pairs) == ["pair 1 head: correct False, failed 0",
+                                  "pair 2 base: correct True, failed 2",
+                                  "pair 2 head: correct False, failed None (exit 2: no source)"]
+    assert ab.summary(pairs[1:], METRICS) == [
+        "0 pairs; medians base -> head, base Q1-Q3, each side's min-max, pairs won by head, "
+        "verdict"]

@@ -17,7 +17,7 @@ from liminfdim import report as report_module
 from liminfdim.cli import MissingSeriesError, main, plot, run
 from liminfdim.config import (ConfigError, ExperimentConfig, config_json, parse_config,
                               parse_rational)
-from liminfdim.multiplicative import SquareCover, hyperbolic_cover
+from liminfdim.multiplicative import hyperbolic_cover
 from liminfdim.numerics import DOWN, UP, DirectedReal
 from liminfdim.report import (
     DECIMAL_MAX_BITS,
@@ -30,6 +30,7 @@ from liminfdim.report import (
     render_json,
 )
 from liminfdim.sequences import PowerSpec, generate
+from reference import wide_cover
 
 POWER_CFG = """
 # fourth-power family
@@ -347,10 +348,13 @@ class TestCoverReport:
         cover = hyperbolic_cover(F(1, 1 << K), F(8, 5))[0]
         assert cover_rects(cover) == [[grid_str(v, K) for v in sq] for sq in cover.squares]
 
-    @pytest.mark.parametrize("K", range(19))
+    @pytest.mark.parametrize("K", [*range(19), DECIMAL_MAX_BITS, DECIMAL_MAX_BITS + 1,
+                                   DECIMAL_MAX_BITS + 40])
     def test_cover_csv_is_csv_writer(self, K):
-        # the csv module's rendering, which cover_csv wrote before it joined rows itself
-        rects = cover_rects(hyperbolic_cover(F(1, 1 << K), F(8, 5))[0])
+        # the csv module's rendering, which cover_csv wrote before it wrote the
+        # rows column by column; past K = 18 the cover is built by hand
+        cover = hyperbolic_cover(F(1, 1 << K), F(8, 5))[0] if K < 19 else wide_cover(K)
+        rects = cover_rects(cover)
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["x", "y", "side"])
@@ -362,9 +366,7 @@ class TestCoverReport:
     def test_cover_rects_past_the_decimal_range(self, big_k):
         # a hand-built cover, far too large to build by hyperbolic_cover: past
         # DECIMAL_MAX_BITS its values are hex, as grid_str writes them
-        one = 1 << big_k
-        cover = SquareCover(big_k, ((0, 2, 5, 6), (1, 4, 1, 2), (3, 16, 2, 80),
-                                    (big_k - 2, one >> 1, 1, one >> 1)), one >> 7)
+        cover = wide_cover(big_k)
         rects = cover_rects(cover)
         assert rects == [[grid_str(v, big_k) for v in sq] for sq in cover.squares]
         assert any("0x" in v for row in rects for v in row) == (big_k > DECIMAL_MAX_BITS)

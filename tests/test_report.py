@@ -1,10 +1,12 @@
-"""The report writer: ``render_json`` against ``json.dumps``, the cover's
-rects it writes itself included, canonical reports read back through
-``json.loads`` and ``parse_rational``, and the cover's closed-form grid
-strings against ``grid_str``."""
+"""The report writer: ``render_json`` against ``json.dumps``, a cover's
+``CoverRows`` it writes itself column by column included, canonical reports
+read back through ``json.loads`` and ``parse_rational``, and the cover's
+closed-form grid strings against ``grid_str``."""
 
 import json
 import re
+from fractions import Fraction as F
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -13,8 +15,11 @@ from hypothesis import strategies as st
 
 from liminfdim.cli import run
 from liminfdim.config import load_config, parse_rational
+from liminfdim.multiplicative import hyperbolic_cover
 from liminfdim.numerics import EXACT, DirectedReal
-from liminfdim.report import _grid_run, dyadic_str, fraction_str, grid_str, render_json
+from liminfdim.report import (DECIMAL_MAX_BITS, CoverRows, _grid_run, cover_rects,
+                              dyadic_str, fraction_str, grid_str, render_json)
+from reference import wide_cover
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = (sorted((ROOT / "demos" / "configs").glob("*.cfg"))
@@ -59,8 +64,23 @@ TREES = st.recursive(
     max_leaves=16,
 )
 DOCS = st.dictionaries(st.one_of(TEXT, st.just("timing")), TREES, max_size=6)
-# rows of grid strings, which render_json writes itself, or any table
+
+
+@lru_cache(maxsize=None)
+def cover_rows(big_k: int, s: F = F(8, 5)):
+    """cover_rects of the cover at gamma = 2**-big_k: hyperbolic_cover's up to
+    big_k = 18, a hand-built one beyond.  Shared between examples, which
+    only read it."""
+    return cover_rects(hyperbolic_cover(F(1, 1 << big_k), s)[0] if big_k < 19
+                       else wide_cover(big_k))
+
+
+# a cover's CoverRows, which render_json writes itself, past DECIMAL_MAX_BITS
+# too; plain lists of grid-string rows, or any table, which json.dumps writes
 RECTS = st.one_of(
+    st.builds(cover_rows, st.integers(0, 12), st.sampled_from((F(3, 2), F(8, 5), F(2)))),
+    st.sampled_from((DECIMAL_MAX_BITS, DECIMAL_MAX_BITS + 1, DECIMAL_MAX_BITS + 40))
+    .map(cover_rows),
     st.lists(st.lists(st.from_regex(RATIONAL, fullmatch=True), min_size=1, max_size=4),
              max_size=6),
     TABLES,
@@ -78,8 +98,8 @@ ROWS = [["1/4", "0", "1/2"], ["0", "1/4", "1/2"]]
 @settings(max_examples=200, deadline=None)
 @given(doc=st.one_of(DOCS, st.builds(lambda rest, rects: cover_doc(rects, **rest), DOCS, RECTS)),
        canonical=st.booleans())
-# rects that must not be written one join per row: an empty row, cells that
-# json escapes, a cell that is not a str, tuple rows; ragged rows are written
+# plain lists, which json.dumps writes: an empty row, cells that json
+# escapes, a cell that is not a str, tuple rows, ragged rows
 @example(doc=cover_doc([[]]), canonical=False)
 @example(doc=cover_doc([["a"], []]), canonical=False)
 @example(doc=cover_doc([["a", "b"], ["c"]]), canonical=False)
@@ -96,7 +116,12 @@ ROWS = [["1/4", "0", "1/2"], ["0", "1/4", "1/2"]]
 @example(doc={"results": {"multiplicative": None}}, canonical=True)
 @example(doc={"results": {"multiplicative": {"cover": ROWS}}}, canonical=True)
 @example(doc={"results": {"multiplicative": {"cover": {"rects": "0"}}}}, canonical=True)
-# a second "rects": [] in the dump, before or after the cover's
+# a second "rects": [] in the dump, before or after the cover's: json.dumps
+# writes the whole report, a CoverRows's rows too
+@example(doc=cover_doc(cover_rows(5), config={"rects": []}), canonical=False)
+@example(doc=cover_doc(cover_rows(6), config={"rects": []}), canonical=True)
+@example(doc={**cover_doc(cover_rows(7)), "warnings": {"rects": []}}, canonical=False)
+@example(doc=cover_doc(cover_rows(4), config={'x"rects': []}), canonical=True)
 @example(doc=cover_doc(ROWS, config={"rects": []}), canonical=False)
 @example(doc=cover_doc(ROWS, config={"rects": []}), canonical=True)
 @example(doc={**cover_doc(ROWS), "warnings": {"rects": []}}, canonical=False)
@@ -104,6 +129,10 @@ ROWS = [["1/4", "0", "1/2"], ["0", "1/4", "1/2"]]
 # a non-canonical report keeps its timing; a canonical one drops it
 @example(doc=cover_doc(ROWS, timing={"run": 0.5}), canonical=False)
 @example(doc=cover_doc(ROWS, timing={"run": 0.5}), canonical=True)
+@example(doc=cover_doc(cover_rows(3), timing={"run": 0.5}), canonical=False)
+# the cover at K = 0, its corner row alone, and one past DECIMAL_MAX_BITS
+@example(doc=cover_doc(cover_rows(0)), canonical=True)
+@example(doc=cover_doc(cover_rows(DECIMAL_MAX_BITS + 1)), canonical=False)
 def test_render_json_is_json_dumps(doc, canonical):
     assert render_json(doc, canonical) == reference_json(doc, canonical)
 
@@ -113,7 +142,7 @@ def test_render_json_is_json_dumps(doc, canonical):
                          ids=["quote", "backslash", "newline", "del", "non-ascii", "none",
                               "empty", "tuple"])
 def test_long_table_with_one_bad_row(last):
-    # longer than a batch of the table check: the bad row is past the first batches
+    # a long plain list, which json.dumps writes whatever its last rows hold
     table = [[str(i), "0", "1/2"] for i in range(10_000)]
     table[-2] = last
     doc = cover_doc(table)
@@ -145,6 +174,20 @@ def test_canonical_report_round_trips(config):
     mult = report["results"].get("multiplicative")
     if mult and mult["cover"]:
         assert all(RATIONAL.fullmatch(v) for row in mult["cover"]["rects"] for v in row)
+
+
+@pytest.mark.parametrize("config", [c for c in CONFIGS if c.stem.startswith("multiplicative")],
+                         ids=lambda p: p.stem)
+@pytest.mark.parametrize("canonical", [False, True])
+def test_cover_rows_render_as_their_plain_list(config, canonical):
+    # the column writer against json.dumps of the same rows as a plain list
+    report, _ = run(load_config(str(config)), canonical)
+    cover = report["results"]["multiplicative"]["cover"]
+    plain = {**report, "results": {**report["results"], "multiplicative": {
+        **report["results"]["multiplicative"], "cover": {**cover, "rects": list(cover["rects"])}}}}
+    assert isinstance(cover["rects"], CoverRows)
+    assert type(plain["results"]["multiplicative"]["cover"]["rects"]) is list
+    assert render_json(report, canonical) == render_json(plain, canonical)
 
 
 @pytest.mark.parametrize("e", range(8))

@@ -1,14 +1,19 @@
-"""Byte comparison of the package's canonical reports at two revisions.
+"""Byte and speed comparison of the package at two revisions.
 
     python3 tools/ab.py --base REV --bytes
+    python3 tools/ab.py --base REV --workload W --pairs N --seconds S [--first-seed F] [--tiny]
 
-exports the package source of REV with ``git archive`` (a local read of the
-repository: no network, no worktree) into a temporary directory, and runs
-one fixed corpus of configs through ``liminfdim run --canonical`` with it
-and with the working tree, one Python subprocess per side.  The corpus:
+Both modes export the package source of REV with ``git archive`` (a local
+read of the repository: no network, no worktree) into a temporary directory
+and compare it with the working tree's.
+
+``--bytes`` runs one fixed corpus of configs through ``liminfdim run
+--canonical`` with each side, one Python subprocess per side.  The corpus:
 
 * ``demos/configs/*.cfg`` and ``tests/golden/*.cfg``, each in json and csv;
 * ``tests/golden/power13_highprec.cfg`` at ``--prec`` 4096 and 8192;
+* multiplicative configs at gamma = 2^-17 and 2^-18, an odd and an even K
+  past cli-reports' largest cover (2^-16), in json and csv;
 * cli-reports' configs for seeds 1 and 2, built by the benchmark's own
   ``perfbench/cli_reports.config_text`` as its set-up builds them, in csv.
 
@@ -17,8 +22,23 @@ write under the same relative paths, so a message that names a path reads
 the same on both.  Every written file that differs or exists on one side
 only is listed, and so is every exit code, stdout and stderr that differs.
 The exit status is 0 when nothing differs, 1 when something does, and 2
-when REV cannot be exported.  The whole corpus (826 runs) takes about
-15 seconds for both sides on a 2-vCPU host.
+when REV cannot be exported.  The whole corpus (830 runs) takes about
+20 seconds for both sides on a 2-vCPU host.
+
+``--workload`` runs the benchmark's workload W (``perfbench/run.py
+--trace 0``) in N pairs of S-second runs, one run per side on seeds F..F+N-1
+(F is 1 unless given); the side that runs first alternates from pair to
+pair.  Each side runs from its own temporary tree: its ``src`` next to
+copies of the working tree's ``perfbench/`` and ``BENCHMARK.json``, so both
+run the same benchmark code.  For each end-to-end metric of
+``BENCHMARK.json`` it prints both medians, the base's quartiles, each side's
+range, the pairs the working tree won, and a verdict: "worse" when the
+working tree's median is worse than the base's by more than the metric's
+bound, "better" when it is better, won at least nine pairs in ten over ten
+or more pairs and the medians differ by more than the base's interquartile
+range, and "same" otherwise.  The exit status is 1 when a run is not
+``correct`` or has a failed operation, 2 when REV cannot be exported, and 0
+otherwise.
 """
 
 from __future__ import annotations
@@ -30,6 +50,7 @@ import json
 import os
 import random
 import shutil
+import statistics
 import subprocess
 import sys
 import tarfile
@@ -40,7 +61,12 @@ from typing import Optional
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 HIGHPREC = ("power13_highprec", (4096, 8192))
+# gamma = 2^-K past cli-reports' largest, 2^-16: an odd and an even K
+LARGE_COVERS = (17, 18)
 CLI_REPORTS_SEEDS = (1, 2)
+# a gain needs nine wins in ten over at least this many pairs: two or three
+# pairs won by chance are no gain
+MIN_PAIRS_FOR_GAIN = 10
 
 # Run in each side's subprocess, with that side's ``src`` first on the path:
 # reads [name, argv] jobs from stdin, runs each through ``cli.main`` in the
@@ -79,6 +105,13 @@ def _cli_reports_configs(seed: int) -> list[tuple[str, str]]:
             for i in range(len(mix) * 25)]
 
 
+def _cover_config(k: int) -> str:
+    """A multiplicative config whose cover is that of x*y <= 2**-k, d = 2."""
+    return (f"# the dyadic cover of x*y <= 2^-{k}\nsequence = power\nq1 = 4\ngrowth = 4\n"
+            f"tau = 1\nd = 2\ndepth = 4\ntasks = analyze,multiplicative\n"
+            f"gamma = 1*2^-{k}\nmult_s = 8/5\n")
+
+
 def corpus(corpus_dir: Path) -> list[tuple[str, list[str]]]:
     """The whole corpus as (job name, ``cli.main`` argv) pairs, its configs
     copied into ``corpus_dir``.  Each job writes to the directory named by
@@ -95,6 +128,11 @@ def corpus(corpus_dir: Path) -> list[tuple[str, list[str]]]:
     for prec in precs:
         jobs.append(job(f"{stem}.prec{prec}.csv", corpus_dir / f"{stem}.cfg", "csv",
                          "--prec", str(prec)))
+    for k in LARGE_COVERS:
+        config = corpus_dir / f"multiplicative_2^-{k}.cfg"
+        config.write_text(_cover_config(k), encoding="ascii")
+        for fmt in ("json", "csv"):
+            jobs.append(job(f"{config.stem}.{fmt}", config, fmt))
     for seed in CLI_REPORTS_SEEDS:
         for name, text in _cli_reports_configs(seed):
             (corpus_dir / f"{name}.cfg").write_text(text, encoding="ascii")
@@ -163,15 +201,124 @@ def compare(base_src: Path, head_src: Path, jobs: list[tuple[str, list[str]]],
     return files, differences(*sides)
 
 
+def bench_tree(src: Path, dest: Path) -> Path:
+    """``dest`` holding a copy of ``src`` next to copies of the working
+    tree's ``perfbench/`` and ``BENCHMARK.json``: a checkout the benchmark
+    runs from."""
+    ignore = shutil.ignore_patterns("__pycache__")
+    shutil.copytree(src, dest / "src", ignore=ignore)
+    shutil.copytree(PERFBENCH, dest / "perfbench", ignore=ignore)
+    shutil.copyfile(ROOT / "BENCHMARK.json", dest / "BENCHMARK.json")
+    return dest
+
+
+def bench_run(tree: Path, workload: str, seed: int, seconds: int, tiny: bool) -> dict:
+    """One untraced benchmark run from ``tree``: the JSON object of its last
+    line of output, or ``{"correct": False, "error": ...}`` when it printed
+    none."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", "0", *(["--tiny"] if tiny else [])]
+    proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
+    lines = proc.stdout.strip().splitlines()
+    try:
+        return json.loads(lines[-1])
+    except (IndexError, ValueError):
+        return {"correct": False,
+                "error": f"exit {proc.returncode}: {proc.stderr.strip()[-400:]}"}
+
+
+def run_pairs(base_src: Path, head_src: Path, workload: str, seeds: list[int],
+              seconds: int, tiny: bool, workdir: Path) -> list[tuple[dict, dict]]:
+    """(base, head) results of one pair of runs per seed; the base runs
+    first in the first pair, and the first side alternates after that."""
+    trees = {side: bench_tree(src, workdir / side)
+             for side, src in (("base", base_src), ("head", head_src))}
+    pairs = []
+    for i, seed in enumerate(seeds):
+        order = ("base", "head") if i % 2 == 0 else ("head", "base")
+        out = {side: bench_run(trees[side], workload, seed, seconds, tiny) for side in order}
+        pairs.append((out["base"], out["head"]))
+        print(f"# pair {i + 1}/{len(seeds)}, seed {seed}, {' then '.join(order)}: "
+              + ", ".join(f"{side} {_headline(out[side])}" for side in ("base", "head")),
+              flush=True)
+    return pairs
+
+
+def _headline(result: dict) -> str:
+    if "metrics" not in result:
+        return result.get("error", "no result")
+    return f"{result['metrics']['throughput_ops_s']['value']:.4g} ops/s"
+
+
+def failures(pairs: list[tuple[dict, dict]]) -> list[str]:
+    """One line per run that is not correct or has a failed operation."""
+    return [f"pair {i + 1} {side}: correct {r.get('correct')}, failed {r.get('failed')}"
+            + (f" ({r['error']})" if "error" in r else "")
+            for i, pair in enumerate(pairs) for side, r in zip(("base", "head"), pair)
+            if not r.get("correct") or r.get("failed", 1) != 0]
+
+
+def quartiles(values: list[float]) -> tuple[float, float]:
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
+def verdict(base: list[float], head: list[float], better: str, bound: float) -> tuple[int, str]:
+    """(pairs the head won, verdict) for one metric's values per pair."""
+    sign = 1 if better == "higher" else -1
+    wins = sum(sign * (h - b) > 0 for b, h in zip(base, head))
+    b_med, h_med = statistics.median(base), statistics.median(head)
+    gain = sign * (h_med - b_med)          # > 0: the head is better
+    if gain < 0 and -gain > bound * abs(b_med):
+        return wins, "worse"
+    q1, q3 = quartiles(base)
+    if gain > 0 and len(base) >= MIN_PAIRS_FOR_GAIN and 10 * wins >= 9 * len(base) \
+            and gain > q3 - q1:
+        return wins, "better"
+    return wins, "same"
+
+
+def summary(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[str]:
+    """The table of medians, spreads, wins and verdicts, one line per metric;
+    pairs with a run that printed no metrics are left out."""
+    usable = [p for p in pairs if all("metrics" in r for r in p)]
+    lines = [f"{len(usable)} pairs; medians base -> head, base Q1-Q3, each side's min-max, "
+             "pairs won by head, verdict"]
+    for m in metrics if usable else []:
+        name = m["name"]
+        base = [b["metrics"][name]["value"] for b, _ in usable]
+        head = [h["metrics"][name]["value"] for _, h in usable]
+        b_med, h_med = statistics.median(base), statistics.median(head)
+        change = f"{(h_med - b_med) / b_med:+.1%}" if b_med else "n/a"
+        wins, word = verdict(base, head, m["better"], m["bound"])
+        q1, q3 = quartiles(base)
+        lines.append(f"{name:<17} {b_med:>9.4g} -> {h_med:<9.4g} {change:>7}  "
+                     f"base Q {q1:.4g}-{q3:.4g}  base {min(base):.4g}-{max(base):.4g}  "
+                     f"head {min(head):.4g}-{max(head):.4g}  won {wins}/{len(usable)}  "
+                     f"{word} ({m['better']} is better, bound {m['bound']:.1%})")
+    return lines
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, metavar="REV",
                         help="the revision to compare the working tree against")
-    parser.add_argument("--bytes", action="store_true",
-                        help="compare the canonical reports of the fixed corpus")
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--bytes", action="store_true",
+                      help="compare the canonical reports of the fixed corpus")
+    mode.add_argument("--workload", metavar="W",
+                      help="compare the benchmark's end-to-end metrics on workload W")
+    parser.add_argument("--pairs", type=int, default=10, help="pairs of runs (default 10)")
+    parser.add_argument("--seconds", type=int, default=30, help="seconds per run (default 30)")
+    parser.add_argument("--first-seed", type=int, default=1,
+                        help="the seed of the first pair; each next pair takes the next seed")
+    parser.add_argument("--tiny", action="store_true", help="the workload's tiny inputs")
     args = parser.parse_args(argv)
-    if not args.bytes:
-        parser.error("nothing to compare: give --bytes")
+    if args.pairs < 1 or args.seconds < 1:
+        parser.error("--pairs and --seconds must be at least 1")
     with tempfile.TemporaryDirectory(prefix="liminfdim-ab-") as tmp:
         work = Path(tmp)
         try:
@@ -179,6 +326,18 @@ def main(argv: Optional[list[str]] = None) -> int:
         except ValueError as exc:
             print(f"ab: {exc}", file=sys.stderr)
             return 2
+        if args.workload:
+            seeds = list(range(args.first_seed, args.first_seed + args.pairs))
+            print(f"{args.workload}: {args.base} (base) against the working tree (head), "
+                  f"{args.pairs} pairs of {args.seconds} s runs, seeds {seeds[0]}-{seeds[-1]}"
+                  + (", tiny" if args.tiny else ""), flush=True)
+            pairs = run_pairs(base_src, ROOT / "src", args.workload, seeds, args.seconds,
+                              args.tiny, work)
+            spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+            bad = failures(pairs)
+            for line in summary(pairs, spec["end_to_end"]) + bad:
+                print(line)
+            return 1 if bad else 0
         jobs = corpus(work / "corpus")
         files, diffs = compare(base_src, ROOT / "src", jobs, work)
     for line in diffs:

@@ -298,9 +298,15 @@ MUTANTS: dict[str, Mutant] = {
     "contractive window 4 -> 8": sequences("if (4 * nxt) ** b > p:", "if (8 * nxt) ** b > p:"),
     "_grid_run: even run from j0": report("a = j0 + (j0 & 1)", "a = j0"),
     "_grid_run: even run end j1 >> 1": report("(j1 + 1) >> 1", "j1 >> 1"),
-    "_plain_table: no escape check": report("if len(_json_str(text)) != len(text) + 2:",
-                                            "if False:"),
-    "_plain_table: empty rows kept": report("!= {list} or not all(rows):", "!= {list}:"),
+    "_columns: a column's two separators swapped": report(
+        "[None, sep_a.format(s), None, sep_b.format(s)]",
+        "[None, sep_b.format(s), None, sep_a.format(s)]"),
+    "cover_csv: corner row dropped": report('("0,0,", rects.corner, "\\n")', "()"),
+    "render_json: side cells from the first column": report(
+        """sep_b = '",' + cell + '"{}"'""",
+        """sep_b = '",' + cell + '"' + rows.columns[0][1] + '"'"""),
+    "render_json: any list taken for a CoverRows": report(
+        "if not isinstance(rows, CoverRows):", "if not isinstance(rows, list):"),
     "render_json: rows at the key's indent": report('inner = pad + "  "', "inner = pad"),
     "render_json: marker taken without the uniqueness check": report(
         "if _EMPTY_RECTS in tail:", "if False:"),
