@@ -11,15 +11,21 @@ For a prefix q_1 < ... < q_J with shrinking exponent tau in dimension d:
 Both converge to d*(1 - tau*alpha)/(tau+1) for the monotone built-in
 families; at finite depth each can sit on either side of the limit, so
 results are certified enclosures of the estimator values themselves.
+
+Both are products over the levels 1..J, so ``depth_series`` builds the
+records of all depths in one walk.  The per-depth calls read their record
+from one walk per (sequence, tau, d, precision) that the process keeps
+while it is among the ``_WALK_CACHE_SIZE`` most recently used, extended
+only as deep as a call has asked.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice
 from typing import Iterator, Optional, Union
 
 from .level_sets import CertifiedCount
@@ -92,7 +98,7 @@ class CoverReport:
     depth: int
     d: int
     tau: Fraction
-    branching: Union[tuple[int, ...], RegimeViolationError]  # or the first empty level
+    branching: Union[tuple[int, ...], int]  # or the first empty level
     q: int                         # q_J
     prec: int
     parent: Optional[CoverReport] = field(default=None, repr=False, compare=False)  # depth J-1
@@ -136,8 +142,10 @@ class CoverReport:
 
     @property
     def branching_1d(self) -> tuple[int, ...]:
-        if isinstance(self.branching, RegimeViolationError):
-            raise self.branching.with_traceback(None)
+        if isinstance(self.branching, int):  # a fresh error per read: no context leaks
+            j = self.branching
+            raise RegimeViolationError(
+                j, f"floor(q_{j} / q_{j - 1}**(1+tau)) = 0, the subdivision has no children")
         return self.branching
 
     @cached_property
@@ -176,34 +184,63 @@ def depth_series(qs: QSequence, tau: Fraction, d: int = 1,
     for j, q in enumerate(qs.terms, start=1):
         if record is not None and isinstance(branching, tuple):
             b = record.shrink.scale_int(q).lo.floor()
-            branching = branching + (b,) if b >= 1 else RegimeViolationError(
-                j, f"floor(q_{j} / q_{j - 1}**(1+tau)) = 0, the subdivision has no children")
+            branching = branching + (b,) if b >= 1 else j
         record = CoverReport(depth=j, d=d, tau=tau, branching=branching, q=q, prec=p,
                              parent=record)
         yield record
 
 
+# The walks of ``depth_series`` that the per-depth calls share, each with the
+# records read from it so far, least recently used first.  A caller that steps
+# a few sequences' depths side by side comes back to a walk after a dozen
+# others (bracket-highprec has about ten in flight).  At 1024 bits a walk of
+# ten depths whose estimates have all been read holds 35-95 KB, so a full
+# cache at most about 1.5 MB.  A walk is taken out of the cache, under the
+# lock, while one call extends it, so no two threads step one walk.
+_WALK_CACHE_SIZE = 16
+_walks: dict[tuple, tuple[Iterator[CoverReport], list[CoverReport]]] = {}
+_walks_lock = threading.Lock()
+
+
 def _record_at(qs, tau, d, depth, prec) -> CoverReport:
-    """The depth-J record of ``depth_series``, J = len(qs) by default."""
+    """The depth-J record of ``depth_series``, J = len(qs) by default.
+
+    It comes from the process's walk of (qs, tau, d, prec), which is extended
+    up to depth J and never past it, so a later call at any depth up to J
+    reads the same record, its computed fields included.  A walk that raises
+    while it is extended is dropped, and the next call starts a new one.
+    """
     depth = len(qs) if depth is None else depth
     if not 1 <= depth <= len(qs):
         raise ValueError(f"depth must be in 1..{len(qs)}")
-    *_, record = islice(depth_series(qs, tau, d, prec), depth)
-    return record
+    tau, p = Fraction(tau), _resolve_prec(prec)
+    key = (qs, tau, d, p, type(d), type(p))  # 2 == 2.0, but the calls differ
+    with _walks_lock:
+        steps, records = _walks.pop(key, None) or (depth_series(qs, tau, d, p), [])
+    while len(records) < depth:
+        records.append(next(steps))
+    with _walks_lock:
+        _walks[key] = steps, records
+        if len(_walks) > _WALK_CACHE_SIZE:
+            del _walks[next(iter(_walks))]
+    return records[depth - 1]
 
 
 def upper_cover_count(qs: QSequence, tau: Fraction, d: int = 1, depth: Optional[int] = None,
                       prec: Optional[int] = None) -> CoverReport:
     """Cover of the depth-J intersection by boxes of side 2 q_J**-(1+tau).
 
-    The record of ``depth_series`` at depth J.  Takes no logarithm.
+    The record of ``depth_series`` at depth J, from the walk the per-depth
+    calls share (``_record_at``).  Takes no logarithm.
     """
     return _record_at(qs, tau, d, depth, prec)
 
 
 def upper_dim_estimate(qs: QSequence, tau: Fraction, d: int = 1, depth: Optional[int] = None,
                        prec: Optional[int] = None) -> Enclosure:
-    """log N / ((1+tau) log q_J) at depth J, the ``upper`` of its record.
+    """log N / ((1+tau) log q_J) at depth J, the ``upper`` of its record in
+    the walk the per-depth calls share, so a call at a depth already read
+    computes nothing.
 
     Shares its denominator with the subdivision exponent, so the two
     estimators bracket each other directly; decreases toward
@@ -228,8 +265,9 @@ def branching_factors(qs: QSequence, tau: Fraction, depth: Optional[int] = None,
                       prec: Optional[int] = None) -> tuple[int, ...]:
     """Per-level 1-d child counts floor(q_k / q_{k-1}**(1+tau)), level 1 = q_1.
 
-    The ``branching_1d`` of the depth-J record; a zero raises
-    ``RegimeViolationError``.  Takes no logarithm.
+    The ``branching_1d`` of the depth-J record of the walk the per-depth
+    calls share, with d = 1; a zero raises ``RegimeViolationError``, a new
+    one on each call.  Takes no logarithm.
     """
     return _record_at(qs, tau, 1, depth, prec).branching_1d
 
@@ -238,6 +276,7 @@ def lower_cantor_count(qs: QSequence, tau: Fraction, d: int = 1, depth: Optional
                        prec: Optional[int] = None) -> SubdivisionCount:
     """Node count M = q_1**d * prod floor(q_k / q_{k-1}**(1+tau))**d of the
     depth-J subdivision and s_hat = log M / ((1+tau) log q_J), the ``lower``
-    of its record; reads no power of q_J.
+    of its record in the walk the per-depth calls share, which has its log2
+    q_J when ``upper_dim_estimate`` has read that depth; reads no power of q_J.
     """
     return _record_at(qs, tau, d, depth, prec).lower

@@ -69,6 +69,12 @@ def enclosure_contains(enc: Enclosure, x: Union[Fraction, int]) -> bool:
     return enc.lo.as_fraction() <= Fraction(x) <= enc.hi.as_fraction()
 
 
+def bits_of(enc: Enclosure) -> tuple:
+    """The two ends of an enclosure, direction tags included, to compare
+    enclosures bit for bit."""
+    return tuple((d.mantissa, d.exponent, d.direction) for d in (enc.lo, enc.hi))
+
+
 def covers(cover: SquareCover, px: Fraction, py: Fraction) -> bool:
     """Whether some closed square of the cover holds the point (px, py)."""
     # integer corners: x <= p <= x + side iff x <= floor(p) and ceil(p) <= x + side

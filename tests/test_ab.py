@@ -5,9 +5,12 @@ The byte comparison runs here on two configs with the working tree on both
 sides, where nothing may differ; the line-by-line report of differences
 is checked on hand-made outcomes; the corpus is checked for its parts.  One
 tiny pair of benchmark runs goes through the working tree on both sides,
-and the table of medians, wins and verdicts is checked on hand-made results."""
+and the table of medians, wins and verdicts is checked on hand-made results.
+So does one tiny pair of traced runs, whose counters may not differ, and
+the marking of differing counters is checked on hand-made results."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -75,6 +78,40 @@ def test_a_tiny_pair_of_the_working_tree(tmp_path, capsys):
         assert result["metrics"]["ok_frac"]["value"] == 1
     assert (tmp_path / "base" / "perfbench" / "run.py").is_file()
     assert "pair 1/1, seed 1, base then head" in capsys.readouterr().out
+
+
+def test_the_counts_of_the_working_tree(tmp_path):
+    base, head = ab.run_counts(ROOT / "src", ROOT / "src", "bracket-highprec", 1, True,
+                               tmp_path)
+    assert ab.failures([(base, head)]) == []
+    per_layer = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    lines = ab.count_lines(base, head, per_layer)
+    calls = [m["name"] for m in per_layer if m["name"].endswith(".calls")]
+    assert len(lines) == len(calls) + len(ab.EXACT_COUNTERS) + 2
+    assert lines[-1] == f"0 of {len(lines) - 2} counters differ"
+    assert not any(line.startswith("*") for line in lines)
+    assert any(line.split()[:2] == ["numerics.dir_pow.calls", "0"] for line in lines)
+    assert (tmp_path / "head" / ".perfbench" / "trace-bracket-highprec.csv.gz").is_file()
+
+
+def test_differing_counts_are_marked():
+    def traced(**values):
+        return {"correct": True, "failed": 0,
+                "metrics": {name: {"value": v, "unit": "calls/op"} for name, v in values.items()}}
+
+    metrics = [{"name": n} for n in ("numerics.dir_pow.calls", "numerics.dir_pow.self_s",
+                                     "multiplicative.squares", "cli.run.calls")]
+    base = traced(**{"numerics.dir_pow.calls": 3.55, "numerics.dir_pow.self_s": 0.1,
+                     "multiplicative.squares": 0.0, "cli.run.calls": 1.0})
+    head = traced(**{"numerics.dir_pow.calls": 0.55, "numerics.dir_pow.self_s": 0.2,
+                     "multiplicative.squares": 0.0})
+    lines = ab.count_lines(base, head, metrics)
+    assert [line.split() for line in lines[1:]] == [
+        ["*", "numerics.dir_pow.calls", "3.55", "0.55"],
+        ["multiplicative.squares", "0", "0"],
+        ["*", "cli.run.calls", "1", "-"],
+        ["2", "of", "3", "counters", "differ"]]
+    assert ab.count_lines(base, {"correct": False}, metrics) == []
 
 
 def result(throughput: float, rss: float, correct: bool = True, failed: int = 0) -> dict:

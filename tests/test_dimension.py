@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import threading
 from fractions import Fraction as F
 
 import mpmath
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liminfdim import dimension
 from liminfdim.dimension import (
     RegimeViolationError,
     branching_factors,
@@ -20,7 +23,7 @@ from liminfdim.numerics import Enclosure
 from liminfdim.sequences import (ExplicitSpec, PowerSpec, QSequence, RegimeStatus,
                                  exponent_stats, generate, validate_regime)
 
-from reference import enclosure_contains
+from reference import bits_of, enclosure_contains
 
 
 class TestTheoreticalDimension:
@@ -206,3 +209,194 @@ def test_bracket_holds_the_formula_where_the_regime_passes(qs, prec, d, tau):
             upper = upper_dim_estimate(qs, tau, d, depth, prec).hi
             assert mpmath.ldexp(lower.mantissa, lower.exponent) <= value + slack, (qs, depth)
             assert value - slack <= mpmath.ldexp(upper.mantissa, upper.exponent), (qs, depth)
+
+
+# -- the walk the per-depth calls share --------------------------------------
+
+NO_CHILDREN = "floor(q_{0} / q_{1}**(1+tau)) = 0, the subdivision has no children"
+
+
+def test_each_read_raises_a_new_regime_error():
+    # a reader's context stays with the error it was raised in
+    records = list(depth_series(QSequence((4, 8, 100, 20000)), 1, 1, 64))
+    try:
+        raise KeyError("unrelated")
+    except KeyError:
+        with pytest.raises(RegimeViolationError) as first:
+            records[2].lower
+    with pytest.raises(RegimeViolationError) as second:
+        records[3].lower
+    with pytest.raises(RegimeViolationError) as third:
+        lower_cantor_count(QSequence((4, 8, 100, 20000)), 1, 1, 4, 64)
+    assert first.value is not second.value and third.value not in (first.value, second.value)
+    for exc in (first, second, third):
+        assert exc.value.level == 2
+        assert str(exc.value) == "level 2: " + NO_CHILDREN.format(2, 1)
+    assert isinstance(first.value.__context__, KeyError)
+    assert second.value.__context__ is None and third.value.__context__ is None
+
+
+def _fresh(qs, tau, d, depth, prec):
+    """The depth-J record of a walk that no call shares."""
+    return list(depth_series(qs, tau, d, prec))[depth - 1]
+
+
+def _reads_as_fresh(read, qs, tau, d, depth, prec):
+    """The per-depth call ``read`` at depth J gives what the record of a fresh
+    walk gives, bit for bit, or raises the same ``RegimeViolationError``."""
+    if read == "cover":
+        got, want = upper_cover_count(qs, tau, d, depth, prec), _fresh(qs, tau, d, depth, prec)
+        assert (got.depth, got.d, got.tau, got.q, got.prec) == (depth, d, tau, qs.terms[depth - 1],
+                                                                prec)
+        assert bits_of(got.raw_count) == bits_of(want.raw_count)
+        assert bits_of(got.side) == bits_of(want.side) and got.count == want.count
+        return
+    if read == "upper":
+        want = _fresh(qs, tau, d, depth, prec).upper
+        assert bits_of(upper_dim_estimate(qs, tau, d, depth, prec)) == bits_of(want)
+        return
+    if read == "branching":
+        record, call = _fresh(qs, tau, 1, depth, prec), lambda: branching_factors(
+            qs, tau, depth, prec)
+    else:
+        record, call = _fresh(qs, tau, d, depth, prec), lambda: lower_cantor_count(
+            qs, tau, d, depth, prec)
+    try:
+        want = record.lower
+    except RegimeViolationError as exc:
+        with pytest.raises(RegimeViolationError) as got:
+            call()
+        assert (got.value.level, str(got.value)) == (exc.level, str(exc))
+        return
+    if read == "branching":
+        assert call() == want.branching_1d
+        return
+    got = call()
+    assert (got.depth, got.d, got.count, got.branching_1d) == (want.depth, want.d, want.count,
+                                                               want.branching_1d)
+    assert bits_of(got.s_hat) == bits_of(want.s_hat)
+
+
+READS = ("cover", "upper", "lower", "branching")
+
+
+def test_the_walk_is_keyed_by_every_argument():
+    # one sequence under each argument in turn, each read after the others
+    qs = generate(PowerSpec(13, F(12, 5)), 4)
+    args = [(F(1, 2), 1, 64), (F(1, 2), 2, 64), (F(1, 2), 2, 128), (F(1), 2, 128),
+            (F(1), 1, 128), (F(1, 2), 1, 64)]
+    for tau, d, prec in args + args[::-1]:
+        for depth in (2, 4, 3):
+            for read in READS:
+                _reads_as_fresh(read, qs, tau, d, depth, prec)
+
+
+def test_an_equal_key_of_another_type_is_another_call():
+    # 2.0 == 2 and True == 1, but the calls raise or give what they did
+    # before any walk was kept
+    qs = QSequence((4, 100, 20000))
+    upper_dim_estimate(qs, F(1, 2), 2, 3, 64)
+    with pytest.raises(TypeError):
+        upper_dim_estimate(qs, F(1, 2), 2.0, 3, 64)
+    with pytest.raises(TypeError):
+        upper_dim_estimate(qs, F(1, 2), 2, 3, 64.0)
+    assert upper_cover_count(qs, F(1, 2), 1, 3, 64).d == 1
+    assert upper_cover_count(qs, F(1, 2), True, 3, 64).d is True
+
+
+@st.composite
+def walk_sequences(draw):
+    """Short sequences: the bracket's, or slowly growing small terms, whose
+    subdivision has empty levels."""
+    if draw(st.booleans()):
+        return draw(bracket_sequences())
+    steps = draw(st.lists(st.integers(1, 300), min_size=1, max_size=5))
+    return QSequence(tuple(2 + sum(steps[:i + 1]) for i in range(len(steps))))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(walk_sequences(), min_size=3, max_size=3), st.data())
+def test_shared_walks_read_what_fresh_walks_read(seqs, data):
+    """Per-depth calls in a random order over more (sequence, tau, d, prec)
+    walks than the cache holds, so walks are evicted and started again."""
+    keys = [(qs, tau, d, prec) for qs in seqs for tau in (F(1, 2), F(1)) for d in (1, 2)
+            for prec in (16, 64)]
+    assert len(keys) > dimension._WALK_CACHE_SIZE
+    reads = data.draw(st.lists(st.tuples(st.sampled_from(keys), st.integers(0, 5),
+                                         st.sampled_from(READS)), min_size=20, max_size=60))
+    for (qs, tau, d, prec), k, read in reads:
+        _reads_as_fresh(read, qs, tau, d, 1 + k % len(qs), prec)
+
+
+def test_a_walk_that_raises_is_not_kept(monkeypatch):
+    qs, tau = generate(PowerSpec(13, F(12, 5)), 6), F(1, 2)
+    dimension._walks.clear()
+    upper_dim_estimate(qs, tau, 2, 2, 64)
+    inner, failed = dimension.dir_pow, []
+
+    def fails_once(q, e, prec=None):
+        if not failed:
+            failed.append(q)
+            raise ArithmeticError("injected")
+        return inner(q, e, prec)
+
+    monkeypatch.setattr(dimension, "dir_pow", fails_once)
+    with pytest.raises(ArithmeticError, match="injected"):
+        upper_dim_estimate(qs, tau, 2, 5, 64)   # the power of q_2, for depth 3
+    assert failed == [qs.terms[1]]
+    for depth in (5, 2, 6):
+        for read in READS:
+            _reads_as_fresh(read, qs, tau, 2, depth, 64)
+
+
+def test_a_shallow_call_walks_no_deeper(monkeypatch):
+    # the terms past q_2 are too large for any power to finish in time
+    qs = QSequence((5, 200, 1 << 100_000, 1 << (1 << 22)))
+    dimension._walks.clear()
+    inner, powers = dimension.dir_pow, []
+
+    def counted(q, e, prec=None):
+        powers.append(q)
+        return inner(q, e, prec)
+
+    monkeypatch.setattr(dimension, "dir_pow", counted)
+    upper_dim_estimate(qs, F(1, 2), 2, 2, 64)
+    lower_cantor_count(qs, F(1, 2), 2, 2, 64)
+    assert len(powers) <= 2 and set(powers) <= {5, 200}
+
+
+def test_threads_that_share_the_walks_read_what_fresh_walks_read():
+    # more threads than cores, switching often, over more walks than the
+    # cache holds: a walk stepped by two threads at once, or an eviction that
+    # races another, would raise or give another record
+    seqs = [generate(PowerSpec(q1, F(12, 5)), 5) for q1 in (10, 11, 12, 13, 14)]
+    keys = [(qs, tau, d) for qs in seqs for tau in (F(1, 2), F(1)) for d in (1, 2)]
+    assert len(keys) > dimension._WALK_CACHE_SIZE
+    want = {(qs, tau, d, depth): bits_of(_fresh(qs, tau, d, depth, 64).upper)
+            for qs, tau, d in keys for depth in range(1, 6)}
+    errors, wrong = [], []
+
+    def reader(seed):
+        rng = random.Random(seed)
+        try:
+            for _ in range(400):
+                qs, tau, d = rng.choice(keys)
+                depth = rng.randint(1, 5)
+                if bits_of(upper_dim_estimate(qs, tau, d, depth, 64)) != want[qs, tau, d, depth]:
+                    wrong.append((qs, tau, d, depth))
+        except Exception as exc:  # reported below, with the thread's seed
+            errors.append((seed, exc))
+
+    threads = [threading.Thread(target=reader, args=(seed,)) for seed in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == [] and wrong == []
+    assert len(dimension._walks) <= dimension._WALK_CACHE_SIZE

@@ -19,6 +19,11 @@ start from a cold cache (``kernel_calls``); the last tests check the depth
 up to which a call's logs fit in the cache, what the cache shares across
 calls, that it stays within its bound, and that past the bound it still
 gives the kernel's brackets bit for bit.
+
+The per-depth calls of ``dimension`` share one walk per (sequence, tau, d,
+prec) through its walk cache, which every count fixture empties with the
+log2 cache; two tests check what a caller that steps the depths of one walk
+takes, and that the walk cache stays within its bound.
 """
 
 import math
@@ -62,6 +67,8 @@ from liminfdim.sequences import (
     validate_regime,
 )
 
+from reference import bits_of
+
 ROOT = Path(__file__).resolve().parent.parent
 
 PREC = 1024
@@ -72,21 +79,27 @@ SEQUENCES = [
 ]
 
 
+def _empty_caches():
+    """Empty the process's log2 cache and the dimension layer's walk cache."""
+    numerics._log2_cached.cache_clear()
+    dimension._walks.clear()
+
+
 class _Evaluations(list):
     """Kernel evaluations since the list was last emptied.  Emptying it
-    empties the process's log2 cache too, so each count starts cold and
-    counts the evaluations within the calls it covers."""
+    empties the process's log2 cache and walk cache too, so each count starts
+    cold and counts the evaluations within the calls it covers."""
 
     def __delitem__(self, index):
-        numerics._log2_cached.cache_clear()
+        _empty_caches()
         super().__delitem__(index)
 
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
     """Count the evaluations of the log2 kernel behind every public log, from
-    a cold log2 cache."""
-    numerics._log2_cached.cache_clear()
+    a cold log2 cache and walk cache."""
+    _empty_caches()
     calls = _Evaluations()
     inner = numerics._log2_bracket
 
@@ -100,8 +113,10 @@ def kernel_calls(monkeypatch):
 
 @pytest.fixture
 def pow_calls(monkeypatch):
-    """Count the dir_pow calls of the dimension layer, its only caller here."""
-    calls = []
+    """Count the dir_pow calls of the dimension layer, its only caller here,
+    from a cold walk cache."""
+    _empty_caches()
+    calls = _Evaluations()
     inner = dimension.dir_pow
 
     def counted(q, e, prec=None):
@@ -147,8 +162,10 @@ def _read_all(record):
 
 @pytest.fixture
 def products(monkeypatch):
-    """Count the interval products, which build the cover count."""
-    calls = []
+    """Count the interval products, which build the cover count, from a cold
+    walk cache."""
+    _empty_caches()
+    calls = _Evaluations()
     inner = Enclosure.__mul__
 
     def counted(a, b):
@@ -273,10 +290,6 @@ PRECS = st.sampled_from([8, 16, 53, 128, 300])
 TAUS = st.sampled_from([F(1, 2), F(1), F(3, 2), F(2, 3), F(5, 1)])
 
 
-def _bits_of(enc):
-    return tuple((d.mantissa, d.exponent, d.direction) for d in (enc.lo, enc.hi))
-
-
 def _reference_power_exponent_of(a, b):
     """k >= 1 with b**k == a, if one exists."""
     if a == b:
@@ -311,12 +324,12 @@ def test_stats_match_log_ratio_bit_for_bit(terms, prec):
     qs = QSequence(terms)
     stats = exponent_stats(qs, prec)
     for j, h in enumerate(stats.h_list):
-        ref = _bits_of(reference_log_ratio(terms[j + 1], terms[j], prec))
-        assert _bits_of(h) == _bits_of(log_ratio(terms[j + 1], terms[j], prec)) == ref
+        ref = bits_of(reference_log_ratio(terms[j + 1], terms[j], prec))
+        assert bits_of(h) == bits_of(log_ratio(terms[j + 1], terms[j], prec)) == ref
     prefix = terms[0]
     for j, alpha in enumerate(stats.alpha_list, start=1):
-        ref = _bits_of(reference_log_ratio(prefix, terms[j], prec))
-        assert _bits_of(alpha) == _bits_of(log_ratio(prefix, terms[j], prec)) == ref
+        ref = bits_of(reference_log_ratio(prefix, terms[j], prec))
+        assert bits_of(alpha) == bits_of(log_ratio(prefix, terms[j], prec)) == ref
         prefix *= terms[j]
 
 
@@ -344,7 +357,7 @@ def test_log_ratio_matches_reference(a, b, prec, power):
     if power is not None:
         a = b ** power        # exact ratios, and their reciprocals below
     for x, y in ((a, b), (b, a)):
-        assert _bits_of(log_ratio(x, y, prec)) == _bits_of(reference_log_ratio(x, y, prec))
+        assert bits_of(log_ratio(x, y, prec)) == bits_of(reference_log_ratio(x, y, prec))
 
 
 @settings(max_examples=60, deadline=None)
@@ -414,13 +427,13 @@ def test_series_matches_per_depth_bit_for_bit(terms, prec, tau, d):
         raw, side = _reference_cover(terms, tau, d, J, prec)
         cover = upper_cover_count(qs, tau, d, J, prec)
         for got in (rec, cover):
-            assert _bits_of(got.raw_count) == _bits_of(raw)
-            assert _bits_of(got.side) == _bits_of(side)
+            assert bits_of(got.raw_count) == bits_of(raw)
+            assert bits_of(got.side) == bits_of(side)
             assert (got.count.min, got.count.max) == (max(raw.lo.floor(), 1), raw.hi.ceil())
-        assert _bits_of(rec.upper) == _bits_of(upper_dim_estimate(qs, tau, d, J, prec))
+        assert bits_of(rec.upper) == bits_of(upper_dim_estimate(qs, tau, d, J, prec))
         num = raw.log2(prec)
         den = log2_int(terms[J - 1], prec).mul_frac(1 + tau, prec)
-        assert _bits_of(rec.upper) == _bits_of(num.div(den, prec))
+        assert bits_of(rec.upper) == bits_of(num.div(den, prec))
         ref = _reference_branching(terms, tau, J, prec)
         if isinstance(ref, int):
             for read in (lambda: rec.lower, lambda: lower_cantor_count(qs, tau, d, J, prec),
@@ -435,7 +448,7 @@ def test_series_matches_per_depth_bit_for_bit(terms, prec, tau, d):
         sub = lower_cantor_count(qs, tau, d, J, prec)
         assert rec.lower.count == sub.count == math.prod(b ** d for b in ref)
         assert rec.lower.branching_1d == sub.branching_1d == ref
-        assert _bits_of(rec.lower.s_hat) == _bits_of(sub.s_hat) == _bits_of(
+        assert bits_of(rec.lower.s_hat) == bits_of(sub.s_hat) == bits_of(
             log2_int(sub.count, prec).div(den, prec))
 
 
@@ -476,6 +489,59 @@ def test_stats_take_each_log_once_up_to_65_terms(kernel_calls):
     assert len(set(kernel_calls)) == 128
 
 
+# -- the walk the per-depth calls share --------------------------------------
+
+@pytest.fixture
+def log2_calls(monkeypatch):
+    """Count the log2_int calls of the dimension layer by their integers."""
+    calls = []
+    inner = dimension.log2_int
+
+    def counted(n, prec=None):
+        calls.append(n)
+        return inner(n, prec)
+
+    monkeypatch.setattr(dimension, "log2_int", counted)
+    return calls
+
+
+@pytest.mark.parametrize("qs", SEQUENCES + [QSequence((3, 8, 100, 20000))],
+                         ids=lambda qs: f"J{len(qs)}q{qs.terms[0]}")
+def test_stepping_the_depths_takes_each_factor_and_log_once(qs, pow_calls, kernel_calls,
+                                                           log2_calls):
+    # the two estimates of depths 1..D in order, as a caller that steps a
+    # sequence's depths makes them: the calls read one walk, which takes the
+    # power of each level but the last once, and log2 q_J once per depth,
+    # which the subdivision's log2 M then shares
+    for J in range(1, len(qs) + 1):
+        del log2_calls[:]
+        upper_dim_estimate(qs, TAU, 2, J, PREC)
+        try:
+            m = [lower_cantor_count(qs, TAU, 2, J, PREC).count]
+        except RegimeViolationError:
+            m = []
+        assert log2_calls == [qs.terms[J - 1]] + m
+    assert [q for q, _, _ in pow_calls] == list(qs.terms[:-1])
+    assert all(kernel_calls.count((q, PREC)) == 1 for q in qs.terms)
+
+
+def test_walk_cache_stays_within_its_bound(pow_calls):
+    # past the bound, the least recently read walks make room
+    size = dimension._WALK_CACHE_SIZE
+    seqs = [QSequence((3 + k, 1000 + k)) for k in range(2 * size + 1)]
+    for qs in seqs[:2 * size]:
+        upper_cover_count(qs, TAU, 1, 2, 16)
+        assert len(dimension._walks) <= size
+    assert [key[0] for key in dimension._walks] == seqs[size:2 * size]
+    # a kept walk is read without a power, and is then the most recent
+    taken = len(pow_calls)
+    upper_cover_count(seqs[size], TAU, 1, 2, 16)
+    assert len(pow_calls) == taken
+    upper_cover_count(seqs[-1], TAU, 1, 2, 16)
+    assert [key[0] for key in dimension._walks] == seqs[size + 2:2 * size] + [seqs[size],
+                                                                            seqs[-1]]
+
+
 def test_log2_cache_stays_within_its_bound():
     # past the bound, the oldest entries make room
     for n in range(3, 3 + 2 * numerics.LOG2_CACHE_SIZE):
@@ -496,17 +562,17 @@ def test_cache_gives_the_kernels_brackets(bits, low, precs, shift):
     ns = [(1 << b) | (low & ((1 << b) - 1)) | 1 for b in bits]
     pairs = list(zip(ns, ns[1:] + ns[:1]))
     kernel = {(n, prec): numerics._log2_bracket(n, prec) for n in ns for prec in precs}
-    ratio = {(a, b, prec): _bits_of(reference_log_ratio(a, b, prec))
+    ratio = {(a, b, prec): bits_of(reference_log_ratio(a, b, prec))
              for a, b in pairs for prec in precs}
     e = DirectedReal.from_int(shift)
     for _ in range(2):          # the second round reads kept and evicted entries
         for a, b in pairs:
             for prec in precs:
-                assert _bits_of(log2_int(a, prec)) == _bits_of(kernel[a, prec])
+                assert bits_of(log2_int(a, prec)) == bits_of(kernel[a, prec])
                 lo, hi = sorted((a, b))
                 enc = Enclosure(DirectedReal(lo, shift, DOWN), DirectedReal(hi, shift, UP))
                 want = Enclosure(kernel[lo, prec].lo + e, kernel[hi, prec].hi + e)
-                assert _bits_of(enc.log2(prec)) == _bits_of(want)
-                assert _bits_of(log_ratio(a, b, prec)) == ratio[a, b, prec]
+                assert bits_of(enc.log2(prec)) == bits_of(want)
+                assert bits_of(log_ratio(a, b, prec)) == ratio[a, b, prec]
             # one n at two precisions: two brackets of different widths
-            assert _bits_of(log2_int(a, precs[0])) != _bits_of(log2_int(a, precs[1]))
+            assert bits_of(log2_int(a, precs[0])) != bits_of(log2_int(a, precs[1]))

@@ -3,7 +3,8 @@
 Deleting the ``liminfdim`` modules from ``sys.modules`` and importing them
 again (as a benchmark or a notebook reload does) must leave nothing that
 holds the old modules' classes, the old ``numerics``' log2 cache of its
-``Enclosure`` instances included.  A type alias written with ``typing``'s
+``Enclosure`` instances and the old ``dimension``'s walk cache of its
+``CoverReport`` instances included.  A type alias written with ``typing``'s
 subscript forms (``Union[...]``, ``typing.Callable[...]``) is kept in
 ``typing``'s per-form cache, and each copy of the classes it names stays
 alive through it, with everything those classes reach.
@@ -43,6 +44,9 @@ def exercise():
     from liminfdim.config import load_config
     for cfg in ("power4_bracket.cfg", "multiplicative.cfg"):
         run(load_config(sys.argv[1] + "/" + cfg), canonical=True)
+    from liminfdim.dimension import upper_dim_estimate
+    from liminfdim.sequences import QSequence
+    upper_dim_estimate(QSequence((4, 100, 20000)), 1)
 
 
 def classes():
@@ -59,6 +63,8 @@ old = classes()
 exercise()
 # the process's log2 cache holds the old Enclosure class's instances
 assert sys.modules["liminfdim.numerics"]._log2_cached.cache_info().currsize > 0
+# and its walk cache the old CoverReport class's
+assert sys.modules["liminfdim.dimension"]._walks
 del liminfdim
 for name in [n for n in sys.modules if n == "liminfdim" or n.startswith("liminfdim.")]:
     del sys.modules[name]

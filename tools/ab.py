@@ -2,6 +2,7 @@
 
     python3 tools/ab.py --base REV --bytes
     python3 tools/ab.py --base REV --workload W --pairs N --seconds S [--first-seed F] [--tiny]
+    python3 tools/ab.py --base REV --workload W --counts [--first-seed F] [--tiny]
 
 Both modes export the package source of REV with ``git archive`` (a local
 read of the repository: no network, no worktree) into a temporary directory
@@ -39,6 +40,16 @@ or more pairs and the medians differ by more than the base's interquartile
 range, and "same" otherwise.  The exit status is 1 when a run is not
 ``correct`` or has a failed operation, 2 when REV cannot be exported, and 0
 otherwise.
+
+``--workload W --counts`` runs W traced instead (``perfbench/run.py --trace
+1``), once per side on seed F, from the same temporary trees, the base
+first.  A traced run counts over a fixed window of operations, so its
+counters repeat exactly for a seed and a package.  It prints, side by side,
+every ``.calls`` counter of ``BENCHMARK.json``'s per-layer metrics and the
+exact counters ``log_distinct_frac``, ``arcs_built``,
+``child_ranges_per_ball`` and ``squares``, each per operation of the
+window, with a ``*`` before each one that differs.  The exit status is as
+for the paired runs.
 """
 
 from __future__ import annotations
@@ -67,6 +78,10 @@ CLI_REPORTS_SEEDS = (1, 2)
 # a gain needs nine wins in ten over at least this many pairs: two or three
 # pairs won by chance are no gain
 MIN_PAIRS_FOR_GAIN = 10
+# the per-layer metrics of a traced run, besides the ``.calls`` counters,
+# that count and so repeat exactly
+EXACT_COUNTERS = ("numerics.log_distinct_frac", "level_sets.arcs_built",
+                  "cantor.child_ranges_per_ball", "multiplicative.squares")
 
 # Run in each side's subprocess, with that side's ``src`` first on the path:
 # reads [name, argv] jobs from stdin, runs each through ``cli.main`` in the
@@ -212,12 +227,20 @@ def bench_tree(src: Path, dest: Path) -> Path:
     return dest
 
 
-def bench_run(tree: Path, workload: str, seed: int, seconds: int, tiny: bool) -> dict:
-    """One untraced benchmark run from ``tree``: the JSON object of its last
-    line of output, or ``{"correct": False, "error": ...}`` when it printed
-    none."""
+def bench_trees(base_src: Path, head_src: Path, workdir: Path) -> dict[str, Path]:
+    """The base's and the head's benchmark trees under ``workdir``."""
+    return {side: bench_tree(src, workdir / side)
+            for side, src in (("base", base_src), ("head", head_src))}
+
+
+def bench_run(tree: Path, workload: str, seed: int, seconds: int, tiny: bool,
+              traced: bool = False) -> dict:
+    """One benchmark run from ``tree``, untraced unless ``traced``: the JSON
+    object of its last line of output, or ``{"correct": False, "error":
+    ...}`` when it printed none."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0", *(["--tiny"] if tiny else [])]
+            "--seconds", str(seconds), "--trace", "1" if traced else "0",
+            *(["--tiny"] if tiny else [])]
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True,
                           env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
     lines = proc.stdout.strip().splitlines()
@@ -232,8 +255,7 @@ def run_pairs(base_src: Path, head_src: Path, workload: str, seeds: list[int],
               seconds: int, tiny: bool, workdir: Path) -> list[tuple[dict, dict]]:
     """(base, head) results of one pair of runs per seed; the base runs
     first in the first pair, and the first side alternates after that."""
-    trees = {side: bench_tree(src, workdir / side)
-             for side, src in (("base", base_src), ("head", head_src))}
+    trees = bench_trees(base_src, head_src, workdir)
     pairs = []
     for i, seed in enumerate(seeds):
         order = ("base", "head") if i % 2 == 0 else ("head", "base")
@@ -243,6 +265,37 @@ def run_pairs(base_src: Path, head_src: Path, workload: str, seeds: list[int],
               + ", ".join(f"{side} {_headline(out[side])}" for side in ("base", "head")),
               flush=True)
     return pairs
+
+
+def run_counts(base_src: Path, head_src: Path, workload: str, seed: int, tiny: bool,
+               workdir: Path) -> tuple[dict, dict]:
+    """(base, head) results of one traced run per side, the base first."""
+    trees = bench_trees(base_src, head_src, workdir)
+    base, head = (bench_run(trees[side], workload, seed, 1, tiny, traced=True)
+                  for side in ("base", "head"))
+    return base, head
+
+
+def count_lines(base: dict, head: dict, metrics: list[dict]) -> list[str]:
+    """One line per ``.calls`` counter and exact counter among ``metrics``,
+    in their order: both values, a ``*`` first where they differ; then the
+    number that differ.  Nothing when a run printed no metrics."""
+    if not ("metrics" in base and "metrics" in head):
+        return []
+    names = [m["name"] for m in metrics
+             if m["name"].endswith(".calls") or m["name"] in EXACT_COUNTERS]
+    lines = [f"  {'counter, per operation':<45} {'base':>14} {'head':>14}"]
+    differ = 0
+    for name in names:
+        b, h = (r["metrics"].get(name, {}).get("value") for r in (base, head))
+        differ += b != h
+        lines.append(f"{'*' if b != h else ' '} {name:<45} {_count(b):>14} {_count(h):>14}")
+    lines.append(f"{differ} of {len(names)} counters differ")
+    return lines
+
+
+def _count(value: Optional[float]) -> str:
+    return "-" if value is None else f"{value:.10g}"
 
 
 def _headline(result: dict) -> str:
@@ -316,9 +369,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--first-seed", type=int, default=1,
                         help="the seed of the first pair; each next pair takes the next seed")
     parser.add_argument("--tiny", action="store_true", help="the workload's tiny inputs")
+    parser.add_argument("--counts", action="store_true",
+                        help="with --workload: compare the counters of one traced run per side")
     args = parser.parse_args(argv)
     if args.pairs < 1 or args.seconds < 1:
         parser.error("--pairs and --seconds must be at least 1")
+    if args.counts and not args.workload:
+        parser.error("--counts needs --workload")
     with tempfile.TemporaryDirectory(prefix="liminfdim-ab-") as tmp:
         work = Path(tmp)
         try:
@@ -326,6 +383,17 @@ def main(argv: Optional[list[str]] = None) -> int:
         except ValueError as exc:
             print(f"ab: {exc}", file=sys.stderr)
             return 2
+        spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+        if args.counts:
+            print(f"{args.workload}: {args.base} (base) against the working tree (head), "
+                  f"one traced run each, seed {args.first_seed}"
+                  + (", tiny" if args.tiny else ""), flush=True)
+            pair = run_counts(base_src, ROOT / "src", args.workload, args.first_seed,
+                              args.tiny, work)
+            bad = failures([pair])
+            for line in count_lines(*pair, spec["per_layer"]) + bad:
+                print(line)
+            return 1 if bad else 0
         if args.workload:
             seeds = list(range(args.first_seed, args.first_seed + args.pairs))
             print(f"{args.workload}: {args.base} (base) against the working tree (head), "
@@ -333,7 +401,6 @@ def main(argv: Optional[list[str]] = None) -> int:
                   + (", tiny" if args.tiny else ""), flush=True)
             pairs = run_pairs(base_src, ROOT / "src", args.workload, seeds, args.seconds,
                               args.tiny, work)
-            spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
             bad = failures(pairs)
             for line in summary(pairs, spec["end_to_end"]) + bad:
                 print(line)

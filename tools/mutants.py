@@ -1,7 +1,7 @@
 """Mutation runner for the Cantor tree, the level builder, the numeric kernels,
 the fast log2's Ziv test and the log2 cache, the sequence families and the
-regime check, the dimension estimators, the multiplicative cover, its report
-strings and the rows ``render_json`` writes.
+regime check, the dimension estimators and the walk cache they share, the
+multiplicative cover, its report strings and the rows ``render_json`` writes.
 
 Applies a fixed table of small code changes, one at a time, to a copy of
 the repository under a temporary directory.  Each entry of ``MUTANTS``
@@ -85,7 +85,7 @@ level_sets = _group("src/liminfdim/level_sets.py", "tests/test_level_sets.py",
 multiplicative = _group("src/liminfdim/multiplicative.py", "tests/test_multiplicative.py",
                         "tests/test_cli.py")
 dimension = _group("src/liminfdim/dimension.py", "tests/test_dimension.py",
-                   "tests/test_golden.py", "tests/test_acceptance.py")
+                   "tests/test_log_table.py", "tests/test_golden.py", "tests/test_acceptance.py")
 report = _group("src/liminfdim/report.py", "tests/test_report.py", "tests/test_cli.py",
                 "tests/test_golden.py")
 sequences = _group("src/liminfdim/sequences.py", "tests/test_sequences.py",
@@ -286,6 +286,16 @@ MUTANTS: dict[str, Mutant] = {
     "theoretical_dimension: no clamp": dimension("if raw < 0:", "if False:"),
     "raw_count: one factor too many": dimension("for _ in range(self.d - 1):",
                                                 "for _ in range(self.d):"),
+    "walk key drops d": dimension("key = (qs, tau, d, p,", "key = (qs, tau, p,"),
+    "walk key drops prec": dimension("key = (qs, tau, d, p,", "key = (qs, tau, d,"),
+    "walk key drops tau": dimension("key = (qs, tau, d, p,", "key = (qs, d, p,"),
+    "walk key drops the types": dimension("p, type(d), type(p))", "p)"),
+    "error leaves the walk cached": dimension("_walks.pop(key, None)", "_walks.get(key, None)"),
+    "walk past the depth asked": dimension("while len(records) < depth:",
+                                           "while len(records) < len(qs):"),
+    "walk cache unbounded": dimension("if len(_walks) > _WALK_CACHE_SIZE:", "if False:"),
+    "walk cache evicts the newest": dimension("del _walks[next(iter(_walks))]",
+                                              "_walks.popitem()"),
     "alpha: one term off": sequences(
         "alpha_list.append(log_ratio(prefix_product, terms[j], prec)) prefix_product *= terms[j]",
         "prefix_product *= terms[j]\n"
