@@ -12,11 +12,11 @@ Both converge to d*(1 - tau*alpha)/(tau+1) for the monotone built-in
 families; at finite depth each can sit on either side of the limit, so
 results are certified enclosures of the estimator values themselves.
 
-Both are products over the levels 1..J, so ``depth_series`` builds the
-records of all depths in one walk.  The per-depth calls read their record
-from one walk per (sequence, tau, d, precision) that the process keeps
-while it is among the ``_WALK_CACHE_SIZE`` most recently used, extended
-only as deep as a call has asked.
+Both are products over the levels 1..J, so one walk builds the records of
+all depths, each extending the one before it.  ``depth_series`` and the
+per-depth calls all read the process's one walk per (sequence, tau, d,
+precision), kept while it is among the ``_WALK_CACHE_SIZE`` most recently
+read and extended only as deep as a call has asked.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ import math
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from typing import Iterator, Optional, Union
+from functools import cached_property, lru_cache
+from typing import Optional, Union
 
 from .level_sets import CertifiedCount
 from .numerics import Enclosure, _resolve_prec, dir_pow, log2_int
@@ -72,6 +72,8 @@ def theoretical_dimension(
     if d < 1:
         raise ValueError("dimension must be >= 1")
     if isinstance(alpha, Enclosure):
+        if alpha.lo.mantissa < 0:
+            raise ValueError("alpha must be nonnegative")
         p = _resolve_prec(prec)
         num = (-alpha.mul_frac(tau, p)).add_int(1)
         val = num.scale_int(d).mul_frac(Fraction(1, tau + 1), p)
@@ -171,59 +173,57 @@ class CoverReport:
         return num.div(den, self.prec)
 
 
-def depth_series(qs: QSequence, tau: Fraction, d: int = 1,
-                 prec: Optional[int] = None) -> Iterator[CoverReport]:
-    """The records of depths 1..len(qs) in one walk: each level factor
-    q_k**-(1+tau) is taken once and feeds both the cover count
-    N = q_1**d * prod_{k=2..J} (4 q_{k-1}**-(1+tau) q_k + 2)**d, computed
-    whatever the growth regime, and the branching floor(q_k / q_{k-1}**(1+tau))
-    on the certified lower bound, which stops at the first empty level."""
-    tau = Fraction(tau)
-    p = _resolve_prec(prec)
-    record, branching = None, (qs.terms[0],)
-    for j, q in enumerate(qs.terms, start=1):
-        if record is not None and isinstance(branching, tuple):
-            b = record.shrink.scale_int(q).lo.floor()
-            branching = branching + (b,) if b >= 1 else j
-        record = CoverReport(depth=j, d=d, tau=tau, branching=branching, q=q, prec=p,
-                             parent=record)
-        yield record
-
-
-# The walks of ``depth_series`` that the per-depth calls share, each with the
-# records read from it so far, least recently used first.  A caller that steps
-# a few sequences' depths side by side comes back to a walk after a dozen
-# others (bracket-highprec has about ten in flight).  At 1024 bits a walk of
-# ten depths whose estimates have all been read holds 35-95 KB, so a full
-# cache at most about 1.5 MB.  A walk is taken out of the cache, under the
-# lock, while one call extends it, so no two threads step one walk.
+# The records of a walk read so far, kept for the ``_WALK_CACHE_SIZE`` keys
+# read most recently; ``typed``, as 2 == 2.0 but their calls differ.  A caller
+# that steps a few sequences' depths side by side comes back to a walk after
+# a dozen others (bracket-highprec has about ten in flight).  At 1024 bits a
+# walk of ten depths whose estimates have all been read holds 35-95 KB, so a
+# full cache at most about 1.5 MB.
 _WALK_CACHE_SIZE = 16
-_walks: dict[tuple, tuple[Iterator[CoverReport], list[CoverReport]]] = {}
-_walks_lock = threading.Lock()
+_walk_lock = threading.Lock()  # one thread at a time extends a walk
 
 
-def _record_at(qs, tau, d, depth, prec) -> CoverReport:
-    """The depth-J record of ``depth_series``, J = len(qs) by default.
+@lru_cache(maxsize=_WALK_CACHE_SIZE, typed=True)
+def _walk(qs, tau, d, prec) -> list[CoverReport]:
+    """The records of (qs, tau, d, prec) read so far, depth 1 first."""
+    return []
 
-    It comes from the process's walk of (qs, tau, d, prec), which is extended
-    up to depth J and never past it, so a later call at any depth up to J
-    reads the same record, its computed fields included.  A walk that raises
-    while it is extended is dropped, and the next call starts a new one.
-    """
+
+def _records(qs, tau, d, depth, prec) -> list[CoverReport]:
+    """The records of depths 1..J, J = len(qs) by default, of the walk of
+    (qs, tau, d, prec) that every call shares, extended one record per depth
+    up to J and never past it, so a step that raises adds nothing.  A step
+    takes the level factor q_{k-1}**-(1+tau) once, for both the cover count
+    N = q_1**d * prod_{k=2..J} (4 q_{k-1}**-(1+tau) q_k + 2)**d, computed
+    whatever the growth regime, and the branching floor(q_k /
+    q_{k-1}**(1+tau)) on the certified lower bound, which stops at the first
+    empty level."""
     depth = len(qs) if depth is None else depth
     if not 1 <= depth <= len(qs):
         raise ValueError(f"depth must be in 1..{len(qs)}")
     tau, p = Fraction(tau), _resolve_prec(prec)
-    key = (qs, tau, d, p, type(d), type(p))  # 2 == 2.0, but the calls differ
-    with _walks_lock:
-        steps, records = _walks.pop(key, None) or (depth_series(qs, tau, d, p), [])
-    while len(records) < depth:
-        records.append(next(steps))
-    with _walks_lock:
-        _walks[key] = steps, records
-        if len(_walks) > _WALK_CACHE_SIZE:
-            del _walks[next(iter(_walks))]
-    return records[depth - 1]
+    if tau <= 0:
+        raise ValueError("tau must be positive")
+    if d < 1:
+        raise ValueError("dimension must be >= 1")
+    with _walk_lock:
+        records = _walk(qs, tau, d, p)
+        for q in qs.terms[len(records):depth]:
+            parent = records[-1] if records else None
+            branching = (q,) if parent is None else parent.branching
+            if parent is not None and isinstance(branching, tuple):
+                b = parent.shrink.scale_int(q).lo.floor()
+                branching = branching + (b,) if b >= 1 else len(records) + 1
+            records.append(CoverReport(depth=len(records) + 1, d=d, tau=tau,
+                                       branching=branching, q=q, prec=p, parent=parent))
+        return records[:depth]
+
+
+def depth_series(qs: QSequence, tau: Fraction, d: int = 1,
+                 prec: Optional[int] = None) -> list[CoverReport]:
+    """The records of depths 1..len(qs), a copy of the walk that the
+    per-depth calls share (``_records``)."""
+    return _records(qs, tau, d, None, prec)
 
 
 def upper_cover_count(qs: QSequence, tau: Fraction, d: int = 1, depth: Optional[int] = None,
@@ -231,9 +231,9 @@ def upper_cover_count(qs: QSequence, tau: Fraction, d: int = 1, depth: Optional[
     """Cover of the depth-J intersection by boxes of side 2 q_J**-(1+tau).
 
     The record of ``depth_series`` at depth J, from the walk the per-depth
-    calls share (``_record_at``).  Takes no logarithm.
+    calls share (``_records``).  Takes no logarithm.
     """
-    return _record_at(qs, tau, d, depth, prec)
+    return _records(qs, tau, d, depth, prec)[-1]
 
 
 def upper_dim_estimate(qs: QSequence, tau: Fraction, d: int = 1, depth: Optional[int] = None,
@@ -247,7 +247,7 @@ def upper_dim_estimate(qs: QSequence, tau: Fraction, d: int = 1, depth: Optional
     d*(1-tau*alpha)/(tau+1) for the monotone families.  Uses the
     pre-rounding product as numerator, which the integer count brackets.
     """
-    return _record_at(qs, tau, d, depth, prec).upper
+    return _records(qs, tau, d, depth, prec)[-1].upper
 
 
 @dataclass(frozen=True)
@@ -269,7 +269,7 @@ def branching_factors(qs: QSequence, tau: Fraction, depth: Optional[int] = None,
     calls share, with d = 1; a zero raises ``RegimeViolationError``, a new
     one on each call.  Takes no logarithm.
     """
-    return _record_at(qs, tau, 1, depth, prec).branching_1d
+    return _records(qs, tau, 1, depth, prec)[-1].branching_1d
 
 
 def lower_cantor_count(qs: QSequence, tau: Fraction, d: int = 1, depth: Optional[int] = None,
@@ -279,4 +279,4 @@ def lower_cantor_count(qs: QSequence, tau: Fraction, d: int = 1, depth: Optional
     of its record in the walk the per-depth calls share, which has its log2
     q_J when ``upper_dim_estimate`` has read that depth; reads no power of q_J.
     """
-    return _record_at(qs, tau, d, depth, prec).lower
+    return _records(qs, tau, d, depth, prec)[-1].lower

@@ -6,19 +6,22 @@ membership of a point in an arc list, a cover or an enclosure, a cover
 built by hand on a grid too fine for ``hyperbolic_cover``, a node's
 1-d arc in a Cantor tree, a tree's child range as one ``residue_span``
 call, a random leaf path walked down a tree, a radius function that
-ignores q, and the log2 kernel as it was when it squared both ends of its
-working interval.
+ignores q, the log2 kernel as it was when it squared both ends of its
+working interval, and the depth series as a generator that steps a fresh
+walk of its own, which no call shares.
 """
 
 import random
 from fractions import Fraction
 from math import ceil, floor
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from liminfdim.cantor import CantorTree
+from liminfdim.dimension import CoverReport
 from liminfdim.level_sets import ArcList, RadiusFn, residue_span
 from liminfdim.multiplicative import SquareCover
-from liminfdim.numerics import DOWN, UP, DirectedReal, Enclosure
+from liminfdim.numerics import DOWN, UP, DirectedReal, Enclosure, _resolve_prec
+from liminfdim.sequences import QSequence
 
 
 def count_shifted_rationals(a: Fraction, b: Fraction, theta: Fraction, q: int) -> int:
@@ -157,3 +160,22 @@ def reference_log2_bracket(n: int, prec: int) -> Enclosure:
         raise ArithmeticError("log2 working interval escaped its window")
     return Enclosure(DirectedReal((e0 << steps) + acc - 1, -steps, DOWN),
                      DirectedReal((e0 << steps) + acc + 1, -steps, UP))
+
+
+def reference_depth_series(qs: QSequence, tau: Fraction, d: int = 1,
+                           prec: Optional[int] = None) -> Iterator[CoverReport]:
+    """The records of depths 1..len(qs) in one walk: each level factor
+    q_k**-(1+tau) is taken once and feeds both the cover count
+    N = q_1**d * prod_{k=2..J} (4 q_{k-1}**-(1+tau) q_k + 2)**d, computed
+    whatever the growth regime, and the branching floor(q_k / q_{k-1}**(1+tau))
+    on the certified lower bound, which stops at the first empty level."""
+    tau = Fraction(tau)
+    p = _resolve_prec(prec)
+    record, branching = None, (qs.terms[0],)
+    for j, q in enumerate(qs.terms, start=1):
+        if record is not None and isinstance(branching, tuple):
+            b = record.shrink.scale_int(q).lo.floor()
+            branching = branching + (b,) if b >= 1 else j
+        record = CoverReport(depth=j, d=d, tau=tau, branching=branching, q=q, prec=p,
+                             parent=record)
+        yield record

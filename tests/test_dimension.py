@@ -23,7 +23,7 @@ from liminfdim.numerics import Enclosure
 from liminfdim.sequences import (ExplicitSpec, PowerSpec, QSequence, RegimeStatus,
                                  exponent_stats, generate, validate_regime)
 
-from reference import bits_of, enclosure_contains
+from reference import bits_of, enclosure_contains, reference_depth_series
 
 
 class TestTheoreticalDimension:
@@ -38,6 +38,18 @@ class TestTheoreticalDimension:
     def test_clamp_with_flag(self):
         res = theoretical_dimension(F(2), F(3, 4), 1)
         assert res.value == 0 and res.clamped
+
+    def test_negative_alpha_is_refused(self):
+        # a log ratio of integers >= 2 is never negative; an enclosure whose
+        # lower end is, like a negative fraction, is no alpha
+        for alpha in (F(-1), Enclosure.exact_int(-1),
+                      Enclosure(Enclosure.from_fraction(F(-1, 8), 16).lo,
+                                Enclosure.from_fraction(F(1, 3), 16).hi)):
+            with pytest.raises(ValueError, match="alpha must be nonnegative"):
+                theoretical_dimension(F(1, 2), alpha, 1)
+        for alpha in (F(0), Enclosure.exact_int(0)):
+            dv = theoretical_dimension(F(1, 2), alpha, 1)
+            assert enclosure_contains(dv.as_enclosure(64), F(2, 3)) and not dv.clamped
 
     def test_enclosure_path(self):
         alpha = Enclosure.from_fraction(F(1, 3), 128)
@@ -238,7 +250,7 @@ def test_each_read_raises_a_new_regime_error():
 
 def _fresh(qs, tau, d, depth, prec):
     """The depth-J record of a walk that no call shares."""
-    return list(depth_series(qs, tau, d, prec))[depth - 1]
+    return list(reference_depth_series(qs, tau, d, prec))[depth - 1]
 
 
 def _reads_as_fresh(read, qs, tau, d, depth, prec):
@@ -330,20 +342,24 @@ def test_shared_walks_read_what_fresh_walks_read(seqs, data):
 
 def test_a_walk_that_raises_is_not_kept(monkeypatch):
     qs, tau = generate(PowerSpec(13, F(12, 5)), 6), F(1, 2)
-    dimension._walks.clear()
+    dimension._walk.cache_clear()
     upper_dim_estimate(qs, tau, 2, 2, 64)
-    inner, failed = dimension.dir_pow, []
+    inner, powers = dimension.dir_pow, []
 
     def fails_once(q, e, prec=None):
-        if not failed:
-            failed.append(q)
+        powers.append(q)
+        if len(powers) == 1:
             raise ArithmeticError("injected")
         return inner(q, e, prec)
 
     monkeypatch.setattr(dimension, "dir_pow", fails_once)
     with pytest.raises(ArithmeticError, match="injected"):
         upper_dim_estimate(qs, tau, 2, 5, 64)   # the power of q_2, for depth 3
-    assert failed == [qs.terms[1]]
+    assert powers == [qs.terms[1]]
+    # the step that raised left nothing behind: the records of depths 1 and 2
+    # stay, and the step is taken again
+    upper_dim_estimate(qs, tau, 2, 5, 64)
+    assert powers == [qs.terms[1]] + list(qs.terms[1:4])
     for depth in (5, 2, 6):
         for read in READS:
             _reads_as_fresh(read, qs, tau, 2, depth, 64)
@@ -352,7 +368,7 @@ def test_a_walk_that_raises_is_not_kept(monkeypatch):
 def test_a_shallow_call_walks_no_deeper(monkeypatch):
     # the terms past q_2 are too large for any power to finish in time
     qs = QSequence((5, 200, 1 << 100_000, 1 << (1 << 22)))
-    dimension._walks.clear()
+    dimension._walk.cache_clear()
     inner, powers = dimension.dir_pow, []
 
     def counted(q, e, prec=None):
@@ -399,4 +415,24 @@ def test_threads_that_share_the_walks_read_what_fresh_walks_read():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == [] and wrong == []
-    assert len(dimension._walks) <= dimension._WALK_CACHE_SIZE
+    assert dimension._walk.cache_info().currsize <= dimension._WALK_CACHE_SIZE
+
+
+@pytest.mark.parametrize("tau, d", [(F(1, 2), 0), (F(1, 2), -3), (F(0), 1), (F(-1, 2), 1),
+                                    (F(-1), 1)],
+                         ids=["d=0", "d=-3", "tau=0", "tau=-1/2", "tau=-1"])
+def test_a_dimension_below_one_or_a_tau_not_positive_is_refused(tau, d):
+    # refused before the walk cache is read, with theoretical_dimension's words
+    qs = QSequence((4, 100, 20000))
+    calls = [lambda: upper_cover_count(qs, tau, d, 3, 64),
+             lambda: upper_dim_estimate(qs, tau, d, 3, 64),
+             lambda: lower_cantor_count(qs, tau, d, 3, 64),
+             lambda: depth_series(qs, tau, d, 64)]
+    if d == 1:  # branching_factors takes no d
+        calls.append(lambda: branching_factors(qs, tau, 3, 64))
+    message = "tau must be positive" if tau <= 0 else "dimension must be >= 1"
+    dimension._walk.cache_clear()
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
+        assert dimension._walk.cache_info() == (0, 0, dimension._WALK_CACHE_SIZE, 0)

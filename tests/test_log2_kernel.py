@@ -169,3 +169,25 @@ def test_ln2_constant(widths, monkeypatch):
         with mpmath.workprec(w + 100):
             assert 0 <= mpmath.ldexp(mpmath.log(2), w) - c < 2, w
     assert numerics._LN2[0] >= max(widths)
+
+
+def test_every_small_argument_against_the_integer_oracle():
+    """Every n < 4096 that is not a power of two, against F = floor(2**f
+    log2 n) = bit_length(n**(2**f)) - 1, which is exact on integers: at f =
+    8..13, F - 1 <= _log2_atanh(n, f) <= F + 2, which for an integer is
+    |z - 2**f log2 n| < 2, as 2**f log2 n lies strictly between F and F + 1;
+    at prec 8..10 (steps = prec + 3 = 11..13) the squaring kernel's acc is
+    F or F + 1, and the fast bracket is the squaring kernel's bit for bit."""
+    for n in range(3, 4096):
+        if n & (n - 1) == 0:
+            continue
+        floors, power = {}, n ** (1 << 7)
+        for f in range(8, 14):
+            power *= power
+            floors[f] = power.bit_length() - 1
+            assert floors[f] - 1 <= _log2_atanh(n, f) <= floors[f] + 2, (n, f)
+        for prec in range(8, 11):
+            steps = prec + 3
+            enc = _log2_squares(n, prec)
+            assert enc.lo.as_fraction() * 2 ** steps + 1 - floors[steps] in (0, 1), (n, prec)
+            assert bits(_log2_bracket(n, prec)) == bits(enc), (n, prec)

@@ -82,7 +82,7 @@ SEQUENCES = [
 def _empty_caches():
     """Empty the process's log2 cache and the dimension layer's walk cache."""
     numerics._log2_cached.cache_clear()
-    dimension._walks.clear()
+    dimension._walk.cache_clear()
 
 
 class _Evaluations(list):
@@ -526,20 +526,24 @@ def test_stepping_the_depths_takes_each_factor_and_log_once(qs, pow_calls, kerne
 
 
 def test_walk_cache_stays_within_its_bound(pow_calls):
-    # past the bound, the least recently read walks make room
+    # past the bound, the least recently read walks make room; a new walk to
+    # depth 2 takes one power, of q_1, and a kept one none
     size = dimension._WALK_CACHE_SIZE
-    seqs = [QSequence((3 + k, 1000 + k)) for k in range(2 * size + 1)]
-    for qs in seqs[:2 * size]:
+
+    def powers(qs):
+        taken = len(pow_calls)
         upper_cover_count(qs, TAU, 1, 2, 16)
-        assert len(dimension._walks) <= size
-    assert [key[0] for key in dimension._walks] == seqs[size:2 * size]
-    # a kept walk is read without a power, and is then the most recent
-    taken = len(pow_calls)
-    upper_cover_count(seqs[size], TAU, 1, 2, 16)
-    assert len(pow_calls) == taken
-    upper_cover_count(seqs[-1], TAU, 1, 2, 16)
-    assert [key[0] for key in dimension._walks] == seqs[size + 2:2 * size] + [seqs[size],
-                                                                            seqs[-1]]
+        assert dimension._walk.cache_info().currsize <= size
+        return len(pow_calls) - taken
+
+    seqs = [QSequence((3 + k, 1000 + k)) for k in range(2 * size + 1)]
+    assert [powers(qs) for qs in seqs[:2 * size]] == [1] * 2 * size
+    assert dimension._walk.cache_info().currsize == size
+    # a kept walk is read without a power, and is then the most recent, so
+    # the next new walk evicts the one after it
+    assert powers(seqs[size]) == 0
+    assert powers(seqs[-1]) == 1
+    assert [powers(qs) for qs in (seqs[size], seqs[-1], seqs[size + 1])] == [0, 0, 1]
 
 
 def test_log2_cache_stays_within_its_bound():

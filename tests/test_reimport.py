@@ -64,7 +64,7 @@ exercise()
 # the process's log2 cache holds the old Enclosure class's instances
 assert sys.modules["liminfdim.numerics"]._log2_cached.cache_info().currsize > 0
 # and its walk cache the old CoverReport class's
-assert sys.modules["liminfdim.dimension"]._walks
+assert sys.modules["liminfdim.dimension"]._walk.cache_info().currsize > 0
 del liminfdim
 for name in [n for n in sys.modules if n == "liminfdim" or n.startswith("liminfdim.")]:
     del sys.modules[name]

@@ -281,21 +281,25 @@ MUTANTS: dict[str, Mutant] = {
                                          "scale_int(4 * self.q).add_int(1)"),
     "_log_scale: (1 + tau) -> tau": dimension("mul_frac(1 + self.tau, self.prec)",
                                               "mul_frac(self.tau, self.prec)"),
-    "branching: floor of lo -> of hi": dimension("record.shrink.scale_int(q).lo.floor()",
-                                                 "record.shrink.scale_int(q).hi.floor()"),
+    "branching: floor of lo -> of hi": dimension("parent.shrink.scale_int(q).lo.floor()",
+                                                 "parent.shrink.scale_int(q).hi.floor()"),
     "theoretical_dimension: no clamp": dimension("if raw < 0:", "if False:"),
     "raw_count: one factor too many": dimension("for _ in range(self.d - 1):",
                                                 "for _ in range(self.d):"),
-    "walk key drops d": dimension("key = (qs, tau, d, p,", "key = (qs, tau, p,"),
-    "walk key drops prec": dimension("key = (qs, tau, d, p,", "key = (qs, tau, d,"),
-    "walk key drops tau": dimension("key = (qs, tau, d, p,", "key = (qs, d, p,"),
-    "walk key drops the types": dimension("p, type(d), type(p))", "p)"),
-    "error leaves the walk cached": dimension("_walks.pop(key, None)", "_walks.get(key, None)"),
-    "walk past the depth asked": dimension("while len(records) < depth:",
-                                           "while len(records) < len(qs):"),
-    "walk cache unbounded": dimension("if len(_walks) > _WALK_CACHE_SIZE:", "if False:"),
-    "walk cache evicts the newest": dimension("del _walks[next(iter(_walks))]",
-                                              "_walks.popitem()"),
+    "walk key drops d": dimension("records = _walk(qs, tau, d, p)",
+                                  "records = _walk(qs, tau, 1, p)"),
+    "walk key drops prec": dimension("records = _walk(qs, tau, d, p)",
+                                     "records = _walk(qs, tau, d, None)"),
+    "walk key drops tau": dimension("records = _walk(qs, tau, d, p)",
+                                    "records = _walk(qs, None, d, p)"),
+    "walk key drops the types": dimension("lru_cache(maxsize=_WALK_CACHE_SIZE, typed=True)",
+                                          "lru_cache(maxsize=_WALK_CACHE_SIZE, typed=False)"),
+    "walk past the depth asked": dimension("for q in qs.terms[len(records):depth]:",
+                                           "for q in qs.terms[len(records):depth + 1]:"),
+    "walk cache unbounded": dimension("lru_cache(maxsize=_WALK_CACHE_SIZE, typed=True)",
+                                      "lru_cache(maxsize=None, typed=True)"),
+    "step extends the first record": dimension("parent = records[-1] if records else None",
+                                               "parent = records[0] if records else None"),
     "alpha: one term off": sequences(
         "alpha_list.append(log_ratio(prefix_product, terms[j], prec)) prefix_product *= terms[j]",
         "prefix_product *= terms[j]\n"
