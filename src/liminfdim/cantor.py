@@ -29,8 +29,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .dimension import RegimeViolationError, branching_factors
-from .level_sets import (BudgetExceededError, LevelParams, _radius_grid, _scale_for,
-                         residue_span)
+from .level_sets import BudgetExceededError, LevelParams, residue_span
 from .numerics import (DEFAULT_PRECISION, ONE, UP, DirectedReal, Enclosure, _resolve_prec,
                        check_root_size, pow_exponent_below)
 from .sequences import QSequence
@@ -106,9 +105,8 @@ class CantorTree:
         self.branching_1d = branching_factors(qs, params.tau, self.depth, self.prec)
 
         # radii as exact integers on the level sets' grid of 2**scale points
-        radii = [params.radius_enclosure(q, self.prec) for q in qs.terms[: self.depth]]
-        self._scale = _scale_for(radii, self.prec)
-        self._r_lo, self._r_hi = zip(*(_radius_grid(r, self._scale) for r in radii))
+        self._scale, radii = params.grid(qs.terms[: self.depth], self.prec)
+        self._r_lo, self._r_hi = zip(*radii)
 
         # box separation >= 1/(2 q_k) per level, certified via the upper radius
         self._sep_lo: list[Fraction] = []

@@ -204,6 +204,8 @@ def _records(qs, tau, d, depth, prec) -> list[CoverReport]:
     tau, p = Fraction(tau), _resolve_prec(prec)
     if tau <= 0:
         raise ValueError("tau must be positive")
+    if not isinstance(d, int):
+        raise ValueError(f"dimension must be an integer, got {d!r}")
     if d < 1:
         raise ValueError("dimension must be >= 1")
     with _walk_lock:

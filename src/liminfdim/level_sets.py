@@ -14,7 +14,6 @@ never materialised; see ``prefix_intersection``.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
@@ -63,21 +62,17 @@ class CertifiedCount:
         return CertifiedCount(self.min * other.min, self.max * other.max)
 
 
-RadiusFn = Callable[[int, int], Enclosure]
-
-
 @dataclass(frozen=True)
 class LevelParams:
     """Shift vector, shrinking exponent and dimension for a family of levels.
 
-    The interval radius in x-space defaults to q**-(1+tau); a custom radius
-    function (q, prec) -> Enclosure can replace it, e.g. for constant radii.
+    The level radius of modulus q, the half-width of its arcs in x-space, is
+    q**-(1+tau).
     """
 
     theta: tuple[Fraction, ...]
     tau: Fraction
     d: int = 1
-    radius: Optional[RadiusFn] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "theta", tuple(Fraction(t) for t in self.theta))
@@ -99,13 +94,16 @@ class LevelParams:
         check_root_size(self.tau.denominator, prec, ceil((1 + self.tau) * term_bits))
 
     def radius_enclosure(self, q: int, prec: Optional[int] = None) -> Enclosure:
-        if self.radius is not None:
-            enc = self.radius(q, prec)
-        else:
-            enc = dir_pow(q, -(1 + self.tau), prec)
-        if enc.lo.mantissa <= 0:
-            raise ValueError(f"radius for q={q} must be certainly positive")
-        return enc
+        """The level radius q**-(1+tau), rounded outward at prec bits."""
+        return dir_pow(q, -(1 + self.tau), prec)
+
+    def grid(self, terms: Sequence[int], prec: int) -> tuple[int, list[tuple[int, int]]]:
+        """(scale, [(r_lo, r_hi), ...]): the radii of ``terms`` as integers on
+        one grid of 2**scale points, fine enough to hold every radius
+        endpoint exactly, each rounded inward (r_lo) and outward (r_hi)."""
+        radii = [self.radius_enclosure(q, prec) for q in terms]
+        scale = _scale_for(radii, prec)
+        return scale, [_radius_grid(r, scale) for r in radii]
 
 
 # ---------------------------------------------------------------------------
@@ -572,15 +570,13 @@ def prefix_intersection(
     if not 1 <= depth <= len(qs):
         raise ValueError(f"depth must be in 1..{len(qs)}")
 
-    radii = [params.radius_enclosure(q, p) for q in qs.terms[:depth]]
-    scale = _scale_for(radii, p)
+    scale, radii = params.grid(qs.terms[:depth], p)
 
     full = ArcList.full_circle(scale)
     sets = [TorusIntervalSet(full, full)] * params.d
     levels: list[LevelStats] = []
-    for j, (q, radius) in enumerate(zip(qs.terms, radii), 1):
+    for j, (q, (_, r_hi)) in enumerate(zip(qs.terms, radii), 1):
         partial = PrefixResult(tuple(sets), tuple(levels)) if levels else None
-        r_hi = _radius_grid(radius, scale)[1]
         if any(_candidate_estimate(s.outer, q, r_hi) > component_budget for s in sets):
             raise BudgetExceededError(j, partial)
         try:

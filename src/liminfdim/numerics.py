@@ -59,6 +59,8 @@ EXACT = Direction.EXACT
 def _resolve_prec(prec: Optional[int]) -> int:
     if prec is None:
         return DEFAULT_PRECISION
+    if not isinstance(prec, int):
+        raise ValueError(f"precision must be an integer, got {prec!r}")
     if prec < MIN_PRECISION:
         raise ValueError(f"precision must be at least {MIN_PRECISION} bits, got {prec}")
     return prec

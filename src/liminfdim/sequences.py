@@ -258,7 +258,10 @@ class RegimeResult:
 def regime_from_steps(h_values: Iterable[Enclosure], tau: Fraction) -> RegimeResult:
     """Regime verdict from step exponents h_1, h_2, ... in order; stops
     drawing values at the first step that does not pass."""
-    threshold = Fraction(tau) + 1
+    tau = Fraction(tau)
+    if tau <= 0:
+        raise ValueError("tau must be positive")
+    threshold = tau + 1
     for j, h in enumerate(h_values, start=1):
         verdict = h.certainly_gt(threshold)
         if verdict is True:
@@ -286,5 +289,7 @@ def reindex_even(qs: QSequence, tau: Fraction) -> tuple[QSequence, Fraction]:
     if len(qs) < 2:
         raise ValueError("reindexing needs at least two terms")
     tau = Fraction(tau)
+    if tau <= 0:
+        raise ValueError("tau must be positive")
     sub = qs.terms[1::2]
     return QSequence(sub), tau * (2 + tau)

@@ -1,24 +1,27 @@
-"""Test references: plain functions that only the tests call.
+"""Test references: plain functions, and one subclass, that only the tests call.
 
 Each is an oracle or a fake for the package's code, written from its
 definition: the paper's counting fact for ``residue_span``, exact
 membership of a point in an arc list, a cover or an enclosure, a cover
 built by hand on a grid too fine for ``hyperbolic_cover``, a node's
 1-d arc in a Cantor tree, a tree's child range as one ``residue_span``
-call, a random leaf path walked down a tree, a radius function that
+call, a random leaf path walked down a tree, level parameters with a radius
+of the test's choosing in place of q**-(1+tau) and a radius function that
 ignores q, the log2 kernel as it was when it squared both ends of its
 working interval, and the depth series as a generator that steps a fresh
 walk of its own, which no call shares.
 """
 
 import random
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, floor
 from typing import Iterator, Optional, Union
 
 from liminfdim.cantor import CantorTree
 from liminfdim.dimension import CoverReport
-from liminfdim.level_sets import ArcList, RadiusFn, residue_span
+from liminfdim.level_sets import ArcList, LevelParams, residue_span
 from liminfdim.multiplicative import SquareCover
 from liminfdim.numerics import DOWN, UP, DirectedReal, Enclosure, _resolve_prec
 from liminfdim.sequences import QSequence
@@ -40,6 +43,21 @@ def count_shifted_rationals(a: Fraction, b: Fraction, theta: Fraction, q: int) -
     den = a.denominator * b.denominator * q * theta.denominator
     first, last = residue_span(int(a * den) + 1, int(b * den) - 1, den, q, theta)
     return max(0, min(last, q - 1) - max(first, 0) + 1)
+
+
+RadiusFn = Callable[[int, Optional[int]], Enclosure]
+
+
+@dataclass(frozen=True)
+class RadiusParams(LevelParams):
+    """``LevelParams`` whose level radius is ``radius(q, prec)`` in place of
+    q**-(1+tau): a constant, one that covers the torus, one of exactly
+    1/(2q), a wide enclosure or one that straddles 1/(2q)."""
+
+    radius: RadiusFn = field(kw_only=True)
+
+    def radius_enclosure(self, q: int, prec: Optional[int] = None) -> Enclosure:
+        return self.radius(q, prec)
 
 
 def constant_radius(value: Fraction) -> RadiusFn:

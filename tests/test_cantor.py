@@ -10,7 +10,7 @@ from liminfdim.level_sets import LevelParams, prefix_intersection
 from liminfdim.numerics import Enclosure
 from liminfdim.sequences import PowerSpec, QSequence, generate
 
-from reference import arc_1d, arc_contains, sample_leaf_path
+from reference import RadiusParams, arc_1d, arc_contains, sample_leaf_path
 
 
 def params_1d(theta=F(0), tau=F(1)):
@@ -50,7 +50,7 @@ class TestStructure:
         def wide(q, prec):
             return Enclosure.from_endpoints(F(1, 2 * q * q), F(1, q * q), prec)
 
-        tree = build_tree(QSequence(qs), LevelParams(theta=(theta,), tau=F(1), radius=wide))
+        tree = build_tree(QSequence(qs), RadiusParams(theta=(theta,), tau=F(1), radius=wide))
         for m in tree.nodes_1d(0, 1):
             a, b, _, _ = arc_1d(tree, 0, 1, m)
             start, avail = tree.child_range_1d(0, 1, m)

@@ -305,12 +305,12 @@ def test_the_walk_is_keyed_by_every_argument():
 
 def test_an_equal_key_of_another_type_is_another_call():
     # 2.0 == 2 and True == 1, but the calls raise or give what they did
-    # before any walk was kept
+    # before any walk was kept: a float d or precision is refused
     qs = QSequence((4, 100, 20000))
     upper_dim_estimate(qs, F(1, 2), 2, 3, 64)
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="dimension must be an integer"):
         upper_dim_estimate(qs, F(1, 2), 2.0, 3, 64)
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="precision must be an integer"):
         upper_dim_estimate(qs, F(1, 2), 2, 3, 64.0)
     assert upper_cover_count(qs, F(1, 2), 1, 3, 64).d == 1
     assert upper_cover_count(qs, F(1, 2), True, 3, 64).d is True
@@ -418,19 +418,25 @@ def test_threads_that_share_the_walks_read_what_fresh_walks_read():
     assert dimension._walk.cache_info().currsize <= dimension._WALK_CACHE_SIZE
 
 
-@pytest.mark.parametrize("tau, d", [(F(1, 2), 0), (F(1, 2), -3), (F(0), 1), (F(-1, 2), 1),
-                                    (F(-1), 1)],
-                         ids=["d=0", "d=-3", "tau=0", "tau=-1/2", "tau=-1"])
-def test_a_dimension_below_one_or_a_tau_not_positive_is_refused(tau, d):
-    # refused before the walk cache is read, with theoretical_dimension's words
+@pytest.mark.parametrize("tau, d, prec, message", [
+    (F(1, 2), 0, 64, "dimension must be >= 1"),
+    (F(1, 2), -3, 64, "dimension must be >= 1"),
+    (F(0), 1, 64, "tau must be positive"),
+    (F(-1, 2), 1, 64, "tau must be positive"),
+    (F(-1), 1, 64, "tau must be positive"),
+    (F(1, 2), 2.0, 64, "dimension must be an integer"),
+    (F(1, 2), 1, 64.0, "precision must be an integer"),
+], ids=["d=0", "d=-3", "tau=0", "tau=-1/2", "tau=-1", "d=2.0", "prec=64.0"])
+def test_a_dimension_below_one_or_a_tau_not_positive_is_refused(tau, d, prec, message):
+    # refused before the walk cache is read: a d below one or a tau not
+    # positive with theoretical_dimension's words, and a float d or precision
     qs = QSequence((4, 100, 20000))
-    calls = [lambda: upper_cover_count(qs, tau, d, 3, 64),
-             lambda: upper_dim_estimate(qs, tau, d, 3, 64),
-             lambda: lower_cantor_count(qs, tau, d, 3, 64),
-             lambda: depth_series(qs, tau, d, 64)]
+    calls = [lambda: upper_cover_count(qs, tau, d, 3, prec),
+             lambda: upper_dim_estimate(qs, tau, d, 3, prec),
+             lambda: lower_cantor_count(qs, tau, d, 3, prec),
+             lambda: depth_series(qs, tau, d, prec)]
     if d == 1:  # branching_factors takes no d
-        calls.append(lambda: branching_factors(qs, tau, 3, 64))
-    message = "tau must be positive" if tau <= 0 else "dimension must be >= 1"
+        calls.append(lambda: branching_factors(qs, tau, 3, prec))
     dimension._walk.cache_clear()
     for call in calls:
         with pytest.raises(ValueError, match=message):

@@ -14,7 +14,7 @@ from liminfdim.level_sets import (
 )
 from liminfdim.sequences import QSequence
 
-from reference import arc_contains, constant_radius, count_shifted_rationals
+from reference import RadiusParams, arc_contains, constant_radius, count_shifted_rationals
 
 
 def brute_force_pieces(qs, tau, theta=F(0)):
@@ -126,13 +126,13 @@ class TestBuildLevel:
         assert s.outer.max_length() - F(2, 25) <= F(1, 2 ** 100)
 
     def test_full_torus_radius(self):
-        params = LevelParams(theta=(F(1, 2),), tau=F(1), radius=constant_radius(F(1)))
+        params = RadiusParams(theta=(F(1, 2),), tau=F(1), radius=constant_radius(F(1)))
         s = build_level(1, params)
         assert s.inner.full and s.count == CertifiedCount(1, 1)
         assert s.length_bounds() == (F(1), F(1))
 
     def test_touching_half_arcs(self):
-        params = LevelParams(theta=(F(0),), tau=F(1), radius=constant_radius(F(1, 4)))
+        params = RadiusParams(theta=(F(0),), tau=F(1), radius=constant_radius(F(1, 4)))
         s = build_level(2, params)
         assert s.count == CertifiedCount(2, 2)
         assert s.inner.max_length() == F(1, 2)
@@ -145,7 +145,7 @@ class TestBuildLevel:
         def straddling(q, prec):
             return Enclosure.from_endpoints(F(1, 4) - F(1, 1000), F(1, 4) + F(1, 1000))
 
-        params = LevelParams(theta=(F(0),), tau=F(1), radius=straddling)
+        params = RadiusParams(theta=(F(0),), tau=F(1), radius=straddling)
         with pytest.raises(IndeterminateRadiusError):
             build_level(2, params)
 
@@ -170,7 +170,7 @@ class TestBuildLevel:
         def radius(q, prec):
             return Enclosure.from_fraction(F(1, 64) if q == 4 else F(1, 2 * q), prec)
 
-        params = LevelParams(theta=(F(1, 6),), tau=F(1), radius=radius)
+        params = RadiusParams(theta=(F(1, 6),), tau=F(1), radius=radius)
         with pytest.raises(IndeterminateRadiusError) as exc:
             prefix_intersection(QSequence((4, 16)), params)
         assert exc.value.level == 2
@@ -221,15 +221,15 @@ class TestBuildLevel:
 class TestIntersect:
     def test_full_identity(self):
         params = LevelParams(theta=(F(0),), tau=F(1))
-        a = build_level(1, LevelParams(theta=(F(0),), tau=F(1), radius=constant_radius(F(1))))
+        a = build_level(1, RadiusParams(theta=(F(0),), tau=F(1), radius=constant_radius(F(1))))
         b = build_level(5, params)
         c = a.intersect(b)
         assert c.count == b.count
         assert c.length_bounds() == b.length_bounds()
 
     def test_disjoint_sets_empty(self):
-        pa = LevelParams(theta=(F(0),), tau=F(1), radius=constant_radius(F(1, 100)))
-        pb = LevelParams(theta=(F(1, 2),), tau=F(1), radius=constant_radius(F(1, 100)))
+        pa = RadiusParams(theta=(F(0),), tau=F(1), radius=constant_radius(F(1, 100)))
+        pb = RadiusParams(theta=(F(1, 2),), tau=F(1), radius=constant_radius(F(1, 100)))
         a = build_level(1, pa)
         b = build_level(1, pb)
         c = a.intersect(b)

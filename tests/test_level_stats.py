@@ -29,7 +29,7 @@ from liminfdim.level_sets import (
 )
 from liminfdim.sequences import QSequence
 
-from reference import constant_radius
+from reference import RadiusParams, constant_radius
 
 # zero and dyadic shifts put centres on the grid; odd and mixed ones do not
 THETAS = st.sampled_from([F(0), F(1, 2), F(1, 4), F(3, 8), F(1, 3), F(5, 7), F(96, 97),
@@ -109,8 +109,8 @@ def check_level(s: TorusIntervalSet) -> None:
        radius=st.one_of(st.none(), st.sampled_from([F(1, 8), F(1, 64), F(3, 1024)])),
        window=st.one_of(st.none(), windows()))
 def test_build_level_stats_match_walk(q, theta, tau, prec, radius, window):
-    params = LevelParams(theta=(theta,), tau=tau,
-                         radius=None if radius is None else constant_radius(radius))
+    params = (LevelParams(theta=(theta,), tau=tau) if radius is None else
+              RadiusParams(theta=(theta,), tau=tau, radius=constant_radius(radius)))
     within = None if window is None else TorusIntervalSet(window, window)
     try:
         s = build_level(q, params, prec, within=within)
@@ -123,7 +123,7 @@ def test_runs_of_one_arc_and_runs_cut_whole():
     # arcs 1/32 apart and 1/160 wide, about (k + 1/3)/32; windows from k/16,
     # 1/40 wide, hold one whole arc, and those from k/16 + 1/125, 1/400
     # wide, lie inside one arc and cut it at both ends
-    params = LevelParams(theta=(F(1, 3),), tau=F(1), radius=constant_radius(F(1, 320)))
+    params = RadiusParams(theta=(F(1, 3),), tau=F(1), radius=constant_radius(F(1, 320)))
     size = 1 << 20
     wide = [(k * size // 16 + 7, size // 40) for k in range(1, 16, 2)]
     narrow = [(k * size // 16 + size // 125, size // 400) for k in range(0, 16, 2)]
@@ -146,7 +146,7 @@ def test_full_circle_and_covering_radius():
     params = LevelParams(theta=(F(0),), tau=F(1))
     for q in (1, 2, 8, 12, 1024):
         check_level(build_level(q, params, 64))  # every arc of one run, none cut
-    covering = LevelParams(theta=(F(1, 4),), tau=F(1), radius=constant_radius(F(1)))
+    covering = RadiusParams(theta=(F(1, 4),), tau=F(1), radius=constant_radius(F(1)))
     s = build_level(3, covering)
     assert s.inner.full and stats(s.outer) == reference_stats(s.outer) == (F(1), F(1), None)
 
@@ -179,7 +179,7 @@ def test_level_stats_match_walk(q1, steps, thetas, tau, prec):
 
 def test_empty_levels():
     # arcs 1/64 about 1/4 and 3/4 miss those about 1/6, 1/2 and 5/6
-    params = LevelParams(theta=(F(1, 2),), tau=F(1), radius=constant_radius(F(1, 64)))
+    params = RadiusParams(theta=(F(1, 2),), tau=F(1), radius=constant_radius(F(1, 64)))
     res = prefix_intersection(QSequence((2, 3, 5)), params)
     for level in res.levels[1:]:
         assert level.count.max == 0

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import mpmath
 import pytest
 
+from liminfdim.level_sets import LevelParams, prefix_intersection
 from liminfdim.numerics import (
     DOWN,
     EXACT,
@@ -14,6 +15,7 @@ from liminfdim.numerics import (
     log2_int,
     log_ratio,
 )
+from liminfdim.sequences import QSequence
 
 from reference import enclosure_contains
 
@@ -216,3 +218,17 @@ class TestEnclosure:
         assert e.add_int(1).lo.as_fraction() == F(5, 4)
         m = e.mul_frac(F(2, 3), 64)
         assert m.lo.as_fraction() <= F(1, 6) and m.hi.as_fraction() >= F(1, 3)
+
+
+@pytest.mark.parametrize("call", [
+    lambda prec: log2_int(7, prec),
+    lambda prec: dir_pow(7, F(1, 3), prec),
+    lambda prec: prefix_intersection(QSequence((4, 100)), LevelParams((F(0),), F(1)),
+                                     prec=prec),
+], ids=["log2_int", "dir_pow", "prefix_intersection"])
+def test_precision_must_be_an_integer(call):
+    with pytest.raises(ValueError, match="precision must be an integer, got 64.0"):
+        call(64.0)
+    # True is the integer 1, below the minimum precision
+    with pytest.raises(ValueError, match="precision must be at least 8 bits"):
+        call(True)

@@ -24,6 +24,13 @@ and names the first term past the cap.
 
 ``pow_exponent_below`` must stay strictly under the lower end of every
 ``pow_frac`` it bounds, exact results and 8-bit precision included.
+
+Small inputs are checked exhaustively, with integers only: ``_iroot`` on
+every radicand below 2**16 at degrees 2..8, and ``dir_pow`` on every base
+q < 1024 with the 30 exponents +-a/b (a <= 5, b <= 4) at precisions 8..16,
+whose ends' b-th powers must bracket q**a, whose relative width must stay
+within 2**(1 - prec), and whose ends must be equal exactly when q**(a/b) is
+dyadic.
 """
 
 import json
@@ -454,3 +461,54 @@ def test_pow_exponent_below_at_exact_powers():
             lo = Enclosure.exact_dyadic(1, e).pow_frac(s, prec).lo
             k = pow_exponent_below(DirectedReal(1, e), s)
             assert lo == DirectedReal(1, k + 1)
+
+
+
+# -- every small input against integers ---------------------------------------
+
+def test_iroot_on_every_small_radicand():
+    for b in range(2, 9):
+        wrong = [x for x in range(1 << 16) if not (r := _iroot(x, b)) ** b <= x < (r + 1) ** b]
+        assert not wrong, (b, wrong[:5])
+
+
+def _power_cmp(m: int, e: int, b: int, num: int, den: int) -> int:
+    """The sign of (m * 2**e)**b * den - num, in integers."""
+    x, s = m ** b * den, e * b
+    x, num = (x << s, num) if s >= 0 else (x, num << -s)
+    return (x > num) - (x < num)
+
+
+def _odd_part(q: int) -> tuple[int, int]:
+    """(odd, k) with q = odd * 2**k."""
+    k = 0
+    while q % 2 == 0:
+        q, k = q // 2, k + 1
+    return q, k
+
+
+def test_dir_pow_on_every_small_base():
+    """For q < 1024, e = +-a/b with a <= 5 and b <= 4, and prec 8..16, the
+    ends of dir_pow(q, e, prec) satisfy lo**b <= q**a <= hi**b, hi - lo <=
+    2**(1 - prec) lo, and lo = hi exactly when q**e is dyadic: q = odd * 2**k
+    with b | k, odd a b-th power, and odd = 1 when a < 0."""
+    exponents = sorted({F(a, b) for a in range(1, 6) for b in range(1, 5)})
+    exponents += [-e for e in exponents]
+    assert len(exponents) == 30
+    powers = {b: {r ** b for r in range(1, 1024)} for b in range(1, 5)}
+    for q in range(1, 1024):
+        odd, k = _odd_part(q)
+        for e in exponents:
+            a, b = e.numerator, e.denominator
+            num, den = (q ** a, 1) if a > 0 else (1, q ** -a)   # q**a = num / den
+            dyadic = k % b == 0 and odd in powers[b] and (a > 0 or odd == 1)
+            for prec in range(8, 17):
+                enc = dir_pow(q, e, prec)
+                (ml, el), (mh, eh) = ((d.mantissa, d.exponent) for d in (enc.lo, enc.hi))
+                case = (q, e, prec)
+                assert _power_cmp(ml, el, b, num, den) <= 0 <= _power_cmp(mh, eh, b, num, den), case
+                # (hi - lo) 2**(prec - 1) <= lo, on the grid of the finer end
+                g = min(el, eh)
+                lo, hi = ml << el - g, mh << eh - g
+                assert (hi - lo) << prec - 1 <= lo, case
+                assert (lo == hi) == dyadic, case

@@ -45,7 +45,7 @@ from liminfdim.level_sets import (
 from liminfdim.numerics import ONE, Enclosure, _resolve_prec
 from liminfdim.sequences import QSequence
 
-from reference import (arc_contains, constant_radius, residue_span_child_range,
+from reference import (RadiusParams, arc_contains, constant_radius, residue_span_child_range,
                        sample_leaf_path)
 
 THETAS = st.sampled_from([F(0), F(1, 2), F(1, 3), F(5, 8), F(96, 97), F(45, 97), F(68, 97),
@@ -118,8 +118,8 @@ RADII = st.one_of(st.none(), st.sampled_from([F(1, 4), F(3, 16), F(1, 8), F(1, 6
 
 
 def level_params(theta, tau, radius):
-    return LevelParams(theta=(theta,), tau=tau,
-                       radius=None if radius is None else constant_radius(radius))
+    return (LevelParams(theta=(theta,), tau=tau) if radius is None else
+            RadiusParams(theta=(theta,), tau=tau, radius=constant_radius(radius)))
 
 
 @settings(max_examples=150, deadline=None)

@@ -137,6 +137,12 @@ class TestRegime:
     def test_single_term_vacuous(self):
         assert validate_regime(QSequence((5,)), F(10)).status is RegimeStatus.PASS
 
+    @pytest.mark.parametrize("tau", [F(0), F(-1, 2)], ids=["zero", "negative"])
+    def test_tau_must_be_positive(self, tau):
+        for qs in (QSequence((4, 100, 20000)), QSequence((5,))):
+            with pytest.raises(ValueError, match="tau must be positive"):
+                validate_regime(qs, tau)
+
     def test_alternating_reindexed_regime(self):
         # the reindexed subsequence has step exponent ~ eta*(1+tau), which
         # exceeds (1+tau)^2 = tau_hat + 1 whenever eta > 1+tau
@@ -171,6 +177,11 @@ class TestReindex:
         assert tau_hat == 3
         _, tau_hat = reindex_even(qs, F(2))
         assert tau_hat == 8
+
+    @pytest.mark.parametrize("tau", [F(0), F(-1, 2)], ids=["zero", "negative"])
+    def test_tau_must_be_positive(self, tau):
+        with pytest.raises(ValueError, match="tau must be positive"):
+            reindex_even(QSequence((4, 100, 20000)), tau)
 
     def test_selects_even_positions(self):
         qs = QSequence((2, 5, 11, 300))

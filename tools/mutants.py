@@ -153,6 +153,11 @@ MUTANTS: dict[str, Mutant] = {
     "_radius_grid: floor <-> ceil": level_sets(
         "return (_shift_floor(lo.mantissa, lo.exponent + scale), _shift_ceil(",
         "return (_shift_ceil(lo.mantissa, lo.exponent + scale), _shift_floor("),
+    "radius_enclosure: exponent -tau": level_sets("dir_pow(q, -(1 + self.tau), prec)",
+                                                  "dir_pow(q, -self.tau, prec)"),
+    "grid: scale from the first radius only": level_sets("scale = _scale_for(radii, prec)",
+                                                         "scale = _scale_for(radii[:1], prec)"),
+    "_resolve_prec: no integer check": numerics("if not isinstance(prec, int):", "if False:"),
     "pow_frac: every base exact": numerics("if self.is_exact:", "if True:"),
     "_log2_bracket: lower end +1": numerics("acc - 1, -steps, DOWN", "acc - 1 + 1, -steps, DOWN"),
     "_log2_bracket: lower end -1": numerics("acc - 1, -steps, DOWN", "acc - 1 - 1, -steps, DOWN"),
@@ -286,6 +291,7 @@ MUTANTS: dict[str, Mutant] = {
     "theoretical_dimension: no clamp": dimension("if raw < 0:", "if False:"),
     "raw_count: one factor too many": dimension("for _ in range(self.d - 1):",
                                                 "for _ in range(self.d):"),
+    "_records: no integer check on d": dimension("if not isinstance(d, int):", "if False:"),
     "walk key drops d": dimension("records = _walk(qs, tau, d, p)",
                                   "records = _walk(qs, tau, 1, p)"),
     "walk key drops prec": dimension("records = _walk(qs, tau, d, p)",
@@ -304,8 +310,13 @@ MUTANTS: dict[str, Mutant] = {
         "alpha_list.append(log_ratio(prefix_product, terms[j], prec)) prefix_product *= terms[j]",
         "prefix_product *= terms[j]\n"
         "        alpha_list.append(log_ratio(prefix_product, terms[j], prec))"),
-    "regime threshold tau + 1 -> tau": sequences("threshold = Fraction(tau) + 1",
-                                                 "threshold = Fraction(tau)"),
+    "regime threshold tau + 1 -> tau": sequences("threshold = tau + 1", "threshold = tau"),
+    "regime_from_steps: no tau check": sequences(
+        'if tau <= 0: raise ValueError("tau must be positive") threshold = tau + 1',
+        "threshold = tau + 1"),
+    "reindex_even: no tau check": sequences(
+        'if tau <= 0: raise ValueError("tau must be positive") sub = qs.terms[1::2]',
+        "sub = qs.terms[1::2]"),
     "regime: INDETERMINATE -> PASS": sequences("RegimeResult(RegimeStatus.INDETERMINATE, j)",
                                                "RegimeResult(RegimeStatus.PASS, j)"),
     "_ceil_root: >= -> >": sequences("r if r ** b >= x else", "r if r ** b > x else"),
